@@ -1,11 +1,13 @@
-//! BFQ: budget fair queueing with hierarchical weights and `slice_idle`.
+//! BFQ: budget fair queueing over flat per-cgroup weights and `slice_idle`.
 //!
 //! The model implements the mechanisms behind the paper's BFQ findings:
 //!
 //! * **weight-proportional service** — each cgroup has an absolute weight
-//!   (`io.bfq.weight`, 1–1000, default 100); service is allotted by
-//!   virtual time so long-run bandwidth shares follow relative weights
-//!   (Fig. 2c/d, Q4),
+//!   (`io.bfq.weight`, 1–1000, default 100), applied flat: a cgroup's own
+//!   weight is used as is, not combined with its ancestors'. Each group
+//!   accumulates virtual time (bytes served / weight) and the backlogged
+//!   group with the smallest virtual time is served next, so long-run
+//!   bandwidth shares follow relative weights (Fig. 2c/d, Q4),
 //! * **slices with budgets** — the in-service group keeps the device
 //!   until its byte budget is spent, then the group with the smallest
 //!   virtual time is picked,
@@ -17,8 +19,13 @@
 //!
 //! `low_latency` is modelled as disabled, matching the paper's setup
 //! (§III disables it because it re-prioritizes dynamically).
+//!
+//! Backlogged groups sit in a service tree ordered by `(vtime, group)`,
+//! so picking the next group costs O(log backlogged) however many
+//! cgroups carry a weight.
 
-use std::collections::HashMap;
+use std::cmp::Ordering;
+use std::collections::{BTreeSet, VecDeque};
 
 use blkio::{AccessPattern, GroupId, IoRequest};
 use serde::{Deserialize, Serialize};
@@ -58,19 +65,69 @@ impl Default for BfqConfig {
     }
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct GroupState {
-    queue: std::collections::VecDeque<IoRequest>,
+    queue: VecDeque<IoRequest>,
     weight: u32,
     vtime: f64,
     slice_consumed: u64,
 }
 
+impl Default for GroupState {
+    fn default() -> Self {
+        GroupState {
+            queue: VecDeque::new(),
+            weight: 100,
+            vtime: 0.0,
+            slice_consumed: 0,
+        }
+    }
+}
+
+/// A backlogged group's position in the service tree.
+///
+/// Ordered by `vtime` under [`f64::total_cmp`], then by group id: the
+/// smallest key is the group with the least virtual time, ties going to
+/// the lower id.
+#[derive(Debug, Clone, Copy)]
+struct ServiceKey {
+    vtime: f64,
+    group: GroupId,
+}
+
+impl Ord for ServiceKey {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.vtime
+            .total_cmp(&other.vtime)
+            .then_with(|| self.group.cmp(&other.group))
+    }
+}
+
+impl PartialOrd for ServiceKey {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for ServiceKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for ServiceKey {}
+
 /// The BFQ scheduler model.
+///
+/// Invariant: a group's [`ServiceKey`] is in `backlogged` iff its queue
+/// is non-empty, and the key's `vtime` is the group's current `vtime`.
 #[derive(Debug)]
 pub struct Bfq {
     config: BfqConfig,
-    groups: HashMap<GroupId, GroupState>,
+    /// Per-group state indexed by [`GroupId::index`] (cgroup ids are
+    /// dense); groups never seen read as weight 100, empty.
+    groups: Vec<GroupState>,
+    backlogged: BTreeSet<ServiceKey>,
     in_service: Option<GroupId>,
     idle_until: Option<SimTime>,
     slice_started: SimTime,
@@ -83,7 +140,8 @@ impl Bfq {
     pub fn new(config: BfqConfig) -> Self {
         Bfq {
             config,
-            groups: HashMap::new(),
+            groups: Vec::new(),
+            backlogged: BTreeSet::new(),
             in_service: None,
             idle_until: None,
             slice_started: SimTime::ZERO,
@@ -92,31 +150,42 @@ impl Bfq {
     }
 
     fn group_mut(&mut self, id: GroupId) -> &mut GroupState {
-        self.groups.entry(id).or_insert_with(|| GroupState {
-            weight: 100,
-            ..GroupState::default()
-        })
+        let i = id.index();
+        if i >= self.groups.len() {
+            self.groups.resize_with(i + 1, GroupState::default);
+        }
+        &mut self.groups[i]
+    }
+
+    fn key(&self, id: GroupId) -> ServiceKey {
+        ServiceKey {
+            vtime: self.groups[id.index()].vtime,
+            group: id,
+        }
     }
 
     fn pick_next(&self) -> Option<GroupId> {
-        self.groups
-            .iter()
-            .filter(|(_, g)| !g.queue.is_empty())
-            .min_by(|(ia, a), (ib, b)| a.vtime.total_cmp(&b.vtime).then_with(|| ia.cmp(ib)))
-            .map(|(&id, _)| id)
+        self.backlogged.first().map(|k| k.group)
     }
 
+    /// `id` must be backlogged.
     fn serve_from(&mut self, id: GroupId, now: SimTime) -> Option<IoRequest> {
         let slice_idle = self.config.slice_idle;
-        let g = self.groups.get_mut(&id)?;
+        // The group's key changes with its vtime: take it out first.
+        self.backlogged.remove(&self.key(id));
+        let g = &mut self.groups[id.index()];
         let req = g.queue.pop_front()?;
         g.vtime += f64::from(req.len) / f64::from(g.weight.max(1));
         g.slice_consumed += u64::from(req.len);
+        let drained = g.queue.is_empty();
+        if !drained {
+            self.backlogged.insert(self.key(id));
+        }
         // Idling is only worthwhile for sequential (non-seeky) queues:
         // BFQ disables it for seeky ones, which is why it cannot protect
         // a random-read LC app (Fig. 7e) yet wastes utilization on
         // sequential tenants.
-        if g.queue.is_empty() && !slice_idle.is_zero() && req.pattern == AccessPattern::Sequential {
+        if drained && !slice_idle.is_zero() && req.pattern == AccessPattern::Sequential {
             // Bet on more I/O from this group: idle the device.
             self.idle_until = Some(now + slice_idle);
         } else {
@@ -130,13 +199,17 @@ impl IoScheduler for Bfq {
     fn insert(&mut self, req: IoRequest, _now: SimTime) {
         let global_v = self.global_vtime;
         let in_service = self.in_service;
-        let g = self.group_mut(req.group);
-        if g.queue.is_empty() {
+        let group = req.group;
+        let g = self.group_mut(group);
+        let was_empty = g.queue.is_empty();
+        if was_empty {
             // Catch up: an idle group must not bank virtual time.
             g.vtime = g.vtime.max(global_v);
         }
-        let group = req.group;
         g.queue.push_back(req);
+        if was_empty {
+            self.backlogged.insert(self.key(group));
+        }
         // The awaited request arrived: stop idling and resume service.
         if in_service == Some(group) {
             self.idle_until = None;
@@ -146,7 +219,7 @@ impl IoScheduler for Bfq {
     fn dispatch(&mut self, now: SimTime) -> Option<IoRequest> {
         if let Some(current) = self.in_service {
             let (has_work, budget_spent) = {
-                let g = self.groups.get(&current)?;
+                let g = &self.groups[current.index()];
                 (
                     !g.queue.is_empty(),
                     g.slice_consumed >= self.config.budget_bytes,
@@ -174,25 +247,24 @@ impl IoScheduler for Bfq {
             self.idle_until = None;
         }
         let next = self.pick_next()?;
-        self.global_vtime = self.global_vtime.max(self.groups[&next].vtime);
+        let g = &mut self.groups[next.index()];
+        g.slice_consumed = 0;
+        self.global_vtime = self.global_vtime.max(g.vtime);
         self.in_service = Some(next);
         self.slice_started = now;
-        self.group_mut(next).slice_consumed = 0;
         self.serve_from(next, now)
     }
 
     fn has_pending(&self) -> bool {
-        self.groups.values().any(|g| !g.queue.is_empty())
+        !self.backlogged.is_empty()
     }
 
     fn next_timer(&self, now: SimTime) -> Option<SimTime> {
         match (self.in_service, self.idle_until) {
             (Some(current), Some(t)) if now < t => {
                 // A timer is only useful if someone else is waiting.
-                let others_pending = self
-                    .groups
-                    .iter()
-                    .any(|(&id, g)| id != current && !g.queue.is_empty());
+                let current_pending = !self.groups[current.index()].queue.is_empty();
+                let others_pending = self.backlogged.len() > usize::from(current_pending);
                 others_pending.then_some(t)
             }
             _ => None,
@@ -210,6 +282,7 @@ impl IoScheduler for Bfq {
     }
 
     fn set_group_weight(&mut self, group: GroupId, weight: u32) {
+        // vtime is untouched, so a backlogged group keeps its key.
         self.group_mut(group).weight = weight.clamp(1, 1_000);
     }
 
@@ -400,8 +473,8 @@ mod tests {
     fn weight_is_clamped_to_bfq_range() {
         let mut s = Bfq::new(no_idle_config());
         s.set_group_weight(GroupId(1), 5_000);
-        assert_eq!(s.groups[&GroupId(1)].weight, 1_000);
+        assert_eq!(s.groups[1].weight, 1_000);
         s.set_group_weight(GroupId(1), 0);
-        assert_eq!(s.groups[&GroupId(1)].weight, 1);
+        assert_eq!(s.groups[1].weight, 1);
     }
 }

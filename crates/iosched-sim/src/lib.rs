@@ -153,20 +153,6 @@ pub trait IoScheduler: std::fmt::Debug {
     fn kind(&self) -> SchedKind;
 }
 
-/// Creates a boxed scheduler of the given kind with default config.
-///
-/// Kept for callers that want trait-object polymorphism; the engine hot
-/// path uses [`Scheduler`] instead to avoid per-call vtable indirection.
-#[must_use]
-pub fn make_scheduler(kind: SchedKind) -> Box<dyn IoScheduler> {
-    match kind {
-        SchedKind::None => Box::new(Noop::new()),
-        SchedKind::MqDeadline => Box::new(MqDeadline::new(MqDeadlineConfig::default())),
-        SchedKind::Bfq => Box::new(Bfq::new(BfqConfig::default())),
-        SchedKind::Kyber => Box::new(Kyber::new(KyberConfig::default())),
-    }
-}
-
 /// Enum dispatch over the closed scheduler set.
 ///
 /// The kernel's elevator framework is an open registry, but this
@@ -356,27 +342,10 @@ mod tests {
             SchedKind::Bfq,
             SchedKind::Kyber,
         ] {
-            let s = make_scheduler(kind);
+            let s = Scheduler::new(kind);
             assert_eq!(s.kind(), kind);
             assert!(!s.has_pending());
-        }
-    }
-
-    #[test]
-    fn enum_dispatch_agrees_with_trait_objects() {
-        for kind in [
-            SchedKind::None,
-            SchedKind::MqDeadline,
-            SchedKind::Bfq,
-            SchedKind::Kyber,
-        ] {
-            let e = Scheduler::new(kind);
-            let b = make_scheduler(kind);
-            assert_eq!(e.kind(), kind);
-            assert!(!e.has_pending());
-            assert_eq!(e.dispatch_overhead(), b.dispatch_overhead());
-            assert_eq!(e.submit_cpu_overhead(), b.submit_cpu_overhead());
-            assert_eq!(e.next_timer(SimTime::ZERO), b.next_timer(SimTime::ZERO));
+            assert_eq!(s.next_timer(SimTime::ZERO), None);
         }
     }
 
@@ -395,9 +364,9 @@ mod tests {
     #[test]
     fn overhead_ordering_matches_paper() {
         // BFQ > MQ-DL > none, both in dispatch and CPU cost (O1, O2).
-        let none = make_scheduler(SchedKind::None);
-        let mq = make_scheduler(SchedKind::MqDeadline);
-        let bfq = make_scheduler(SchedKind::Bfq);
+        let none = Scheduler::new(SchedKind::None);
+        let mq = Scheduler::new(SchedKind::MqDeadline);
+        let bfq = Scheduler::new(SchedKind::Bfq);
         assert!(bfq.dispatch_overhead() > mq.dispatch_overhead());
         assert!(mq.dispatch_overhead() > none.dispatch_overhead());
         assert!(bfq.submit_cpu_overhead() > mq.submit_cpu_overhead());

@@ -31,6 +31,20 @@ cargo bench --workspace --no-run
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
+echo "==> perfbench correctness (its own tests, then each workload once at seed 1; every cell must match reference.txt)"
+cargo build --release --manifest-path perfbench/Cargo.toml
+cargo test --release --manifest-path perfbench/Cargo.toml
+# perfbench exits 0 even when cells fail; the verdict is the last stdout line.
+pb_log=$(mktemp)
+for w in grid_open fleet_4096 apps_closed; do
+    last=$(cargo run --release --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "$w" --seed 1 --seconds 1 --trace 0 2>"$pb_log" | tail -n 1) \
+        || { cat "$pb_log"; echo "FAIL: perfbench $w did not run"; exit 1; }
+    [[ "$last" == *'"correct": true'* ]] \
+        || { cat "$pb_log"; echo "FAIL: perfbench $w reported failed cells: $last"; exit 1; }
+done
+rm -f "$pb_log"
+
 echo "==> closed-loop suite (engine conformance + scenario DSL + app_mix determinism)"
 cargo test -q -p workload --test closed_loop
 cargo test -q -p isol-bench --test scenario_file
