@@ -11,8 +11,10 @@ const SUB_COUNT: u64 = 1 << SUB_BITS;
 ///
 /// Values up to 64 ns are recorded exactly; beyond that, each octave is
 /// split into 64 linear sub-buckets, bounding relative quantization error
-/// at ~1.6 % while keeping memory constant. This matches how the paper
-/// reports latency (CDFs and P99 in microseconds).
+/// at ~1.6 %. Only the octaves between the smallest and largest sample
+/// are stored, so memory is 512 B per octave spanned (at most ~30 KiB).
+/// This matches how the paper reports latency (CDFs and P99 in
+/// microseconds).
 ///
 /// # Example
 ///
@@ -28,11 +30,14 @@ const SUB_COUNT: u64 = 1 << SUB_BITS;
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LatencyHistogram {
-    /// Bucket counts; allocated lazily on the first sample so that a
-    /// fleet of mostly-idle tenants (e.g. 64k provisioned, a few
-    /// thousand ever active) does not pay ~30 KiB of zeroed memory per
-    /// histogram up front. Empty means "all zeros".
+    /// Counts for bucket indices `base .. base + buckets.len()`: a window
+    /// of whole octaves (the 64 exact values 0–63 count as one) covering
+    /// every sample seen. Buckets outside it are zero, so a fleet tenant
+    /// whose latencies span a few octaves holds a few hundred bytes, not
+    /// all ~30 KiB. Empty means "all zeros".
     buckets: Vec<u64>,
+    /// First bucket index in `buckets`; a multiple of `SUB_COUNT`.
+    base: usize,
     count: u64,
     sum_ns: u128,
     min_ns: u64,
@@ -100,6 +105,7 @@ impl LatencyHistogram {
     pub fn new() -> Self {
         LatencyHistogram {
             buckets: Vec::new(),
+            base: 0,
             count: 0,
             sum_ns: 0,
             min_ns: u64::MAX,
@@ -111,17 +117,33 @@ impl LatencyHistogram {
     /// sub-buckets per octave up to `u64::MAX`.
     const NUM_BUCKETS: usize = bucket_index(u64::MAX) + 1;
 
+    /// Grows the window to whole octaves covering bucket indices
+    /// `lo..hi` as well as the current window, keeping its counts.
     #[cold]
-    fn materialize(&mut self) {
-        self.buckets = vec![0; Self::NUM_BUCKETS];
+    fn widen(&mut self, lo: usize, hi: usize) {
+        let (lo, hi) = if self.buckets.is_empty() {
+            (lo, hi)
+        } else {
+            (lo.min(self.base), hi.max(self.base + self.buckets.len()))
+        };
+        let sub = SUB_COUNT as usize;
+        let base = lo / sub * sub;
+        let end = hi.next_multiple_of(sub).min(Self::NUM_BUCKETS);
+        let mut buckets = vec![0; end - base];
+        // An empty window (base 0) copies nothing, at offset 0.
+        let off = self.base.saturating_sub(base);
+        buckets[off..off + self.buckets.len()].copy_from_slice(&self.buckets);
+        self.buckets = buckets;
+        self.base = base;
     }
 
     /// Records one latency sample in nanoseconds.
     pub fn record_ns(&mut self, ns: u64) {
-        if self.buckets.is_empty() {
-            self.materialize();
+        let idx = bucket_index(ns);
+        if idx.wrapping_sub(self.base) >= self.buckets.len() {
+            self.widen(idx, idx + 1);
         }
-        self.buckets[bucket_index(ns)] += 1;
+        self.buckets[idx - self.base] += 1;
         self.count += 1;
         self.sum_ns += u128::from(ns);
         self.min_ns = self.min_ns.min(ns);
@@ -187,7 +209,7 @@ impl LatencyHistogram {
         for (i, &c) in self.buckets.iter().enumerate() {
             cum += c;
             if cum >= target {
-                return bucket_value(i)
+                return bucket_value(self.base + i)
                     .min(self.max_ns)
                     .max(self.min_ns.min(self.max_ns));
             }
@@ -230,10 +252,14 @@ impl LatencyHistogram {
     /// Merges another histogram into this one.
     pub fn merge(&mut self, other: &LatencyHistogram) {
         if !other.buckets.is_empty() {
-            if self.buckets.is_empty() {
-                self.materialize();
+            let (lo, hi) = (other.base, other.base + other.buckets.len());
+            if self.buckets.is_empty() || lo < self.base || hi > self.base + self.buckets.len() {
+                self.widen(lo, hi);
             }
-            for (b, ob) in self.buckets.iter_mut().zip(&other.buckets) {
+            for (b, ob) in self.buckets[lo - self.base..]
+                .iter_mut()
+                .zip(&other.buckets)
+            {
                 *b += ob;
             }
         }
@@ -398,6 +424,65 @@ mod tests {
         assert_eq!(s.count, 5);
         assert!(s.p50_us <= s.p90_us && s.p90_us <= s.p99_us && s.p99_us <= s.max_us + 1e-9);
         assert!((s.max_us - 5_000.0).abs() < 1.0);
+    }
+
+    #[test]
+    fn new_histogram_holds_no_buckets() {
+        let h = LatencyHistogram::new();
+        assert!(h.buckets.is_empty());
+        let mut m = LatencyHistogram::new();
+        m.merge(&h);
+        assert!(m.buckets.is_empty());
+    }
+
+    #[test]
+    fn one_octave_holds_64_buckets() {
+        let mut h = LatencyHistogram::new();
+        // 16_384 ns = 2^14: every sample shares that octave.
+        for ns in [20_000u64, 16_384, 32_767, 25_000] {
+            h.record_ns(ns);
+        }
+        assert_eq!(h.buckets.len(), 64);
+        let mut exact = LatencyHistogram::new();
+        for ns in [63u64, 0, 17] {
+            exact.record_ns(ns);
+        }
+        assert_eq!(exact.buckets.len(), 64);
+    }
+
+    #[test]
+    fn window_spans_only_seen_octaves() {
+        let (lo, hi) = (20_000u64, 5_000_000u64);
+        let octaves = (hi.ilog2() - lo.ilog2() + 1) as usize;
+        let mut h = LatencyHistogram::new();
+        let mut ns = hi;
+        while ns >= lo {
+            h.record_ns(ns);
+            ns = ns * 7 / 8;
+        }
+        h.record_ns(lo);
+        assert!(
+            h.buckets.len() <= octaves * 64,
+            "{} buckets",
+            h.buckets.len()
+        );
+        assert_eq!(h.buckets.len() % 64, 0);
+    }
+
+    #[test]
+    fn full_range_holds_every_bucket() {
+        for order in [[0, u64::MAX], [u64::MAX, 0]] {
+            let mut h = LatencyHistogram::new();
+            for ns in order {
+                h.record_ns(ns);
+            }
+            assert_eq!(h.buckets.len(), LatencyHistogram::NUM_BUCKETS);
+            assert_eq!(h.percentile_ns(0.0), 0);
+            assert_eq!(
+                h.percentile_ns(1.0),
+                bucket_value(LatencyHistogram::NUM_BUCKETS - 1)
+            );
+        }
     }
 
     #[test]
