@@ -1,10 +1,9 @@
 //! Event-queue and request-tracking micro-benchmarks:
 //!
-//! * heap pre-sizing (`EventQueue::with_capacity`) vs growing from
-//!   empty,
-//! * the timing-wheel backend vs the binary-heap backend under the
-//!   engine's three characteristic schedule shapes (uniform churn,
-//!   bursty arrivals with long quiet gaps, same-instant ties),
+//! * pre-sizing (`EventQueue::with_capacity`) vs growing from empty,
+//! * the timing wheel under the engine's three characteristic schedule
+//!   shapes (uniform churn, bursty arrivals with long quiet gaps,
+//!   same-instant ties),
 //! * slab/free-list in-service tracking vs a `HashMap` keyed by request
 //!   id (the structure `NvmeDevice` replaced).
 
@@ -13,7 +12,7 @@ use std::collections::HashMap;
 use std::hint::black_box;
 
 use blkio::{AccessPattern, AppId, DeviceId, GroupId, IoOp, IoRequest};
-use simcore::{EventQueue, QueueBackend, SimDuration, SimTime};
+use simcore::{EventQueue, SimDuration, SimTime};
 
 const EVENTS: u64 = 10_000;
 
@@ -132,20 +131,17 @@ fn ties_workload(mut q: EventQueue<u64>) -> u64 {
     sum
 }
 
-fn bench_queue_backends(c: &mut Criterion) {
-    let mut g = c.benchmark_group("event_queue_backends");
-    let backends = [("wheel", QueueBackend::Wheel), ("heap", QueueBackend::Heap)];
-    for (name, backend) in backends {
-        g.bench_function(BenchmarkId::new("uniform_10k", name), |b| {
-            b.iter(|| black_box(uniform_workload(EventQueue::with_backend(backend))));
-        });
-        g.bench_function(BenchmarkId::new("bursty_10k", name), |b| {
-            b.iter(|| black_box(bursty_workload(EventQueue::with_backend(backend))));
-        });
-        g.bench_function(BenchmarkId::new("ties_10k", name), |b| {
-            b.iter(|| black_box(ties_workload(EventQueue::with_backend(backend))));
-        });
-    }
+fn bench_queue_shapes(c: &mut Criterion) {
+    let mut g = c.benchmark_group("event_queue_shapes");
+    g.bench_function("uniform_10k", |b| {
+        b.iter(|| black_box(uniform_workload(EventQueue::new())));
+    });
+    g.bench_function("bursty_10k", |b| {
+        b.iter(|| black_box(bursty_workload(EventQueue::new())));
+    });
+    g.bench_function("ties_10k", |b| {
+        b.iter(|| black_box(ties_workload(EventQueue::new())));
+    });
     g.finish();
 }
 
@@ -225,7 +221,7 @@ fn bench_slab_vs_hashmap(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_event_queue_sizing,
-    bench_queue_backends,
+    bench_queue_shapes,
     bench_slab_vs_hashmap
 );
 criterion_main!(benches);

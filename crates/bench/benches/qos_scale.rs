@@ -1,26 +1,24 @@
-//! `qos_scale`: controller-cost scaling with tenant count.
+//! `qos_scale`: `io.cost` controller cost scaling with tenant count.
 //!
 //! Two cost axes, each at 8 / 256 / 1024 / 4096 / 16384 materialized
 //! tenant groups with ~10% of them active (the fleet steady state: most
 //! tenants idle between diurnal bursts):
 //!
 //! * **tick** — one `io.cost` period boundary (`adjust_vrate`): usage
-//!   EMAs, active-set pruning, vrate clamp. The arena controller walks
-//!   only the active slot set; the retained map baseline walks every
-//!   materialized group.
+//!   EMAs, active-set pruning, vrate clamp. The controller walks only
+//!   the active slot set.
 //! * **charge** — pricing one 4 KiB random read on the submit path
-//!   (`on_submit`): the arena controller serves hweight from its memo
-//!   or recomputes over actives; the map baseline rebuilds the full
-//!   donation row set from a `HashMap` walk per I/O.
+//!   (`on_submit`): hweight is served from the controller's memo or
+//!   recomputed over the active groups.
 //!
-//! The `perfsnap` binary re-times the tick axis at 1024 groups and
-//! gates the arena/map ratio (≥5×) plus absolute regressions.
+//! The `perfsnap` binary re-times the tick axis at 8 and 1024 groups and
+//! gates absolute regressions.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use ioqos::{IoCostController, QosController};
-use isol_bench_harness::mapqos::{self, CostControl, MapIoCost};
+use isol_bench_harness::fixtures;
 use simcore::SimDuration;
 
 const GROUP_COUNTS: [usize; 5] = [8, 256, 1024, 4096, 16384];
@@ -30,16 +28,8 @@ fn bench_tick(c: &mut Criterion) {
     g.sample_size(50);
     for n in GROUP_COUNTS {
         g.bench_function(BenchmarkId::new("arena", n), |b| {
-            let mut ctl = IoCostController::new(mapqos::bench_config());
-            let mut now = mapqos::populate(&mut ctl, n);
-            b.iter(|| {
-                now += SimDuration::from_millis(5);
-                ctl.tick(black_box(now));
-            });
-        });
-        g.bench_function(BenchmarkId::new("map", n), |b| {
-            let mut ctl = MapIoCost::new(mapqos::bench_config());
-            let mut now = mapqos::populate(&mut ctl, n);
+            let mut ctl = IoCostController::new(fixtures::bench_config());
+            let mut now = fixtures::populate(&mut ctl, n);
             b.iter(|| {
                 now += SimDuration::from_millis(5);
                 ctl.tick(black_box(now));
@@ -52,27 +42,20 @@ fn bench_tick(c: &mut Criterion) {
 fn bench_charge(c: &mut Criterion) {
     let mut g = c.benchmark_group("qos_scale_charge");
     g.sample_size(50);
-    fn charge_loop(ctl: &mut impl CostControl, n: usize, b: &mut criterion::Bencher) {
-        let mut now = mapqos::populate(ctl, n);
-        let mut id = 1_000_000;
-        b.iter(|| {
-            // The probe tenant's weight dwarfs the fleet's, so its
-            // charge always clears the margin at this pace and the
-            // held queues stay bounded.
-            now += SimDuration::from_micros(400);
-            id += 1;
-            let req = mapqos::read4k(id, mapqos::PROBE_GROUP, now);
-            black_box(ctl.on_submit(req, now))
-        });
-    }
     for n in GROUP_COUNTS {
         g.bench_function(BenchmarkId::new("arena", n), |b| {
-            let mut ctl = IoCostController::new(mapqos::bench_config());
-            charge_loop(&mut ctl, n, b);
-        });
-        g.bench_function(BenchmarkId::new("map", n), |b| {
-            let mut ctl = MapIoCost::new(mapqos::bench_config());
-            charge_loop(&mut ctl, n, b);
+            let mut ctl = IoCostController::new(fixtures::bench_config());
+            let mut now = fixtures::populate(&mut ctl, n);
+            let mut id = 1_000_000;
+            b.iter(|| {
+                // The probe tenant's weight dwarfs the fleet's, so its
+                // charge always clears the margin at this pace and the
+                // held queues stay bounded.
+                now += SimDuration::from_micros(400);
+                id += 1;
+                let req = fixtures::read4k(id, fixtures::PROBE_GROUP, now);
+                black_box(ctl.on_submit(req, now))
+            });
         });
     }
     g.finish();

@@ -14,7 +14,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use iosched_sim::{SchedKind, Scheduler};
-use isol_bench_harness::mapqos::{active_count, read4k};
+use isol_bench_harness::fixtures::{active_count, read4k};
 use simcore::{SimDuration, SimTime};
 
 const GROUP_COUNTS: [usize; 3] = [8, 1024, 4096];

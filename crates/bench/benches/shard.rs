@@ -1,7 +1,7 @@
 //! Sharded-engine benchmarks: the 7-SSD fleet scenario at increasing
 //! shard counts (results are bit-exact at every count; only wall-clock
-//! changes), plus the traced variant whose journal/coordinator overhead
-//! is the price of byte-identical trace bytes.
+//! changes). Traced runs always execute at one shard, so they have no
+//! sharded variant to time.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -28,22 +28,5 @@ fn bench_fleet_shards(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_fleet_traced(c: &mut Criterion) {
-    let mut g = c.benchmark_group("fleet_shards_traced");
-    let until = SimTime::from_millis(UNTIL_MS);
-    for shards in [1usize, 4] {
-        g.bench_function(BenchmarkId::new("fleet_7ssd_20ms_traced", shards), |b| {
-            b.iter(|| {
-                simcore::trace::install(1 << 16);
-                let sim = fleet::fleet_scenario(Knob::None, fleet::FLEET_SSDS).build_host(until);
-                let r = sim.run_sharded(until, shards);
-                let trace = simcore::trace::take().expect("recorder installed");
-                black_box((r, trace.events.len()))
-            });
-        });
-    }
-    g.finish();
-}
-
-criterion_group!(benches, bench_fleet_shards, bench_fleet_traced);
+criterion_group!(benches, bench_fleet_shards);
 criterion_main!(benches);

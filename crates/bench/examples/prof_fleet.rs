@@ -1,9 +1,8 @@
 //! Throwaway profiling harness: times fleet_scale cells directly.
 //!
 //! ```text
-//! prof_fleet [tenants] [reps] [knob-label] [legacy]
+//! prof_fleet [tenants] [reps] [knob-label]
 //! SUBSYS=1 prof_fleet 4096        # with per-subsystem attribution
-//! prof_fleet 4096 3 none legacy   # force the queue-only engine
 //! ```
 use std::time::Instant;
 
@@ -20,9 +19,6 @@ fn main() {
             .find(|k| k.label() == s)
             .expect("knob label")
     });
-    if args.get(4).is_some_and(|s| s == "legacy") {
-        host_sim::set_merge_events(false);
-    }
     host_sim::stats::set_subsystem_timing(std::env::var("SUBSYS").is_ok());
     let until = Fidelity::Smoke.fleet_scale_duration();
     for _ in 0..reps {
@@ -40,8 +36,7 @@ fn main() {
         let events = after.events_popped - before.events_popped;
         let completed: u64 = r.apps.iter().map(|a| a.completed).sum();
         println!(
-            "tenants={tenants} engine={} scen={:.1}ms build={:.1}ms run={:.1}ms events={events} ({:.2} Mev/s) ios={completed} peak={} hwm={}/{}",
-            if host_sim::merge_events() { "merged" } else { "legacy" },
+            "tenants={tenants} scen={:.1}ms build={:.1}ms run={:.1}ms events={events} ({:.2} Mev/s) ios={completed} peak={} hwm={}/{}",
             scen.as_secs_f64() * 1e3,
             built.as_secs_f64() * 1e3,
             ran.as_secs_f64() * 1e3,

@@ -20,9 +20,11 @@
 //! available cores). `--shards` sets how many engine shards a *single*
 //! scenario may use when its devices decouple (default: the cores left
 //! over after `--jobs`; `jobs × shards` is clamped to the available
-//! cores with a warning instead of silently oversubscribing). Output is
-//! byte-identical for every jobs and shards value; only wall-clock time
-//! changes. Per-experiment and per-cell timings land in
+//! cores with a warning instead of silently oversubscribing). Traced
+//! runs (`--trace`) always execute at one shard: a trace records the
+//! global interleaving of every device's events, which only the
+//! sequential engine loop produces. Output is byte-identical for every
+//! jobs and shards value; only wall-clock time changes. Per-experiment and per-cell timings land in
 //! `target/isol-bench/timings.json`.
 //!
 //! # Incremental runs
@@ -62,7 +64,7 @@
 //! committed examples) and emits one per-tenant table. May be repeated.
 //! With no explicit experiment selection alongside, only the scenario
 //! files run; output is byte-identical across `--jobs`/`--shards`
-//! values and event-queue backends like every other artifact.
+//! values like every other artifact.
 //!
 //! # Tracing
 //!
@@ -472,11 +474,7 @@ fn main() -> ExitCode {
                         after.events_popped - before.events_popped,
                         $elapsed,
                         after.peak_pending,
-                        (
-                            after.sharded_runs - before.sharded_runs,
-                            after.barrier_stalls - before.barrier_stalls,
-                            after.mailbox_batches - before.mailbox_batches,
-                        ),
+                        after.sharded_runs - before.sharded_runs,
                         subsys,
                     );
                     sink.note(&line);

@@ -17,7 +17,7 @@
 use std::io::Write as _;
 use std::time::Duration;
 
-pub mod mapqos;
+pub mod fixtures;
 
 /// The directory experiment CSVs are written into.
 pub const OUTPUT_DIR: &str = "target/isol-bench";
@@ -252,11 +252,6 @@ pub struct ProfileEntry {
     pub peak_pending: u64,
     /// Scenario runs that executed on more than one engine shard.
     pub sharded_runs: u64,
-    /// Times a shard coordinator blocked on a worker's journal batch
-    /// (timing-dependent; profiling signal only).
-    pub barrier_stalls: u64,
-    /// Journal batches that crossed shard→coordinator mailboxes.
-    pub mailbox_batches: u64,
     /// Per-subsystem `(wall ns, calls)` deltas, indexed like
     /// [`host_sim::stats::SUBSYS_NAMES`]. All zero unless subsystem
     /// timing was enabled for the run.
@@ -273,8 +268,7 @@ pub struct ProfileEntry {
 pub struct Profiles {
     entries: Vec<ProfileEntry>,
     /// Run-level wake-tournament occupancy `(active high-water mark,
-    /// provisioned leaves)` from the merged engine, if any merged run
-    /// executed.
+    /// provisioned leaves)`, if any sequential run executed.
     tourney: Option<(u64, u64)>,
 }
 
@@ -295,9 +289,9 @@ impl Profiles {
         events: u64,
         elapsed: Duration,
         peak: u64,
-        sharded: (u64, u64, u64),
+        sharded_runs: u64,
     ) -> String {
-        self.record_with_subsys(name, runs, events, elapsed, peak, sharded, [(0, 0); 5])
+        self.record_with_subsys(name, runs, events, elapsed, peak, sharded_runs, [(0, 0); 5])
     }
 
     /// [`record`](Profiles::record) plus per-subsystem `(ns, calls)`
@@ -310,7 +304,7 @@ impl Profiles {
         events: u64,
         elapsed: Duration,
         peak: u64,
-        sharded: (u64, u64, u64),
+        sharded_runs: u64,
         subsys: [(u64, u64); 5],
     ) -> String {
         let pops_per_sec = if elapsed.as_secs_f64() > 0.0 {
@@ -318,7 +312,6 @@ impl Profiles {
         } else {
             0.0
         };
-        let (sharded_runs, barrier_stalls, mailbox_batches) = sharded;
         self.entries.push(ProfileEntry {
             name: name.to_owned(),
             runs,
@@ -326,12 +319,10 @@ impl Profiles {
             pops_per_sec,
             peak_pending: peak,
             sharded_runs,
-            barrier_stalls,
-            mailbox_batches,
             subsys,
         });
         let shard_note = if sharded_runs > 0 {
-            format!(", {sharded_runs} sharded ({barrier_stalls} stalls, {mailbox_batches} batches)")
+            format!(", {sharded_runs} sharded")
         } else {
             String::new()
         };
@@ -353,8 +344,7 @@ impl Profiles {
         )
     }
 
-    /// Records the run-level wake-tournament occupancy (merged engine
-    /// only): the active-leaf high-water mark and the provisioned leaf
+    /// Records the run-level wake-tournament occupancy: the active-leaf high-water mark and the provisioned leaf
     /// count. `1 - hwm/leaves` is the suppressed-tenant ratio.
     pub fn set_tourney(&mut self, active_hwm: u64, leaves: u64) {
         if leaves > 0 {
@@ -388,15 +378,13 @@ impl Profiles {
                 String::new()
             };
             s.push_str(&format!(
-                "    {{\"name\": \"{}\", \"runs\": {}, \"events\": {}, \"pops_per_sec\": {:.0}, \"peak_pending\": {}, \"sharded_runs\": {}, \"barrier_stalls\": {}, \"mailbox_batches\": {}{subsys}}}{comma}\n",
+                "    {{\"name\": \"{}\", \"runs\": {}, \"events\": {}, \"pops_per_sec\": {:.0}, \"peak_pending\": {}, \"sharded_runs\": {}{subsys}}}{comma}\n",
                 json_escape(&e.name),
                 e.runs,
                 e.events,
                 e.pops_per_sec,
                 e.peak_pending,
-                e.sharded_runs,
-                e.barrier_stalls,
-                e.mailbox_batches
+                e.sharded_runs
             ));
         }
         s.push_str("  ]");
@@ -746,32 +734,18 @@ mod tests {
     #[test]
     fn profiles_record_and_serialize() {
         let mut p = Profiles::new();
-        let line = p.record(
-            "fig4",
-            12,
-            3_000_000,
-            Duration::from_secs(2),
-            512,
-            (0, 0, 0),
-        );
+        let line = p.record("fig4", 12, 3_000_000, Duration::from_secs(2), 512, 0);
         assert!(line.contains("12 runs"));
         assert!(line.contains("3000000 events"));
         assert!(line.contains("1.50 Mpops/s"));
         assert!(line.contains("peak pending 512"));
         assert!(!line.contains("sharded"));
-        let line = p.record(
-            "q10",
-            6,
-            1_000_000,
-            Duration::from_millis(500),
-            64,
-            (6, 2, 40),
-        );
-        assert!(line.contains("6 sharded (2 stalls, 40 batches)"));
+        let line = p.record("q10", 6, 1_000_000, Duration::from_millis(500), 64, 6);
+        assert!(line.contains("6 sharded)"));
         assert_eq!(p.entries().len(), 2);
         let json = p.to_json();
-        assert!(json.contains("{\"name\": \"fig4\", \"runs\": 12, \"events\": 3000000, \"pops_per_sec\": 1500000, \"peak_pending\": 512, \"sharded_runs\": 0, \"barrier_stalls\": 0, \"mailbox_batches\": 0},"));
-        assert!(json.contains("{\"name\": \"q10\", \"runs\": 6, \"events\": 1000000, \"pops_per_sec\": 2000000, \"peak_pending\": 64, \"sharded_runs\": 6, \"barrier_stalls\": 2, \"mailbox_batches\": 40}\n"));
+        assert!(json.contains("{\"name\": \"fig4\", \"runs\": 12, \"events\": 3000000, \"pops_per_sec\": 1500000, \"peak_pending\": 512, \"sharded_runs\": 0},"));
+        assert!(json.contains("{\"name\": \"q10\", \"runs\": 6, \"events\": 1000000, \"pops_per_sec\": 2000000, \"peak_pending\": 64, \"sharded_runs\": 6}\n"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
     }
@@ -788,7 +762,7 @@ mod tests {
             900_000,
             Duration::from_secs(1),
             128,
-            (0, 0, 0),
+            0,
             subsys,
         );
         assert!(
@@ -802,7 +776,7 @@ mod tests {
             "\"tourney\": {\"active_hwm\": 214, \"leaves\": 4096, \"suppressed_ratio\": 0.9478}"
         ));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
-        // Zero leaves never records (legacy-only runs).
+        // Zero leaves never records (no sequential run executed).
         let mut q = Profiles::new();
         q.set_tourney(0, 0);
         assert!(!q.to_json().contains("tourney"));
@@ -811,7 +785,7 @@ mod tests {
     #[test]
     fn profiles_zero_elapsed_yields_zero_rate() {
         let mut p = Profiles::new();
-        p.record("x", 1, 10, Duration::ZERO, 1, (0, 0, 0));
+        p.record("x", 1, 10, Duration::ZERO, 1, 0);
         assert_eq!(p.entries()[0].pops_per_sec, 0.0);
     }
 

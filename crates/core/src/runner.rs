@@ -135,7 +135,7 @@ pub enum FailureClass {
     /// The failure implicates on-disk cache/journal bytes.
     CacheCorrupt,
     /// The failure message names a broken engine invariant (shard
-    /// divergence, horizon violation, journal mismatch).
+    /// divergence, determinism or invariant check).
     InvariantViolation,
 }
 
@@ -163,13 +163,7 @@ pub fn classify_panic(message: &str) -> FailureClass {
     let m = message.to_ascii_lowercase();
     if m.contains("cache") && m.contains("corrupt") {
         FailureClass::CacheCorrupt
-    } else if m.contains("diverge")
-        || m.contains("invariant")
-        || m.contains("horizon")
-        || m.contains("determinism")
-        || m.contains("worker died")
-        || m.contains("journal ended")
-    {
+    } else if m.contains("diverge") || m.contains("invariant") || m.contains("determinism") {
         FailureClass::InvariantViolation
     } else {
         FailureClass::Panic
@@ -227,6 +221,8 @@ pub fn jobs() -> usize {
 /// `0` restores the default: the cores left over after the `--jobs`
 /// fan-out (`available_parallelism / jobs`, floored at 1). Sharding is
 /// bit-exact for any count, so this only ever changes wall-clock time.
+/// Traced runs ignore it and execute at one shard (see
+/// [`host_sim::HostSim::run_sharded`]).
 pub fn set_shards(n: usize) {
     SHARDS.store(n, Ordering::Relaxed);
 }

@@ -261,6 +261,8 @@ impl Scenario {
     /// Scenarios whose devices decouple into independent components run
     /// on up to [`crate::runner::shards`] parallel workers; results are
     /// bit-exact for any shard count (`--shards 1` is the reference).
+    /// With a trace recorder installed the run executes at one shard, so
+    /// the trace is the sequential one.
     #[must_use]
     pub fn run(self, until: SimTime) -> RunReport {
         self.build_host(until)

@@ -875,8 +875,8 @@ pub fn load(path: &Path) -> Result<ScenarioSpec, ScenarioFileError> {
 }
 
 /// Runs a parsed scenario and emits one per-tenant result table named
-/// `scenario_<name>` (deterministic: byte-identical across `--jobs`,
-/// `--shards`, and event-queue backends).
+/// `scenario_<name>` (deterministic: byte-identical across `--jobs` and
+/// `--shards`).
 ///
 /// # Errors
 ///

@@ -1,13 +1,13 @@
 //! Determinism and trace-invariant suite for the closed-loop `app_mix`
 //! experiment and the committed scenario files that drive it:
 //!
-//! * the app_mix grid is byte-identical across worker counts, shard
-//!   counts, and event-queue backends,
+//! * the app_mix grid is byte-identical across worker counts and shard
+//!   counts,
 //! * it matches the committed golden CSV, pinning the closed-loop
 //!   feedback path (engine → host → completions → engine) against any
 //!   future change,
 //! * the committed `scenarios/app_mix_smoke.toml` run is bit-exact for
-//!   every shard count and both queue backends,
+//!   every shard count,
 //! * a traced app-mix run satisfies every traceck invariant and the
 //!   trace agrees with the report it shipped with.
 
@@ -19,10 +19,8 @@ use std::sync::Mutex;
 use isol_bench::experiments::app_mix;
 use isol_bench::scenario_file::ScenarioSpec;
 use isol_bench::{runner, traceck, Fidelity, OutputSink};
-use simcore::{set_default_backend, QueueBackend};
-
-/// Worker count and queue backend are process-global; serialize tests
-/// that touch either.
+/// Worker and shard counts are process-global; serialize tests that
+/// touch either.
 static GLOBAL_CONFIG: Mutex<()> = Mutex::new(());
 
 fn app_mix_csvs(jobs: usize, tag: &str) -> BTreeMap<String, Vec<u8>> {
@@ -62,17 +60,6 @@ fn app_mix_grid_is_byte_identical_across_worker_counts() {
 }
 
 #[test]
-fn app_mix_grid_is_byte_identical_across_queue_backends() {
-    let _guard = GLOBAL_CONFIG.lock().unwrap_or_else(|e| e.into_inner());
-    set_default_backend(QueueBackend::Heap);
-    let heap = app_mix_csvs(2, "heap");
-    set_default_backend(QueueBackend::Wheel);
-    let wheel = app_mix_csvs(2, "wheel");
-    runner::set_jobs(0);
-    assert_same_csvs(&heap, &wheel, "heap and wheel queue backends");
-}
-
-#[test]
 fn app_mix_grid_is_byte_identical_across_shard_counts() {
     let _guard = GLOBAL_CONFIG.lock().unwrap_or_else(|e| e.into_inner());
     runner::set_shards(1);
@@ -108,7 +95,7 @@ fn app_mix_smoke_output_matches_committed_golden() {
 //
 // The committed smoke scenario runs all four engines; its full
 // `RunReport` Debug rendering (injective via shortest-roundtrip float
-// formatting) is the comparison key across shard counts and backends.
+// formatting) is the comparison key across shard counts.
 
 fn smoke_spec() -> ScenarioSpec {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../scenarios/app_mix_smoke.toml");
@@ -126,9 +113,8 @@ fn smoke_report(shards: usize) -> String {
 }
 
 #[test]
-fn scenario_file_run_is_identical_across_shard_counts_and_backends() {
+fn scenario_file_run_is_identical_across_shard_counts() {
     let _guard = GLOBAL_CONFIG.lock().unwrap_or_else(|e| e.into_inner());
-    set_default_backend(QueueBackend::Heap);
     let reference = smoke_report(1);
     for shards in [2, 4] {
         assert_eq!(
@@ -137,12 +123,6 @@ fn scenario_file_run_is_identical_across_shard_counts_and_backends() {
             "scenario report differs between shards=1 and shards={shards}"
         );
     }
-    set_default_backend(QueueBackend::Wheel);
-    assert_eq!(
-        reference,
-        smoke_report(1),
-        "scenario report differs between heap and wheel backends"
-    );
 }
 
 // ===== Trace invariants =====

@@ -4,9 +4,6 @@
 //! * a traced experiment grid must emit identical trace files on one
 //!   worker and on several (per-cell recorders are thread-local; any
 //!   cross-worker leakage or reordering fails here),
-//! * the timing-wheel and binary-heap event-queue backends must record
-//!   identical traces (the trace observes every FIFO tie-break the CSVs
-//!   can only aggregate away),
 //! * a small committed golden trace pins today's exact event stream —
 //!   schema, payloads, ordering — against any future engine change.
 //!   Regenerate deliberately with
@@ -19,10 +16,10 @@ use std::sync::Mutex;
 
 use isol_bench::experiments::{fig4, fleet};
 use isol_bench::{runner, traceck, tracing, Fidelity, Knob, OutputSink, Scenario};
-use simcore::{set_default_backend, QueueBackend, SimTime};
+use simcore::SimTime;
 use workload::JobSpec;
 
-/// Worker count, queue backend, and trace capture are process-global,
+/// Worker count, shard count, and trace capture are process-global,
 /// so these tests must not interleave.
 static GLOBAL_CONFIG: Mutex<()> = Mutex::new(());
 
@@ -70,7 +67,7 @@ fn traced_fig4_grid_is_byte_identical_across_worker_counts() {
     }
 }
 
-/// The fixed cell for backend comparison and the golden: the paper's
+/// The fixed cell for the golden and the shards check: the paper's
 /// two-tenant prioritization shape on mq-deadline, short enough that
 /// the golden stays a small fixture yet touches submit, QoS, scheduler,
 /// device, and completion events.
@@ -85,30 +82,17 @@ fn golden_scenario() -> Scenario {
     s
 }
 
-fn golden_jsonl(backend: QueueBackend) -> String {
-    set_default_backend(backend);
+fn golden_jsonl() -> String {
     let (_, trace) = golden_scenario().run_traced(SimTime::from_micros(300), 1 << 16);
-    set_default_backend(QueueBackend::Wheel);
     assert!(trace.is_lossless(), "golden cell overflowed its ring");
     assert!(trace.is_complete(), "golden cell trace missing run_end");
     trace.to_jsonl()
 }
 
 #[test]
-fn trace_is_byte_identical_across_queue_backends() {
-    let _guard = GLOBAL_CONFIG.lock().unwrap_or_else(|e| e.into_inner());
-    let wheel = golden_jsonl(QueueBackend::Wheel);
-    let heap = golden_jsonl(QueueBackend::Heap);
-    assert_eq!(
-        wheel, heap,
-        "trace bytes differ between wheel and heap queue backends"
-    );
-}
-
-#[test]
 fn trace_matches_committed_golden() {
     let _guard = GLOBAL_CONFIG.lock().unwrap_or_else(|e| e.into_inner());
-    let current = golden_jsonl(QueueBackend::Wheel);
+    let current = golden_jsonl();
     let golden_path =
         PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/trace_mq_prio.trace.jsonl");
     if std::env::var_os("UPDATE_TRACE_GOLDEN").is_some() {
@@ -127,9 +111,8 @@ fn trace_matches_committed_golden() {
 
 // ===== The shards axis =====
 
-/// One traced fleet run at an explicit shard count: the coordinator
-/// must replay the exact global interleaving, so the JSONL bytes are
-/// the contract.
+/// One traced fleet run at an explicit shard count. Traced runs execute
+/// at one shard, so the JSONL bytes must match the sequential trace.
 fn fleet_trace_jsonl(shards: usize) -> String {
     let until = SimTime::from_millis(5);
     simcore::trace::install(1 << 18);
@@ -165,9 +148,9 @@ fn golden_trace_is_byte_stable_under_a_shards_setting() {
     // leave its bytes untouched (the sharded path falls back to the
     // sequential engine).
     let _guard = GLOBAL_CONFIG.lock().unwrap_or_else(|e| e.into_inner());
-    let reference = golden_jsonl(QueueBackend::Wheel);
+    let reference = golden_jsonl();
     runner::set_shards(4);
-    let sharded = golden_jsonl(QueueBackend::Wheel);
+    let sharded = golden_jsonl();
     runner::set_shards(0);
     assert_eq!(
         reference, sharded,

@@ -20,28 +20,6 @@ use crate::setup::{AppSetup, DeviceSetup, HostConfig};
 use crate::stats::{SS_ARRIVAL, SS_DEVICE, SS_QOS, SS_SCHED, SS_STATS};
 use crate::tourney::Tourney;
 
-/// Whether new engines merge their bounded event classes through
-/// tournament trees (the O(active) fast path) instead of routing every
-/// event through the timer wheel. On by default; the legacy path is
-/// kept for A/B benchmarking (`perfsnap` gates the speedup against it)
-/// and as a bisection aid.
-static MERGE_EVENTS: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(true);
-
-/// Selects the event plumbing for engines built *after* this call:
-/// `true` (the default) merges app wakes, CPU completions, and dispatch
-/// completions through per-source tournament frontiers; `false` routes
-/// every event through the event queue (the pre-merge engine). Both
-/// produce bit-identical results; see DESIGN.md §17.
-pub fn set_merge_events(on: bool) {
-    MERGE_EVENTS.store(on, std::sync::atomic::Ordering::Relaxed);
-}
-
-/// The current process-wide default for [`set_merge_events`].
-#[must_use]
-pub fn merge_events() -> bool {
-    MERGE_EVENTS.load(std::sync::atomic::Ordering::Relaxed)
-}
-
 /// Folds a `--profile` span started at `t0` into subsystem bucket
 /// `idx` (no-op when profiling is off and `t0` is `None`).
 #[inline]
@@ -56,7 +34,7 @@ fn prof_add(t0: Option<std::time::Instant>, idx: usize) {
 /// contention applies).
 const DEEP_QD: u32 = 64;
 
-/// Horizon splitting near from far future wakes on the merged path.
+/// Horizon splitting near from far future wakes.
 /// Wakes due within it (rate-limiter waits, imminent phase edges) arm
 /// the app's tournament leaf; wakes beyond it (a sleeping tenant's next
 /// burst) go to the timer wheel, whose cost is O(1) amortized per far
@@ -158,14 +136,6 @@ pub struct HostSim {
     /// Reused scratch for device service starts (kept empty between
     /// [`HostSim::pump_device`] calls).
     pub(crate) start_scratch: Vec<StartedCmd>,
-    /// Event journal for sharded runs: records every insert/pop so the
-    /// coordinator can replay the global event order (see
-    /// [`crate::shard`]). `None` outside traced sharded runs; `run`
-    /// leaves it untouched, so the sequential path is byte-identical.
-    pub(crate) journal: Option<crate::shard::JournalSink>,
-    /// `true` when this engine merges its bounded event classes through
-    /// the tournament trees below (see [`set_merge_events`]).
-    pub(crate) merge: bool,
     /// Merge of per-app *near-term* wake frontiers; see [`NEAR_WAKE`]
     /// for the near/far split. Leaves are dynamic slots handed out by
     /// `wake_leaf` and recycled when an app's last tree wake pops, so
@@ -460,7 +430,6 @@ impl HostSim {
                     hist: LatencyHistogram::new(),
                     bw: BandwidthSeries::new(config.bw_window),
                     stage_sums_ns: [0.0; 5],
-                    wake_scheduled_at: None,
                     wakes: Vec::new(),
                     near_wakes: 0,
                     phase_active: false,
@@ -472,15 +441,16 @@ impl HostSim {
             })
             .collect();
 
-        // Pending events are bounded per class: one AppWake per app
-        // (deduped via `wake_scheduled_at`) plus at most one extra
-        // in-flight start-time wake, one CpuDone per core, one
+        // The queue is pre-sized from a per-class bound on pending
+        // events: about two wakes per app, one CpuDone per core, one
         // DeviceDone per in-flight device slot, and at most one each of
         // SchedDispatchDone / QosPump / SchedTimer / IoTimeout /
-        // RetryTimer / DeviceReset / DeviceRestart per device.
-        // Pre-sizing the heap to that bound keeps the event loop
-        // allocation-free in the fault-free case (aborts and resets can
-        // leave extra stale DeviceDone events; the queue then grows).
+        // RetryTimer / DeviceReset / DeviceRestart per device. Only
+        // far-routed wakes and the per-device classes other than
+        // SchedDispatchDone reach the queue itself (near wakes, CpuDone
+        // and SchedDispatchDone wait in the merge frontiers below), so
+        // the bound is generous; aborts and resets can leave extra stale
+        // DeviceDone events, and the queue then grows.
         let event_capacity = Self::event_capacity(&apps, &cores, &devs);
 
         // The wake tree starts small and grows with the active set; the
@@ -500,8 +470,6 @@ impl HostSim {
             next_req_id: 0,
             qos_scratch: Vec::new(),
             start_scratch: Vec::new(),
-            journal: None,
-            merge: merge_events(),
             wake_tree,
             app_leaf,
             leaf_app: Vec::new(),
@@ -558,22 +526,17 @@ impl HostSim {
                 .sum::<usize>()
     }
 
-    /// Schedules `ev`, journaling the insert time when a sharded-run
-    /// journal is attached and min-updating the cached queue front key.
-    /// A free-standing helper over the fields (not `&mut self`) so call
+    /// Schedules `ev`, min-updating the cached queue front key. A
+    /// free-standing helper over the fields (not `&mut self`) so call
     /// sites holding `&mut self.devs[..]` or `&mut self.apps[..]`
     /// borrows keep compiling.
     #[inline]
     fn sched_event(
-        journal: &mut Option<crate::shard::JournalSink>,
         queue: &mut EventQueue<Event>,
         qfront: &mut Option<(SimTime, u64)>,
         at: SimTime,
         ev: Event,
     ) {
-        if let Some(j) = journal.as_mut() {
-            j.child(at);
-        }
         let seq = queue.schedule(at, ev);
         if let Some(f) = qfront {
             if (at, seq) < *f {
@@ -582,40 +545,33 @@ impl HostSim {
         }
     }
 
-    /// Merged-path twin of [`Self::sched_event`] for single-slot
-    /// sources (per-core `CpuDone`, per-device `SchedDispatchDone`):
-    /// journals the insert, draws the shared tie-break seq, and arms the
-    /// source's tournament leaf. The leaf must be parked (the source
-    /// invariantly has at most one outstanding event).
+    /// Twin of [`Self::sched_event`] for single-slot sources (per-core
+    /// `CpuDone`, per-device `SchedDispatchDone`): draws the shared
+    /// tie-break seq and arms the source's tournament leaf. The leaf
+    /// must be parked (the source invariantly has at most one
+    /// outstanding event).
     #[inline]
     fn slot_event(
-        journal: &mut Option<crate::shard::JournalSink>,
         queue: &mut EventQueue<Event>,
         tree: &mut Tourney,
         tree_pending: &mut usize,
         leaf: usize,
         at: SimTime,
     ) {
-        if let Some(j) = journal.as_mut() {
-            j.child(at);
-        }
         let seq = queue.alloc_seq();
         tree.set(leaf, (at, seq));
         *tree_pending += 1;
     }
 
-    /// Merged-path wake insert. The caller has already applied exact
-    /// dedup (`at` is strictly earlier than every wake pending for this
-    /// app), so the new wake is the app's front; it is routed by
-    /// distance — same-instant to the global FIFO, near to the app's
-    /// tournament leaf, far to the timer wheel — and pushed onto the
-    /// app's pending stack. Journal/seq side effects match a legacy
-    /// queue insert one for one, so replay order is preserved.
-    fn insert_wake_merged(&mut self, a: AppId, at: SimTime) {
+    /// Wake insert. The caller has already applied exact dedup (`at` is
+    /// strictly earlier than every wake pending for this app), so the
+    /// new wake is the app's front; it is routed by distance —
+    /// same-instant to the global FIFO, near to the app's tournament
+    /// leaf, far to the timer wheel — and pushed onto the app's pending
+    /// stack. Every route draws one seq from the queue's counter, so all
+    /// events share one `(time, seq)` order.
+    fn insert_wake(&mut self, a: AppId, at: SimTime) {
         debug_assert!(at >= self.now, "wakes cannot target the past");
-        if let Some(j) = self.journal.as_mut() {
-            j.child(at);
-        }
         let i = a.index();
         let (seq, route) = if at == self.now {
             let seq = self.queue.alloc_seq();
@@ -705,9 +661,7 @@ impl HostSim {
         // `crate::stats`).
         let (popped, peak) = self.run_loop(until);
         crate::stats::record_run(popped, peak);
-        if self.merge {
-            crate::stats::record_tourney(self.active_hwm as u64, self.apps.len() as u64);
-        }
+        crate::stats::record_tourney(self.active_hwm as u64, self.apps.len() as u64);
         let (t, r, f) = self.fault_totals();
         crate::stats::record_faults(t, r, f);
         self.now = until;
@@ -717,34 +671,16 @@ impl HostSim {
 
     /// Seeds the initial event population: one `AppWake` per app (in app
     /// order), then per device (in device order) the QoS pump and the
-    /// first injected reset. Sharded runs journal this order so the
-    /// coordinator can replay the exact global insert sequence.
+    /// first injected reset.
     pub(crate) fn seed_initial_events(&mut self) {
         for i in 0..self.apps.len() {
-            if let Some(j) = self.journal.as_mut() {
-                j.mark_app(i);
-            }
             let at = self.apps[i].spec.start_at();
-            if self.merge {
-                self.insert_wake_merged(AppId(i), at);
-            } else {
-                Self::sched_event(
-                    &mut self.journal,
-                    &mut self.queue,
-                    &mut self.qfront,
-                    at,
-                    Event::AppWake(AppId(i)),
-                );
-            }
+            self.insert_wake(AppId(i), at);
         }
         for d in 0..self.devs.len() {
-            if let Some(j) = self.journal.as_mut() {
-                j.mark_dev(d);
-            }
             self.schedule_qos_pump(DeviceId(d));
             if let Some(period) = self.devs[d].reset_period {
                 Self::sched_event(
-                    &mut self.journal,
                     &mut self.queue,
                     &mut self.qfront,
                     SimTime::ZERO + period,
@@ -771,7 +707,7 @@ impl HostSim {
     /// cache would replay out of order — the min-update keeps it
     /// exact).
     #[inline]
-    fn pop_merged(&mut self) -> Option<(SimTime, Event)> {
+    fn pop_next(&mut self) -> Option<(SimTime, Event)> {
         let qkey = match self.qfront {
             Some(k) => k,
             None => {
@@ -835,15 +771,7 @@ impl HostSim {
         self.profile = crate::stats::subsystem_timing_enabled();
         let mut popped = 0u64;
         let mut peak = (self.queue.len() + self.tree_pending) as u64;
-        loop {
-            let next = if self.merge {
-                self.pop_merged()
-            } else {
-                self.queue.pop()
-            };
-            let Some((t, ev)) = next else {
-                break;
-            };
+        while let Some((t, ev)) = self.pop_next() {
             if t > until {
                 break;
             }
@@ -855,10 +783,6 @@ impl HostSim {
             }
             self.now = t;
             popped += 1;
-            let ids_before = self.next_req_id;
-            if let Some(j) = self.journal.as_mut() {
-                j.begin_pop(t);
-            }
             match ev {
                 Event::AppWake(a) => self.on_app_wake(a),
                 Event::CpuDone(c) => self.on_cpu_done(c),
@@ -885,10 +809,6 @@ impl HostSim {
                     self.pump_device(d);
                 }
             }
-            if let Some(j) = self.journal.as_mut() {
-                let n_alloc = (self.next_req_id - ids_before) as u32;
-                j.finish_pop(n_alloc, trace::drain_events());
-            }
             peak = peak.max((self.queue.len() + self.tree_pending) as u64);
         }
         (popped, peak)
@@ -906,31 +826,13 @@ impl HostSim {
     }
 
     fn schedule_wake(&mut self, a: AppId, at: SimTime) {
-        if self.merge {
-            // Exact dedup: the pending stack knows every outstanding
-            // wake, so a wake at or after the app's earliest pending
-            // one is pure noise — by the time it would fire, the
-            // earlier wake has already driven the issue loop at that
-            // instant or later (re-arming any phase-edge follow-up
-            // itself). The legacy path below forgets pending wakes
-            // beyond the earliest and so re-inserts such duplicates;
-            // their pops are no-ops, and suppressing them changes no
-            // I/O-visible behavior (see DESIGN.md §17).
-            if self.apps[a.index()].wakes.first().is_none_or(|w| at < w.at) {
-                self.insert_wake_merged(a, at);
-            }
-        } else {
-            let app = &mut self.apps[a.index()];
-            if app.wake_scheduled_at.is_none_or(|e| at < e) {
-                app.wake_scheduled_at = Some(at);
-                Self::sched_event(
-                    &mut self.journal,
-                    &mut self.queue,
-                    &mut self.qfront,
-                    at,
-                    Event::AppWake(a),
-                );
-            }
+        // Exact dedup: the pending stack knows every outstanding wake,
+        // so a wake at or after the app's earliest pending one is pure
+        // noise — by the time it would fire, the earlier wake has
+        // already driven the issue loop at that instant or later
+        // (re-arming any phase-edge follow-up itself). See DESIGN.md §17.
+        if self.apps[a.index()].wakes.first().is_none_or(|w| at < w.at) {
+            self.insert_wake(a, at);
         }
     }
 
@@ -952,10 +854,7 @@ impl HostSim {
     }
 
     fn on_app_wake(&mut self, a: AppId) {
-        if !self.merge && self.apps[a.index()].wake_scheduled_at == Some(self.now) {
-            self.apps[a.index()].wake_scheduled_at = None;
-        }
-        let (active, trans) = if self.merge {
+        let (active, trans) = {
             // Phase cache: `is_active`/`next_transition` are constant
             // between phase edges (the spec's burst/start/stop schedule
             // is a fixed step function of absolute time), so both spec
@@ -968,12 +867,6 @@ impl HostSim {
                 app.phase_cached_until = app.phase_trans.unwrap_or(SimTime::MAX);
             }
             (app.phase_active, app.phase_trans)
-        } else {
-            let app = &self.apps[a.index()];
-            (
-                app.spec.is_active(self.now),
-                app.spec.next_transition(self.now),
-            )
         };
         if let Some(t) = trans {
             self.schedule_wake(a, t);
@@ -1008,15 +901,11 @@ impl HostSim {
             }
             let dev = app.pick_device();
             let t0 = self.profile.then(std::time::Instant::now);
-            let (op, pattern, offset) = if self.merge {
-                // Same tuple sequence as `next_io()` (proven by the
-                // batch_equivalence proptests), drawn from a
-                // pregenerated chunk. The stream RNG is private to this
-                // app, so drawing ahead is unobservable.
-                app.batch.next(&mut app.stream)
-            } else {
-                app.stream.next_io()
-            };
+            // Same tuple sequence as `next_io()` (proven by the
+            // batch_equivalence proptests), drawn from a pregenerated
+            // chunk. The stream RNG is private to this app, so drawing
+            // ahead is unobservable.
+            let (op, pattern, offset) = app.batch.next(&mut app.stream);
             prof_add(t0, SS_ARRIVAL);
             let id = self.next_req_id;
             self.next_req_id += 1;
@@ -1129,27 +1018,16 @@ impl HostSim {
 
     fn push_cpu_work(&mut self, core: CoreId, work: Work, dur: SimDuration) {
         if let Some(done_at) = self.cores[core.index()].push(work, dur, self.now) {
-            if self.merge {
-                // At most one outstanding CpuDone per core (the FIFO
-                // only reports a finish time when it goes busy), so the
-                // core's tournament leaf is a one-slot frontier.
-                Self::slot_event(
-                    &mut self.journal,
-                    &mut self.queue,
-                    &mut self.cpu_tree,
-                    &mut self.tree_pending,
-                    core.index(),
-                    done_at,
-                );
-            } else {
-                Self::sched_event(
-                    &mut self.journal,
-                    &mut self.queue,
-                    &mut self.qfront,
-                    done_at,
-                    Event::CpuDone(core),
-                );
-            }
+            // At most one outstanding CpuDone per core (the FIFO only
+            // reports a finish time when it goes busy), so the core's
+            // tournament leaf is a one-slot frontier.
+            Self::slot_event(
+                &mut self.queue,
+                &mut self.cpu_tree,
+                &mut self.tree_pending,
+                core.index(),
+                done_at,
+            );
         }
     }
 
@@ -1157,24 +1035,13 @@ impl HostSim {
         let measured = self.measured();
         let (work, next) = self.cores[c.index()].finish_current(self.now, measured);
         if let Some(t) = next {
-            if self.merge {
-                Self::slot_event(
-                    &mut self.journal,
-                    &mut self.queue,
-                    &mut self.cpu_tree,
-                    &mut self.tree_pending,
-                    c.index(),
-                    t,
-                );
-            } else {
-                Self::sched_event(
-                    &mut self.journal,
-                    &mut self.queue,
-                    &mut self.qfront,
-                    t,
-                    Event::CpuDone(c),
-                );
-            }
+            Self::slot_event(
+                &mut self.queue,
+                &mut self.cpu_tree,
+                &mut self.tree_pending,
+                c.index(),
+                t,
+            );
         }
         match work {
             Work::Submit(mut req) => {
@@ -1290,27 +1157,16 @@ impl HostSim {
             if let Some(req) = dh.sched.dispatch(now) {
                 let cost = dh.sched.dispatch_overhead();
                 dh.dispatching = Some(req);
-                if self.merge {
-                    // The dispatch path is serialized per device
-                    // (`dispatching` is a one-slot latch), so like CPU
-                    // cores it gets a one-slot tournament leaf.
-                    Self::slot_event(
-                        &mut self.journal,
-                        &mut self.queue,
-                        &mut self.disp_tree,
-                        &mut self.tree_pending,
-                        dev.index(),
-                        now + cost,
-                    );
-                } else {
-                    Self::sched_event(
-                        &mut self.journal,
-                        &mut self.queue,
-                        &mut self.qfront,
-                        now + cost,
-                        Event::SchedDispatchDone(dev),
-                    );
-                }
+                // The dispatch path is serialized per device
+                // (`dispatching` is a one-slot latch), so like CPU cores
+                // it gets a one-slot tournament leaf.
+                Self::slot_event(
+                    &mut self.queue,
+                    &mut self.disp_tree,
+                    &mut self.tree_pending,
+                    dev.index(),
+                    now + cost,
+                );
             }
         }
         prof_add(t0, SS_SCHED);
@@ -1322,7 +1178,6 @@ impl HostSim {
         let started_any = !self.start_scratch.is_empty();
         for c in self.start_scratch.drain(..) {
             Self::sched_event(
-                &mut self.journal,
                 &mut self.queue,
                 &mut self.qfront,
                 c.done_at,
@@ -1538,7 +1393,6 @@ impl HostSim {
             dh.sched.insert(r, now);
         }
         Self::sched_event(
-            &mut self.journal,
             &mut self.queue,
             &mut self.qfront,
             until,
@@ -1546,7 +1400,6 @@ impl HostSim {
         );
         if let Some(period) = dh.reset_period {
             Self::sched_event(
-                &mut self.journal,
                 &mut self.queue,
                 &mut self.qfront,
                 now + period,
@@ -1571,7 +1424,6 @@ impl HostSim {
                 dh.timeout_at = Some(t);
                 dh.timeout_gen += 1;
                 Self::sched_event(
-                    &mut self.journal,
                     &mut self.queue,
                     &mut self.qfront,
                     t,
@@ -1592,7 +1444,6 @@ impl HostSim {
             dh.retry_at = Some(t);
             dh.retry_gen += 1;
             Self::sched_event(
-                &mut self.journal,
                 &mut self.queue,
                 &mut self.qfront,
                 t,
@@ -1635,7 +1486,6 @@ impl HostSim {
                 dh.qos_pump_at = Some(t);
                 dh.qos_pump_gen += 1;
                 Self::sched_event(
-                    &mut self.journal,
                     &mut self.queue,
                     &mut self.qfront,
                     t,
@@ -1654,7 +1504,6 @@ impl HostSim {
                 dh.sched_timer_at = Some(t);
                 dh.sched_timer_gen += 1;
                 Self::sched_event(
-                    &mut self.journal,
                     &mut self.queue,
                     &mut self.qfront,
                     t,
@@ -2095,89 +1944,6 @@ mod tests {
         assert!((4.0..9.5).contains(&ratio), "weighted ratio {ratio}");
     }
 
-    /// A deliberately messy machine exercising every wake pattern at
-    /// once: bursty, rate-capped, deep-queue, zipf, multi-device apps on
-    /// few cores, a BFQ device, an io.max throttle, and (optionally)
-    /// injected faults with the timeout/reset recovery paths.
-    fn mixed_scenario(merge: bool, faults: bool) -> RunReport {
-        let stop = SimTime::from_millis(120);
-        let mut h = simple_hierarchy(6);
-        h.write(
-            h.group_of(AppId(2)),
-            "io.max",
-            "259:0 rbps=80000000 wbps=80000000",
-        )
-        .unwrap();
-        let specs = vec![
-            JobSpec::lc_app("lc-a").stop_by(stop),
-            JobSpec::lc_app("lc-b").stop_by(stop),
-            JobSpec::batch_app("deep").stop_by(stop),
-            JobSpec::builder("burst")
-                .iodepth(4)
-                .burst(SimDuration::from_millis(3), SimDuration::from_millis(5))
-                .stop_at(stop)
-                .build(),
-            JobSpec::builder("rated")
-                .iodepth(2)
-                .rate_mib_s(40.0)
-                .stop_at(stop)
-                .build(),
-            JobSpec::builder("zipf")
-                .rw(workload::RwKind::ZipfRead { theta: 0.9 })
-                .iodepth(8)
-                .start_at(SimTime::from_millis(7))
-                .stop_at(stop)
-                .build(),
-        ];
-        let apps = specs
-            .into_iter()
-            .enumerate()
-            .map(|(i, s)| {
-                let devs = if i % 2 == 0 {
-                    vec![DeviceId(0), DeviceId(1)]
-                } else {
-                    vec![DeviceId(i % 2)]
-                };
-                AppSetup::new(s, devs)
-            })
-            .collect();
-        let mut d0 = DeviceSetup::flash();
-        let mut d1 = DeviceSetup::optane().with_scheduler(SchedKind::Bfq);
-        if faults {
-            d0 = d0.with_faults(nvme_sim::FaultConfig {
-                media_error_rate: 0.001,
-                stall_rate: 0.0005,
-                stall: SimDuration::from_millis(10),
-                ..nvme_sim::FaultConfig::none()
-            });
-            d1 = d1.with_faults(nvme_sim::FaultConfig {
-                reset_period: Some(SimDuration::from_millis(30)),
-                reset_duration: SimDuration::from_millis(1),
-                ..nvme_sim::FaultConfig::none()
-            });
-        }
-        let cfg = HostConfig {
-            io_timeout: faults.then(|| SimDuration::from_millis(3)),
-            ..HostConfig::with_cores(2)
-        };
-        let mut sim = HostSim::build(cfg, h, apps, vec![d0, d1]);
-        sim.merge = merge;
-        sim.run(stop)
-    }
-
-    /// The tentpole's byte-identity contract: the tournament-merged
-    /// engine replays the exact `(time, seq)` pop order of the legacy
-    /// queue-only engine, so every observable output — histograms,
-    /// series, stage sums, fault counters — is bit-identical.
-    #[test]
-    fn merged_engine_matches_legacy_bit_for_bit() {
-        for faults in [false, true] {
-            let legacy = format!("{:?}", mixed_scenario(false, faults));
-            let merged = format!("{:?}", mixed_scenario(true, faults));
-            assert_eq!(legacy, merged, "faults={faults}");
-        }
-    }
-
     fn run_faulted(
         faults: nvme_sim::FaultConfig,
         io_timeout: Option<SimDuration>,
@@ -2315,7 +2081,7 @@ mod tests {
     /// sharing two devices and two cores — exercising model-driven
     /// issue, think-time wakes, write barriers, and the interleave with
     /// the pre-existing stream path.
-    fn app_scenario(merge: bool, faults: bool) -> RunReport {
+    fn app_scenario(faults: bool) -> RunReport {
         use workload::{AppModelSpec, FileServerConfig, KvConfig, MlIngestConfig, OltpConfig};
         let stop = SimTime::from_millis(120);
         let h = simple_hierarchy(5);
@@ -2353,24 +2119,13 @@ mod tests {
                 ..nvme_sim::FaultConfig::none()
             });
         }
-        let mut sim = HostSim::build(HostConfig::with_cores(2), h, apps, vec![d0, d1]);
-        sim.merge = merge;
+        let sim = HostSim::build(HostConfig::with_cores(2), h, apps, vec![d0, d1]);
         sim.run(stop)
-    }
-
-    /// Closed-loop apps are first-class wake sources: the merged
-    /// (FIFO/tournament/wheel) engine must replay the legacy engine's
-    /// event order bit for bit with application models installed.
-    #[test]
-    fn closed_loop_merged_matches_legacy_bit_for_bit() {
-        let legacy = format!("{:?}", app_scenario(false, false));
-        let merged = format!("{:?}", app_scenario(true, false));
-        assert_eq!(legacy, merged);
     }
 
     #[test]
     fn closed_loop_apps_make_progress_and_conserve_ops() {
-        let r = app_scenario(true, false);
+        let r = app_scenario(false);
         for app in &r.apps[..4] {
             assert!(
                 app.completed > 100,
@@ -2399,7 +2154,7 @@ mod tests {
     /// op accounting still conserves.
     #[test]
     fn closed_loop_survives_total_device_failure() {
-        let r = app_scenario(true, true);
+        let r = app_scenario(true);
         // Apps 0 (kv) and 2 (fileserver) round-robin across both
         // devices, including the always-failing one.
         for i in [0usize, 2] {

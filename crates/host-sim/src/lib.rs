@@ -60,7 +60,7 @@ mod shard;
 pub mod stats;
 mod tourney;
 
-pub use engine::{merge_events, set_merge_events, HostSim};
+pub use engine::HostSim;
 pub use report::{AppReport, CoreReport, DeviceReport, RunReport, StageBreakdown};
 pub use setup::{AppSetup, DeviceSetup, HostConfig};
 

@@ -24,206 +24,28 @@
 //! workers (longest-processing-time-first on an iodepth-based load
 //! estimate) and free-run to `until` on scoped threads.
 //!
-//! # Window/barrier protocol and the determinism argument
+//! # Determinism
 //!
 //! A component-local run is an exact restriction of the sequential global
 //! run: the initial inserts preserve the global seed order, and
 //! inductively every pop inserts the same children at the same times, so
-//! the component's sub-sequence of the global `(time, seq)` FIFO order is
+//! the component's sub-sequence of the global `(time, seq)` order is
 //! reproduced verbatim. Untraced runs therefore need no synchronization
 //! at all — only report merging.
 //!
-//! Traced runs must also reproduce the *interleaving* (trace bytes are
-//! the golden artifact). Each worker attaches a [`JournalSink`]: per pop
-//! it records the pop time, the insert times of scheduled children, the
-//! request-ids allocated, and the trace events emitted (captured by an
-//! unbounded thread-local recorder). Records are flushed to the
-//! coordinator mailbox in epoch batches once the shard's clock advances
-//! past a conservative lookahead window — the minimum median command
-//! latency of the shard's devices (service-time lower bound; fault
-//! spikes and GC only add latency) — with each batch committing a time
-//! horizon that all later records must respect. The coordinator replays
-//! the global order from the journals: it seeds the merged init inserts,
-//! repeatedly pops the earliest `(time, seq, component)` entry, consumes
-//! that component's next record, reallocates global request-ids in pop
-//! order, rewrites each trace event's local device/request ids to the
-//! global ones, and re-emits it into the caller's recorder — inheriting
-//! capacity, eviction, and fault-injection semantics. Children insert
-//! with fresh global sequence numbers, reproducing FIFO tie-breaks. The
-//! result is byte-identical to the sequential trace for any shard count,
-//! and `shards = 1` short-circuits to [`HostSim::run`] itself.
+//! Traced runs execute at `shards = 1`: a trace records the global
+//! interleaving of every component's events, which only the sequential
+//! loop produces, so [`HostSim::run_sharded`] hands traced runs to
+//! [`HostSim::run`] and the trace bytes match by construction.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
-use std::sync::mpsc::{self, TryRecvError};
 use std::sync::Mutex;
 
 use blkio::{AppId, CoreId, DeviceId};
-use simcore::trace::{self, TraceEvent, TraceKind};
-use simcore::{EventQueue, SimDuration, SimTime};
+use simcore::{trace, EventQueue, SimDuration, SimTime};
 
 use crate::engine::HostSim;
 use crate::report::{CoreReport, RunReport};
-
-/// Journal records per mailbox batch before an early flush.
-const MAX_BATCH: usize = 4096;
-
-/// One handled event in a shard's journal: everything the coordinator
-/// needs to replay it in the global order.
-#[derive(Debug)]
-struct PopRecord {
-    /// Pop time (must match the replayed global pop).
-    t: SimTime,
-    /// Insert times of events scheduled while handling this one, in
-    /// schedule order.
-    children: Vec<SimTime>,
-    /// Trace events emitted while handling this one (local ids).
-    events: Vec<TraceEvent>,
-    /// Request-ids allocated while handling this one.
-    n_alloc: u32,
-}
-
-/// One initial insert from [`HostSim::seed_initial_events`], positioned
-/// by (class, index, ordinal) so the coordinator can interleave every
-/// component's seeds in the exact global order.
-#[derive(Debug)]
-struct InitInsert {
-    /// 0 = per-app wake, 1 = per-device seed (pump/reset).
-    class: u8,
-    /// Local app/device index (the coordinator maps it to global).
-    local_idx: u32,
-    /// Position within the slot (a device can seed up to two events).
-    ordinal: u32,
-    at: SimTime,
-}
-
-#[derive(Debug)]
-enum ShardMsg {
-    /// The shard's initial inserts, sent once before any batch.
-    Init(Vec<InitInsert>),
-    Batch(Batch),
-}
-
-#[derive(Debug)]
-struct Batch {
-    records: Vec<PopRecord>,
-    /// Every record in a *later* batch has `t >=` this commitment;
-    /// `None` marks the shard's final batch.
-    horizon: Option<SimTime>,
-}
-
-/// The engine-side end of a shard's journal: buffers per-pop records and
-/// flushes them to the coordinator in epoch batches (see module docs).
-#[derive(Debug)]
-pub(crate) struct JournalSink {
-    tx: mpsc::Sender<ShardMsg>,
-    /// Lookahead window: a batch flushes once the shard clock has
-    /// advanced this far past the batch's first record.
-    window: SimDuration,
-    init: Vec<InitInsert>,
-    init_slot: Option<(u8, u32)>,
-    init_ordinal: u32,
-    init_sent: bool,
-    pending: Vec<PopRecord>,
-    batch_start: SimTime,
-    cur: Option<PopRecord>,
-}
-
-impl JournalSink {
-    fn new(tx: mpsc::Sender<ShardMsg>, window: SimDuration) -> Self {
-        JournalSink {
-            tx,
-            window,
-            init: Vec::new(),
-            init_slot: None,
-            init_ordinal: 0,
-            init_sent: false,
-            pending: Vec::new(),
-            batch_start: SimTime::ZERO,
-            cur: None,
-        }
-    }
-
-    /// Subsequent seed inserts belong to local app `i`.
-    pub(crate) fn mark_app(&mut self, i: usize) {
-        self.init_slot = Some((0, i as u32));
-        self.init_ordinal = 0;
-    }
-
-    /// Subsequent seed inserts belong to local device `d`.
-    pub(crate) fn mark_dev(&mut self, d: usize) {
-        self.init_slot = Some((1, d as u32));
-        self.init_ordinal = 0;
-    }
-
-    /// Journals one event insert (a seed insert before the first pop, a
-    /// child of the current pop afterwards).
-    pub(crate) fn child(&mut self, at: SimTime) {
-        if let Some(rec) = self.cur.as_mut() {
-            rec.children.push(at);
-        } else {
-            let (class, local_idx) = self.init_slot.expect("seed insert before mark");
-            self.init.push(InitInsert {
-                class,
-                local_idx,
-                ordinal: self.init_ordinal,
-                at,
-            });
-            self.init_ordinal += 1;
-        }
-    }
-
-    /// Opens the record for the pop at `t`, flushing the pending batch
-    /// when the lookahead window has elapsed (the flush commits `t` as
-    /// the horizon: this shard will never journal an earlier record).
-    pub(crate) fn begin_pop(&mut self, t: SimTime) {
-        self.ensure_init_sent();
-        if !self.pending.is_empty()
-            && (self.pending.len() >= MAX_BATCH
-                || t.saturating_since(self.batch_start) >= self.window)
-        {
-            let records = std::mem::take(&mut self.pending);
-            let _ = self.tx.send(ShardMsg::Batch(Batch {
-                records,
-                horizon: Some(t),
-            }));
-        }
-        self.cur = Some(PopRecord {
-            t,
-            children: Vec::new(),
-            events: Vec::new(),
-            n_alloc: 0,
-        });
-    }
-
-    /// Closes the current pop's record.
-    pub(crate) fn finish_pop(&mut self, n_alloc: u32, events: Vec<TraceEvent>) {
-        let mut rec = self.cur.take().expect("finish_pop without begin_pop");
-        rec.n_alloc = n_alloc;
-        rec.events = events;
-        if self.pending.is_empty() {
-            self.batch_start = rec.t;
-        }
-        self.pending.push(rec);
-    }
-
-    /// Flushes everything left; consuming the sink marks the stream done.
-    fn close(mut self) {
-        self.ensure_init_sent();
-        let records = std::mem::take(&mut self.pending);
-        let _ = self.tx.send(ShardMsg::Batch(Batch {
-            records,
-            horizon: None,
-        }));
-    }
-
-    fn ensure_init_sent(&mut self) {
-        if !self.init_sent {
-            self.init_sent = true;
-            let _ = self.tx.send(ShardMsg::Init(std::mem::take(&mut self.init)));
-        }
-    }
-}
 
 /// One connected component of the coupling graph, in global indices
 /// (each list sorted ascending; components ordered by first device).
@@ -329,7 +151,7 @@ fn pack(plan: &[Component], workers: usize) -> Vec<Vec<usize>> {
 /// component, remapping app core/device references to local dense
 /// indices. Request-ids restart from 0 per component; within a component
 /// they stay order-isomorphic to the global ids, which is all that any
-/// consumer (scheduler FIFOs, trace req fields before rewrite) relies on.
+/// consumer (the scheduler FIFOs) relies on.
 fn split(sim: HostSim, plan: &[Component]) -> Vec<HostSim> {
     debug_assert!(
         sim.devs.iter().all(|d| !d.sched.has_pending()
@@ -347,7 +169,6 @@ fn split(sim: HostSim, plan: &[Component]) -> Vec<HostSim> {
             core_local[g] = li;
         }
     }
-    let sim_merge = sim.merge;
     let HostSim {
         config,
         apps,
@@ -397,11 +218,8 @@ fn split(sim: HostSim, plan: &[Component]) -> Vec<HostSim> {
                 next_req_id: 0,
                 qos_scratch: Vec::new(),
                 start_scratch: Vec::new(),
-                journal: None,
-                // Each component runs its own merged (or legacy) loop;
-                // the split machine is quiescent, so fresh empty trees
+                // The split machine is quiescent, so fresh empty trees
                 // are exact.
-                merge: sim_merge,
                 wake_tree,
                 app_leaf,
                 leaf_app: Vec::new(),
@@ -419,38 +237,6 @@ fn split(sim: HostSim, plan: &[Component]) -> Vec<HostSim> {
         .collect()
 }
 
-/// Conservative lookahead for a shard: the fastest median command time
-/// across its devices (floored at 1 µs against degenerate profiles).
-///
-/// Batched arrival generation does not change this bound: pregeneration
-/// only moves RNG draws earlier in wall-clock time, never an *event*
-/// earlier in simulated time, and the tournament frontiers release pops
-/// in the same `(time, seq)` order the wheel would — so the earliest
-/// cross-shard influence is still a device completion.
-fn lookahead_window(part: &HostSim) -> SimDuration {
-    part.devs
-        .iter()
-        .map(|d| d.device.profile().min_cmd_latency())
-        .min()
-        .unwrap_or(SimDuration::from_micros(1))
-        .max(SimDuration::from_micros(1))
-}
-
-/// `true` for kinds whose `req` field is a request id that must be
-/// rewritten from shard-local to global. The rest carry 0 or a
-/// kind-specific small integer (reset/restart, `Cfg*`, `RunEnd`).
-fn req_scoped(kind: TraceKind) -> bool {
-    !matches!(
-        kind,
-        TraceKind::DeviceReset
-            | TraceKind::DeviceRestart
-            | TraceKind::CfgDevice
-            | TraceKind::CfgSched
-            | TraceKind::CfgIoMax
-            | TraceKind::RunEnd
-    )
-}
-
 /// Result of one component's run.
 struct CompResult {
     report: RunReport,
@@ -459,14 +245,10 @@ struct CompResult {
     faults: (u64, u64, u64),
 }
 
-/// Runs one component engine to `until` (shared by both paths; the
-/// traced path attaches the journal beforehand and closes it here).
+/// Runs one component engine to `until`.
 fn run_component(mut part: HostSim, until: SimTime) -> CompResult {
     part.seed_initial_events();
     let (popped, peak) = part.run_loop(until);
-    if let Some(j) = part.journal.take() {
-        j.close();
-    }
     let faults = part.fault_totals();
     CompResult {
         report: part.finish(until),
@@ -536,7 +318,6 @@ fn finish_sharded(
     plan: &[Component],
     groups: &[Vec<usize>],
     results: Vec<Option<CompResult>>,
-    coord: CoordTotals,
     dims: (usize, usize, usize),
 ) -> RunReport {
     let popped: Vec<u64> = results
@@ -558,166 +339,17 @@ fn finish_sharded(
         .iter()
         .map(|g| g.iter().map(|&ci| popped[ci]).sum())
         .collect();
-    crate::stats::record_sharded(per_shard, coord.stalls, coord.batches, coord.violations);
+    crate::stats::record_sharded(per_shard);
     merge_reports(plan, results, dims.0, dims.1, dims.2)
 }
 
-/// Coordinator-side totals (all zero for untraced runs).
-#[derive(Debug, Default)]
-struct CoordTotals {
-    stalls: u64,
-    batches: u64,
-    violations: u64,
-}
-
-/// Coordinator-side state of one component's journal stream.
-struct CompChan {
-    rx: mpsc::Receiver<ShardMsg>,
-    records: VecDeque<PopRecord>,
-    /// Local → global request-id map, dense from 0.
-    req_map: Vec<u64>,
-    /// Strongest horizon committed by a received batch.
-    committed: SimTime,
-}
-
-impl CompChan {
-    /// Next journal record, receiving batches as needed. Blocking waits
-    /// count as barrier stalls; received records are checked against the
-    /// component's committed horizon.
-    ///
-    /// Returns `None` only under cooperative cancellation: the epoch
-    /// barrier polls the coordinator thread's [`simcore::cancel`] token
-    /// while waiting, and a cancelled worker closes its journal early,
-    /// so a stalled replay unwinds instead of blocking forever. On a
-    /// healthy run every replayed pop finds its record (a short journal
-    /// is still a panic then — that is an invariant violation).
-    fn next_record(&mut self, ci: usize, totals: &mut CoordTotals) -> Option<PopRecord> {
-        loop {
-            if let Some(r) = self.records.pop_front() {
-                return Some(r);
-            }
-            let msg = match self.rx.try_recv() {
-                Ok(m) => m,
-                Err(TryRecvError::Empty) => {
-                    totals.stalls += 1;
-                    loop {
-                        match self.rx.recv_timeout(std::time::Duration::from_millis(20)) {
-                            Ok(m) => break m,
-                            Err(mpsc::RecvTimeoutError::Timeout) => {
-                                if simcore::cancel::cancelled() {
-                                    return None;
-                                }
-                            }
-                            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                                if simcore::cancel::cancelled() {
-                                    return None;
-                                }
-                                panic!("shard {ci} worker died mid-run")
-                            }
-                        }
-                    }
-                }
-                Err(TryRecvError::Disconnected) => {
-                    if simcore::cancel::cancelled() {
-                        return None;
-                    }
-                    panic!("shard {ci} journal ended before its replayed pop")
-                }
-            };
-            match msg {
-                ShardMsg::Batch(b) => {
-                    totals.batches += 1;
-                    for r in &b.records {
-                        if r.t < self.committed {
-                            totals.violations += 1;
-                        }
-                    }
-                    if let Some(h) = b.horizon {
-                        self.committed = self.committed.max(h);
-                    }
-                    self.records.extend(b.records);
-                }
-                ShardMsg::Init(_) => panic!("shard {ci} sent a second init"),
-            }
-        }
-    }
-}
-
-/// Replays the global event order from the per-component journals,
-/// re-emitting every trace event (with global ids) into the calling
-/// thread's recorder. See the module docs for the exactness argument.
-fn coordinate(plan: &[Component], chans: &mut [CompChan], until: SimTime) -> CoordTotals {
-    let mut totals = CoordTotals::default();
-    // (class, global index, ordinal, at, component): sorted, this is the
-    // exact global seed order — apps by index, then devices by index.
-    let mut inits: Vec<(u8, usize, u32, SimTime, usize)> = Vec::new();
-    for (ci, ch) in chans.iter_mut().enumerate() {
-        match ch.rx.recv() {
-            Ok(ShardMsg::Init(list)) => {
-                for e in list {
-                    let g = if e.class == 0 {
-                        plan[ci].apps[e.local_idx as usize]
-                    } else {
-                        plan[ci].devs[e.local_idx as usize]
-                    };
-                    inits.push((e.class, g, e.ordinal, e.at, ci));
-                }
-            }
-            _ => panic!("shard {ci} sent no init record"),
-        }
-    }
-    inits.sort_by_key(|&(class, g, ord, _, _)| (class, g, ord));
-    let mut heap: BinaryHeap<Reverse<(SimTime, u64, usize)>> = BinaryHeap::new();
-    let mut seq = 0u64;
-    for &(_, _, _, at, ci) in &inits {
-        heap.push(Reverse((at, seq, ci)));
-        seq += 1;
-    }
-    let mut next_req_id = 0u64;
-    while let Some(Reverse((t, _, ci))) = heap.pop() {
-        if t > until {
-            break;
-        }
-        let Some(rec) = chans[ci].next_record(ci, &mut totals) else {
-            // Cancelled mid-replay: stop re-emitting; the partial trace
-            // is discarded with the cell.
-            break;
-        };
-        assert_eq!(
-            rec.t, t,
-            "shard {ci} journal diverged from the replay order"
-        );
-        for _ in 0..rec.n_alloc {
-            chans[ci].req_map.push(next_req_id);
-            next_req_id += 1;
-        }
-        for mut ev in rec.events {
-            ev.dev = plan[ci].devs[ev.dev as usize] as u32;
-            if req_scoped(ev.kind) {
-                ev.req = chans[ci].req_map[ev.req as usize];
-            }
-            trace::record_with(|| ev);
-        }
-        for at in rec.children {
-            heap.push(Reverse((at, seq, ci)));
-            seq += 1;
-        }
-    }
-    trace::record_with(|| TraceEvent::new(until.as_nanos(), TraceKind::RunEnd, 0, 0, 0, 0, 0));
-    totals
-}
-
-/// Runs the per-worker component groups on scoped threads, filling
-/// `results` by component index. `main_thread` runs concurrently on the
-/// calling thread (the traced path's coordinator) and its return value
-/// is passed through.
-fn run_workers<T>(
+/// Runs the per-worker component groups on scoped threads, returning
+/// the results by component index.
+fn run_workers(
     groups: &[Vec<usize>],
     parts: Vec<HostSim>,
     until: SimTime,
-    traced: bool,
-    main_thread: impl FnOnce() -> T,
-) -> (Vec<Option<CompResult>>, T) {
+) -> Vec<Option<CompResult>> {
     let mut slots: Vec<Option<HostSim>> = parts.into_iter().map(Some).collect();
     let results: Mutex<Vec<Option<CompResult>>> =
         Mutex::new((0..slots.len()).map(|_| None).collect());
@@ -725,7 +357,7 @@ fn run_workers<T>(
     // thread's cancellation token to every worker explicitly so a
     // watchdog cancel reaches all component loops.
     let cancel = simcore::cancel::current();
-    let out = std::thread::scope(|s| {
+    std::thread::scope(|s| {
         for g in groups {
             let mine: Vec<(usize, HostSim)> = g
                 .iter()
@@ -737,31 +369,27 @@ fn run_workers<T>(
                 if let Some(token) = cancel {
                     simcore::cancel::install(token);
                 }
-                if traced {
-                    // Journaled runs capture their trace events through
-                    // this worker-local recorder (drained per pop).
-                    trace::install_unbounded();
-                }
                 for (ci, part) in mine {
                     let r = run_component(part, until);
                     results.lock().unwrap_or_else(|e| e.into_inner())[ci] = Some(r);
                 }
             });
         }
-        main_thread()
     });
-    (results.into_inner().unwrap_or_else(|e| e.into_inner()), out)
+    results.into_inner().unwrap_or_else(|e| e.into_inner())
 }
 
 impl HostSim {
     /// Runs the simulation on up to `shards` parallel workers, bit-exact
     /// with [`HostSim::run`] for every shard count. Falls back to the
-    /// sequential path when `shards <= 1` or the scenario couples into a
-    /// single component (multi-device apps and shared cores merge
-    /// components; see the module docs for the ownership map).
+    /// sequential path when `shards <= 1`, when tracing is enabled on
+    /// this thread (traced runs execute at `shards = 1`; see the module
+    /// docs), or when the scenario couples into a single component
+    /// (multi-device apps and shared cores merge components; see the
+    /// module docs for the ownership map).
     #[must_use]
     pub fn run_sharded(self, until: SimTime, shards: usize) -> RunReport {
-        if shards <= 1 {
+        if shards <= 1 || trace::enabled() {
             return self.run(until);
         }
         let plan = plan_components(&self);
@@ -770,28 +398,9 @@ impl HostSim {
         }
         let dims = (self.apps.len(), self.cores.len(), self.devs.len());
         let groups = pack(&plan, shards.min(plan.len()));
-        let traced = trace::enabled();
-        let mut parts = split(self, &plan);
-        if traced {
-            let mut chans = Vec::with_capacity(parts.len());
-            for part in &mut parts {
-                let (tx, rx) = mpsc::channel();
-                part.journal = Some(JournalSink::new(tx, lookahead_window(part)));
-                chans.push(CompChan {
-                    rx,
-                    records: VecDeque::new(),
-                    req_map: Vec::new(),
-                    committed: SimTime::ZERO,
-                });
-            }
-            let (results, coord) = run_workers(&groups, parts, until, true, || {
-                coordinate(&plan, &mut chans, until)
-            });
-            finish_sharded(&plan, &groups, results, coord, dims)
-        } else {
-            let (results, ()) = run_workers(&groups, parts, until, false, || ());
-            finish_sharded(&plan, &groups, results, CoordTotals::default(), dims)
-        }
+        let parts = split(self, &plan);
+        let results = run_workers(&groups, parts, until);
+        finish_sharded(&plan, &groups, results, dims)
     }
 }
 
@@ -944,6 +553,8 @@ mod tests {
         }
     }
 
+    /// Traced runs execute at `shards = 1`, so the trace matches the
+    /// sequential one byte for byte.
     #[test]
     fn sharded_traced_run_matches_sequential_bytes() {
         trace::install(1 << 16);
@@ -960,7 +571,7 @@ mod tests {
     #[test]
     fn single_component_scenario_falls_back_to_sequential() {
         let h = pinned_hierarchy(2);
-        let apps = (0..2)
+        let apps: Vec<AppSetup> = (0..2)
             .map(|i| {
                 AppSetup::new(
                     JobSpec::lc_app(&format!("lc-{i}")).stop_by(SimTime::from_millis(20)),
@@ -969,11 +580,18 @@ mod tests {
             })
             .collect();
         let devices = vec![DeviceSetup::flash(), DeviceSetup::flash()];
-        let sim = HostSim::build(HostConfig::with_cores(2), h, apps, devices);
-        let before = crate::stats::snapshot();
-        let r = sim.run_sharded(SimTime::from_millis(20), 4);
-        let after = crate::stats::snapshot();
-        assert_eq!(after.sharded_runs, before.sharded_runs);
+        let build = || {
+            HostSim::build(
+                HostConfig::with_cores(2),
+                h.clone(),
+                apps.clone(),
+                devices.clone(),
+            )
+        };
+        assert_eq!(plan_components(&build()).len(), 1);
+        let seq = build().run(SimTime::from_millis(20));
+        let r = build().run_sharded(SimTime::from_millis(20), 4);
+        assert_eq!(format!("{seq:?}"), format!("{r:?}"));
         assert!(r.apps.iter().all(|a| a.completed > 0));
     }
 }

@@ -20,9 +20,6 @@ static IO_RETRIES: AtomicU64 = AtomicU64::new(0);
 static IO_FAILED: AtomicU64 = AtomicU64::new(0);
 static CANCELLED_RUNS: AtomicU64 = AtomicU64::new(0);
 static SHARDED_RUNS: AtomicU64 = AtomicU64::new(0);
-static BARRIER_STALLS: AtomicU64 = AtomicU64::new(0);
-static MAILBOX_BATCHES: AtomicU64 = AtomicU64::new(0);
-static HORIZON_VIOLATIONS: AtomicU64 = AtomicU64::new(0);
 /// Per-shard events processed during the most recent sharded run.
 static SHARD_EVENTS: Mutex<Vec<u64>> = Mutex::new(Vec::new());
 
@@ -49,21 +46,11 @@ pub struct EngineStats {
     pub cancelled_runs: u64,
     /// Scenario runs that executed on more than one shard.
     pub sharded_runs: u64,
-    /// Times the shard coordinator blocked waiting for a worker's next
-    /// journal batch (timing-dependent; for profiling only).
-    pub barrier_stalls: u64,
-    /// Journal batches that crossed the shard→coordinator mailbox.
-    pub mailbox_batches: u64,
-    /// Journal records observed below their shard's committed time
-    /// horizon. Always 0 when the lookahead window is safe; the shard
-    /// proptest asserts exactly that.
-    pub horizon_violations: u64,
     /// High-water mark of concurrently active wake-tournament leaves
-    /// (apps with at least one pending wake) over all merged runs. Zero
-    /// when only the legacy queue-only engine ran.
+    /// (apps with at least one pending wake) over all sequential runs.
     pub tourney_active_hwm: u64,
     /// Provisioned wake-tournament leaves (total apps) in the largest
-    /// merged run; `1 - tourney_active_hwm / tourney_leaves` is the
+    /// sequential run; `1 - tourney_active_hwm / tourney_leaves` is the
     /// suppressed-tenant ratio — the fraction of tenants the engine
     /// never paid per-event cost for.
     pub tourney_leaves: u64,
@@ -81,9 +68,6 @@ pub fn snapshot() -> EngineStats {
         io_failed: IO_FAILED.load(Ordering::Relaxed),
         cancelled_runs: CANCELLED_RUNS.load(Ordering::Relaxed),
         sharded_runs: SHARDED_RUNS.load(Ordering::Relaxed),
-        barrier_stalls: BARRIER_STALLS.load(Ordering::Relaxed),
-        mailbox_batches: MAILBOX_BATCHES.load(Ordering::Relaxed),
-        horizon_violations: HORIZON_VIOLATIONS.load(Ordering::Relaxed),
         tourney_active_hwm: TOURNEY_ACTIVE_HWM.load(Ordering::Relaxed),
         tourney_leaves: TOURNEY_LEAVES.load(Ordering::Relaxed),
     }
@@ -134,10 +118,10 @@ const ZERO: AtomicU64 = AtomicU64::new(0);
 static SUBSYS_NS: [AtomicU64; 5] = [ZERO; 5];
 static SUBSYS_N: [AtomicU64; 5] = [ZERO; 5];
 /// High-water mark of concurrently active tournament leaves (apps with a
-/// pending wake), maxed over finished merged runs.
+/// pending wake), maxed over finished sequential runs.
 static TOURNEY_ACTIVE_HWM: AtomicU64 = AtomicU64::new(0);
 /// Provisioned tournament leaves (total apps), maxed over finished
-/// merged runs; `1 - hwm/leaves` is the suppressed-tenant ratio.
+/// sequential runs; `1 - hwm/leaves` is the suppressed-tenant ratio.
 static TOURNEY_LEAVES: AtomicU64 = AtomicU64::new(0);
 
 /// Enables wall-clock attribution of event-loop work to the five
@@ -169,7 +153,7 @@ pub fn subsys_snapshot() -> [(u64, u64); 5] {
     out
 }
 
-/// Folds one merged run's tournament occupancy into the globals.
+/// Folds one sequential run's tournament occupancy into the globals.
 pub(crate) fn record_tourney(active_hwm: u64, leaves: u64) {
     TOURNEY_ACTIVE_HWM.fetch_max(active_hwm, Ordering::Relaxed);
     TOURNEY_LEAVES.fetch_max(leaves, Ordering::Relaxed);
@@ -182,13 +166,10 @@ pub(crate) fn record_run(events_popped: u64, peak_pending: u64) {
     PEAK_PENDING.fetch_max(peak_pending, Ordering::Relaxed);
 }
 
-/// Folds one finished sharded run's coordination totals into the global
-/// counters and publishes its per-shard event counts.
-pub(crate) fn record_sharded(per_shard: Vec<u64>, stalls: u64, batches: u64, violations: u64) {
+/// Counts one finished sharded run and publishes its per-shard event
+/// counts.
+pub(crate) fn record_sharded(per_shard: Vec<u64>) {
     SHARDED_RUNS.fetch_add(1, Ordering::Relaxed);
-    BARRIER_STALLS.fetch_add(stalls, Ordering::Relaxed);
-    MAILBOX_BATCHES.fetch_add(batches, Ordering::Relaxed);
-    HORIZON_VIOLATIONS.fetch_add(violations, Ordering::Relaxed);
     *SHARD_EVENTS.lock().unwrap_or_else(|e| e.into_inner()) = per_shard;
 }
 

@@ -58,20 +58,6 @@ pub struct DeviceProfile {
 }
 
 impl DeviceProfile {
-    /// Lower bound on any command's service latency: the fastest median
-    /// command time across op kinds. Fault spikes and GC only *add*
-    /// latency, so no completion can precede dispatch by less than this.
-    /// The sharded engine uses it as the conservative lookahead window
-    /// when batching journal records for the coordinator.
-    #[must_use]
-    pub fn min_cmd_latency(&self) -> simcore::SimDuration {
-        simcore::SimDuration::from_nanos(
-            self.rand_read_cmd_ns
-                .min(self.seq_read_cmd_ns)
-                .min(self.write_cmd_ns),
-        )
-    }
-
     /// A Samsung 980 PRO-like 1 TB TLC flash SSD.
     ///
     /// Calibrated targets (matching the paper's testbed shape):

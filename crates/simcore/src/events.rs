@@ -1,92 +1,23 @@
-//! The central event queue of the discrete-event engine.
+//! The central event queue of the discrete-event engine: a hierarchical
+//! timing wheel in the style of the kernel's timer wheel — two
+//! fixed-size near levels of slotted FIFO buckets plus an overflow heap
+//! for far timers. Schedule and pop are O(1) amortized for the near
+//! levels, which is where a discrete-event simulation's events
+//! overwhelmingly land (device completions and CPU work sit
+//! microseconds out).
 //!
-//! Two interchangeable backends sit behind one API:
-//!
-//! * [`QueueBackend::Wheel`] (the default) — a hierarchical timing wheel
-//!   in the style of the kernel's timer wheel: two fixed-size near
-//!   levels of slotted FIFO buckets plus an overflow heap for far
-//!   timers. Schedule and pop are O(1) amortized for the near levels,
-//!   which is where a discrete-event simulation's events overwhelmingly
-//!   land (device completions and CPU work sit microseconds out).
-//! * [`QueueBackend::Heap`] — the classic binary heap, kept as the
-//!   reference implementation; the wheel must reproduce its pop order
-//!   bit for bit (`wheel_matches_heap_*` tests below, plus the fig4
-//!   grid comparison in `crates/core/tests/determinism.rs`).
-//!
-//! Both backends order events by `(instant, schedule sequence)`, so
-//! events at the same instant pop in the order they were scheduled —
-//! the determinism invariant every simulation in this workspace leans
-//! on. See DESIGN.md §"Engine internals" for the wheel layout and the
-//! cursor invariants.
+//! Events are ordered by `(instant, schedule sequence)`, so events at
+//! the same instant pop in the order they were scheduled — the
+//! determinism invariant every simulation in this workspace leans on.
+//! A test-local binary heap is the reference model: a proptest below
+//! checks that the wheel's pop order matches it for arbitrary
+//! schedule/pop/`alloc_seq` sequences. See DESIGN.md §"Engine
+//! internals" for the wheel layout and the cursor invariants.
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU8, Ordering as AtomicOrdering};
 
 use crate::SimTime;
-
-/// Which data structure backs an [`EventQueue`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueueBackend {
-    /// Hierarchical timing wheel with an overflow heap (the default).
-    #[default]
-    Wheel,
-    /// Binary heap (the reference backend).
-    Heap,
-}
-
-/// Process-wide default backend for [`EventQueue::new`] /
-/// [`EventQueue::with_capacity`]: 0 = wheel, 1 = heap.
-static DEFAULT_BACKEND: AtomicU8 = AtomicU8::new(0);
-
-/// Sets the process-wide default backend used by [`EventQueue::new`].
-///
-/// Both backends produce identical pop sequences, so flipping this at
-/// any point changes throughput only, never simulation results (the
-/// determinism suite asserts exactly that). Intended for A/B testing
-/// and the regression tests; library code should not need it.
-pub fn set_default_backend(backend: QueueBackend) {
-    DEFAULT_BACKEND.store(backend as u8, AtomicOrdering::Relaxed);
-}
-
-/// The current process-wide default backend.
-#[must_use]
-pub fn default_backend() -> QueueBackend {
-    match DEFAULT_BACKEND.load(AtomicOrdering::Relaxed) {
-        1 => QueueBackend::Heap,
-        _ => QueueBackend::Wheel,
-    }
-}
-
-/// A time-ordered queue of events with FIFO tie-breaking.
-///
-/// Events scheduled for the same instant pop in the order they were
-/// scheduled, which keeps simulations deterministic without requiring the
-/// payload type to be `Ord`.
-///
-/// # Example
-///
-/// ```
-/// use simcore::{EventQueue, SimTime};
-///
-/// let mut q = EventQueue::new();
-/// q.schedule(SimTime::from_nanos(10), 'b');
-/// q.schedule(SimTime::from_nanos(10), 'c');
-/// q.schedule(SimTime::from_nanos(5), 'a');
-/// let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-/// assert_eq!(order, vec!['a', 'b', 'c']);
-/// ```
-#[derive(Debug)]
-pub struct EventQueue<E> {
-    imp: Imp<E>,
-    seq: u64,
-}
-
-#[derive(Debug)]
-enum Imp<E> {
-    Wheel(Wheel<E>),
-    Heap(BinaryHeap<Entry<E>>),
-}
 
 #[derive(Debug)]
 struct Entry<E> {
@@ -96,7 +27,7 @@ struct Entry<E> {
 }
 
 impl<E> Entry<E> {
-    /// The total order both backends agree on.
+    /// The queue's total order.
     fn key(&self) -> (SimTime, u64) {
         (self.at, self.seq)
     }
@@ -131,22 +62,39 @@ const SLOT_MASK: u64 = SLOTS as u64 - 1;
 /// (~262 µs); 256 of them cover ~67 ms. Anything farther is a far timer.
 const L1_SHIFT: u32 = SLOT_SHIFT + 8;
 
-/// Hierarchical timing wheel.
+/// A time-ordered queue of events with FIFO tie-breaking.
 ///
-/// Invariants (absolute L0 slot number = `at >> SLOT_SHIFT`):
+/// Events scheduled for the same instant pop in the order they were
+/// scheduled, which keeps simulations deterministic without requiring the
+/// payload type to be `Ord`.
 ///
-/// 1. `bucket` holds every pending event whose slot ≤ `cursor`, sorted
-///    **descending** by `(at, seq)` so the next event pops from the back.
-/// 2. `l0[s & 255]` holds events with slot `s` ∈ (`cursor`, `cursor`+256);
-///    at most one absolute slot maps to an index at a time (older
-///    occupants were drained before the cursor could advance this far).
-/// 3. `l1[s1 & 255]` holds events with L1 slot `s1` ∈ (`cursor1`,
-///    `cursor1`+256) that are beyond the L0 window.
-/// 4. `far` (a min-heap) holds only events with L1 slot ≥ `cursor1`+256;
-///    `advance_cursor` re-files newly eligible far events into `l1`
-///    every time `cursor1` grows, so levels never hide an earlier event.
+/// # Example
+///
+/// ```
+/// use simcore::{EventQueue, SimTime};
+///
+/// let mut q = EventQueue::new();
+/// q.schedule(SimTime::from_nanos(10), 'b');
+/// q.schedule(SimTime::from_nanos(10), 'c');
+/// q.schedule(SimTime::from_nanos(5), 'a');
+/// let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+/// assert_eq!(order, vec!['a', 'b', 'c']);
+/// ```
+//
+// Wheel invariants (absolute L0 slot number = `at >> SLOT_SHIFT`):
+//
+// 1. `bucket` holds every pending event whose slot ≤ `cursor`, sorted
+//    **descending** by `(at, seq)` so the next event pops from the back.
+// 2. `l0[s & 255]` holds events with slot `s` ∈ (`cursor`, `cursor`+256);
+//    at most one absolute slot maps to an index at a time (older
+//    occupants were drained before the cursor could advance this far).
+// 3. `l1[s1 & 255]` holds events with L1 slot `s1` ∈ (`cursor1`,
+//    `cursor1`+256) that are beyond the L0 window.
+// 4. `far` (a min-heap) holds only events with L1 slot ≥ `cursor1`+256;
+//    `advance_cursor` re-files newly eligible far events into `l1`
+//    every time `cursor1` grows, so levels never hide an earlier event.
 #[derive(Debug)]
-struct Wheel<E> {
+pub struct EventQueue<E> {
     /// Absolute L0 slot currently draining through `bucket`.
     cursor: u64,
     bucket: Vec<Entry<E>>,
@@ -156,6 +104,8 @@ struct Wheel<E> {
     l1_occ: [u64; SLOTS / 64],
     far: BinaryHeap<Entry<E>>,
     len: usize,
+    /// Next FIFO tie-break sequence number.
+    seq: u64,
 }
 
 fn slot_of(at: SimTime) -> u64 {
@@ -200,9 +150,22 @@ fn occ_next(occ: &[u64; SLOTS / 64], from: usize) -> Option<u64> {
     None
 }
 
-impl<E> Wheel<E> {
-    fn new(cap: usize) -> Self {
-        Wheel {
+impl<E> EventQueue<E> {
+    /// Creates an empty queue.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::with_capacity(0)
+    }
+
+    /// Creates an empty queue pre-sized for `cap` pending events.
+    ///
+    /// Simulations whose pending-event count has a knowable upper bound
+    /// (e.g. one timer per component plus one completion per in-flight
+    /// request) can pre-size once and keep the hot schedule/pop loop
+    /// (nearly) allocation-free.
+    #[must_use]
+    pub fn with_capacity(cap: usize) -> Self {
+        EventQueue {
             cursor: 0,
             bucket: Vec::with_capacity(cap.min(1024)),
             l0: (0..SLOTS).map(|_| Vec::new()).collect(),
@@ -211,7 +174,134 @@ impl<E> Wheel<E> {
             l1_occ: [0; SLOTS / 64],
             far: BinaryHeap::new(),
             len: 0,
+            seq: 0,
         }
+    }
+
+    /// Number of events the queue can hold without reallocating its main
+    /// storage (the drain bucket + far heap; the slot lists grow
+    /// independently on demand).
+    #[must_use]
+    pub fn capacity(&self) -> usize {
+        self.bucket.capacity() + self.far.capacity()
+    }
+
+    /// Schedules `payload` to fire at instant `at`, returning the FIFO
+    /// tie-break seq assigned to it (callers tracking the queue's front
+    /// key can min-update their cache without a peek).
+    pub fn schedule(&mut self, at: SimTime, payload: E) -> u64 {
+        let seq = self.alloc_seq();
+        self.len += 1;
+        self.place(Entry { at, seq, payload });
+        seq
+    }
+
+    /// Claims the next FIFO tie-break sequence number without
+    /// scheduling anything.
+    ///
+    /// Engines that keep some event classes *outside* the queue (e.g. a
+    /// tournament merge over per-source frontiers) draw their keys from
+    /// here so queue events and merged events share one total
+    /// `(time, seq)` order.
+    pub fn alloc_seq(&mut self) -> u64 {
+        let seq = self.seq;
+        self.seq += 1;
+        seq
+    }
+
+    /// Removes and returns the earliest event, or `None` if empty.
+    pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        self.pop_keyed().map(|(at, _, payload)| (at, payload))
+    }
+
+    /// Removes and returns the earliest event together with its FIFO
+    /// tie-break sequence number (the queue's total order is
+    /// `(time, seq)`). See [`EventQueue::alloc_seq`] for how external
+    /// event sources join that order.
+    pub fn pop_keyed(&mut self) -> Option<(SimTime, u64, E)> {
+        self.peek_key()?;
+        let e = self.bucket.pop().expect("settled wheel has a front event");
+        self.len -= 1;
+        Some((e.at, e.seq, e.payload))
+    }
+
+    /// The full `(time, seq)` key of the earliest pending event, without
+    /// removing it.
+    ///
+    /// Takes `&mut self` because it advances the wheel's levels until
+    /// the earliest pending event sits at the back of the drain bucket
+    /// (storage movement only — the pop sequence is unaffected, so
+    /// peeking is unobservable). External-frontier merges compare this
+    /// key against their own candidates to decide which source pops
+    /// next.
+    pub fn peek_key(&mut self) -> Option<(SimTime, u64)> {
+        loop {
+            if let Some(e) = self.bucket.last() {
+                return Some(e.key());
+            }
+            let next0 = occ_next(&self.l0_occ, (self.cursor & SLOT_MASK) as usize)
+                .map(|off| self.cursor + off);
+            let cursor1 = self.cursor >> 8;
+            let next1 =
+                occ_next(&self.l1_occ, (cursor1 & SLOT_MASK) as usize).map(|off| cursor1 + off);
+            // An occupied L1 slot must scatter before the L0 scan may
+            // advance into (or past) its range, or its events would be
+            // skipped; ties (`s1 << 8 <= slot`) also scatter first.
+            match (next0, next1) {
+                (Some(slot), Some(s1)) if (s1 << 8) <= slot => self.scatter_l1(s1),
+                (None, Some(s1)) => self.scatter_l1(s1),
+                (Some(slot), _) => {
+                    self.advance_cursor(slot);
+                    self.load_bucket(slot);
+                }
+                (None, None) => {
+                    let min_at = self.far.peek()?.at;
+                    self.advance_cursor(slot_of(min_at));
+                    // advance_cursor re-filed every newly eligible far
+                    // timer (at least the minimum); loop to drain it.
+                }
+            }
+        }
+    }
+
+    /// Number of pending events.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// `true` if no events are pending.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Drops all pending events and resets the queue to a clean
+    /// deterministic state: the FIFO tie-break counter restarts at 0 and
+    /// the cursor rewinds to the time origin, so a reused queue behaves
+    /// exactly like a freshly built one. Allocated storage is kept for
+    /// reuse; see [`EventQueue::reset`] to also drop it.
+    pub fn clear(&mut self) {
+        self.cursor = 0;
+        self.bucket.clear();
+        for v in &mut self.l0 {
+            v.clear();
+        }
+        self.l0_occ = [0; SLOTS / 64];
+        for v in &mut self.l1 {
+            v.clear();
+        }
+        self.l1_occ = [0; SLOTS / 64];
+        self.far.clear();
+        self.len = 0;
+        self.seq = 0;
+    }
+
+    /// Rebuilds the queue from scratch: like [`EventQueue::clear`], but
+    /// also discards all retained storage. Use when recycling a queue
+    /// across simulations of very different sizes.
+    pub fn reset(&mut self) {
+        *self = Self::new();
     }
 
     /// Files one entry into the level its slot falls in, relative to the
@@ -242,11 +332,6 @@ impl<E> Wheel<E> {
                 self.far.push(e);
             }
         }
-    }
-
-    fn schedule(&mut self, e: Entry<E>) {
-        self.len += 1;
-        self.place(e);
     }
 
     /// Moves the cursor forward, re-filing far timers that the larger
@@ -293,253 +378,6 @@ impl<E> Wheel<E> {
         // Hand the emptied Vec back so the slot keeps its capacity.
         self.l1[idx] = pending;
     }
-
-    /// Advances levels until the earliest pending event sits at the back
-    /// of the drain bucket, and returns its key without removing it
-    /// (`None` on an empty wheel). Cursor movement only ever reorders
-    /// storage, never the pop sequence, so settling from a peek is
-    /// unobservable.
-    fn settle(&mut self) -> Option<(SimTime, u64)> {
-        loop {
-            if let Some(e) = self.bucket.last() {
-                return Some(e.key());
-            }
-            let next0 = occ_next(&self.l0_occ, (self.cursor & SLOT_MASK) as usize)
-                .map(|off| self.cursor + off);
-            let cursor1 = self.cursor >> 8;
-            let next1 =
-                occ_next(&self.l1_occ, (cursor1 & SLOT_MASK) as usize).map(|off| cursor1 + off);
-            // An occupied L1 slot must scatter before the L0 scan may
-            // advance into (or past) its range, or its events would be
-            // skipped; ties (`s1 << 8 <= slot`) also scatter first.
-            match (next0, next1) {
-                (Some(slot), Some(s1)) if (s1 << 8) <= slot => self.scatter_l1(s1),
-                (None, Some(s1)) => self.scatter_l1(s1),
-                (Some(slot), _) => {
-                    self.advance_cursor(slot);
-                    self.load_bucket(slot);
-                }
-                (None, None) => {
-                    let min_at = self.far.peek()?.at;
-                    self.advance_cursor(slot_of(min_at));
-                    // advance_cursor re-filed every newly eligible far
-                    // timer (at least the minimum); loop to drain it.
-                }
-            }
-        }
-    }
-
-    fn pop(&mut self) -> Option<(SimTime, u64, E)> {
-        self.settle()?;
-        let e = self.bucket.pop().expect("settled wheel has a front event");
-        self.len -= 1;
-        Some((e.at, e.seq, e.payload))
-    }
-
-    fn peek_time(&self) -> Option<SimTime> {
-        if let Some(e) = self.bucket.last() {
-            return Some(e.at);
-        }
-        // The earliest pending event sits in the first occupied slot of
-        // L0 *or* of L1: an event filed into L1 under an older cursor
-        // can precede an L0 event inserted later (pop's scatter-first
-        // rule covers the same case), so compare both levels.
-        let l0_min = occ_next(&self.l0_occ, (self.cursor & SLOT_MASK) as usize).and_then(|off| {
-            let idx = ((self.cursor + off) & SLOT_MASK) as usize;
-            self.l0[idx].iter().map(|e| e.at).min()
-        });
-        let cursor1 = self.cursor >> 8;
-        let l1_min = occ_next(&self.l1_occ, (cursor1 & SLOT_MASK) as usize).and_then(|off| {
-            let idx = ((cursor1 + off) & SLOT_MASK) as usize;
-            self.l1[idx].iter().map(|e| e.at).min()
-        });
-        match (l0_min, l1_min) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (Some(a), None) => Some(a),
-            (None, Some(b)) => Some(b),
-            // Far timers are strictly beyond the L1 window by invariant 4.
-            (None, None) => self.far.peek().map(|e| e.at),
-        }
-    }
-
-    /// Drops all pending events and rewinds the cursor to the origin.
-    fn clear(&mut self) {
-        self.cursor = 0;
-        self.bucket.clear();
-        for v in &mut self.l0 {
-            v.clear();
-        }
-        self.l0_occ = [0; SLOTS / 64];
-        for v in &mut self.l1 {
-            v.clear();
-        }
-        self.l1_occ = [0; SLOTS / 64];
-        self.far.clear();
-        self.len = 0;
-    }
-}
-
-impl<E> EventQueue<E> {
-    /// Creates an empty queue on the process-default backend
-    /// ([`default_backend`]).
-    #[must_use]
-    pub fn new() -> Self {
-        Self::with_backend(default_backend())
-    }
-
-    /// Creates an empty queue pre-sized for `cap` pending events, on the
-    /// process-default backend.
-    ///
-    /// Simulations whose pending-event count has a knowable upper bound
-    /// (e.g. one timer per component plus one completion per in-flight
-    /// request) can pre-size once and keep the hot schedule/pop loop
-    /// (nearly) allocation-free.
-    #[must_use]
-    pub fn with_capacity(cap: usize) -> Self {
-        Self::with_backend_and_capacity(default_backend(), cap)
-    }
-
-    /// Creates an empty queue on an explicit backend.
-    #[must_use]
-    pub fn with_backend(backend: QueueBackend) -> Self {
-        Self::with_backend_and_capacity(backend, 0)
-    }
-
-    /// Creates an empty queue on an explicit backend, pre-sized for
-    /// `cap` pending events.
-    #[must_use]
-    pub fn with_backend_and_capacity(backend: QueueBackend, cap: usize) -> Self {
-        let imp = match backend {
-            QueueBackend::Wheel => Imp::Wheel(Wheel::new(cap)),
-            QueueBackend::Heap => Imp::Heap(BinaryHeap::with_capacity(cap)),
-        };
-        EventQueue { imp, seq: 0 }
-    }
-
-    /// Which backend this queue runs on.
-    #[must_use]
-    pub fn backend(&self) -> QueueBackend {
-        match &self.imp {
-            Imp::Wheel(_) => QueueBackend::Wheel,
-            Imp::Heap(_) => QueueBackend::Heap,
-        }
-    }
-
-    /// Number of events the queue can hold without reallocating its main
-    /// storage (the heap, or the wheel's drain bucket + far heap; the
-    /// wheel's slot lists grow independently on demand).
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        match &self.imp {
-            Imp::Wheel(w) => w.bucket.capacity() + w.far.capacity(),
-            Imp::Heap(h) => h.capacity(),
-        }
-    }
-
-    /// Schedules `payload` to fire at instant `at`, returning the FIFO
-    /// tie-break seq assigned to it (callers tracking the queue's front
-    /// key can min-update their cache without a peek).
-    pub fn schedule(&mut self, at: SimTime, payload: E) -> u64 {
-        let seq = self.alloc_seq();
-        let entry = Entry { at, seq, payload };
-        match &mut self.imp {
-            Imp::Wheel(w) => w.schedule(entry),
-            Imp::Heap(h) => h.push(entry),
-        }
-        seq
-    }
-
-    /// Claims the next FIFO tie-break sequence number without
-    /// scheduling anything.
-    ///
-    /// Engines that keep some event classes *outside* the queue (e.g. a
-    /// tournament merge over per-source frontiers) draw their keys from
-    /// here so queue events and merged events share one total
-    /// `(time, seq)` order — a merged engine pops in exactly the order a
-    /// queue-only engine would.
-    pub fn alloc_seq(&mut self) -> u64 {
-        let seq = self.seq;
-        self.seq += 1;
-        seq
-    }
-
-    /// Removes and returns the earliest event, or `None` if empty.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.pop_keyed().map(|(at, _, payload)| (at, payload))
-    }
-
-    /// Removes and returns the earliest event together with its FIFO
-    /// tie-break sequence number (the queue's total order is
-    /// `(time, seq)`). See [`EventQueue::alloc_seq`] for how external
-    /// event sources join that order.
-    pub fn pop_keyed(&mut self) -> Option<(SimTime, u64, E)> {
-        match &mut self.imp {
-            Imp::Wheel(w) => w.pop(),
-            Imp::Heap(h) => h.pop().map(|e| (e.at, e.seq, e.payload)),
-        }
-    }
-
-    /// The instant of the earliest pending event.
-    #[must_use]
-    pub fn peek_time(&self) -> Option<SimTime> {
-        match &self.imp {
-            Imp::Wheel(w) => w.peek_time(),
-            Imp::Heap(h) => h.peek().map(|e| e.at),
-        }
-    }
-
-    /// The full `(time, seq)` key of the earliest pending event, without
-    /// removing it.
-    ///
-    /// Takes `&mut self` because the wheel backend may advance its
-    /// internal levels to surface the front event (storage movement
-    /// only — the pop sequence is unaffected). External-frontier merges
-    /// compare this key against their own candidates to decide which
-    /// source pops next; unlike [`EventQueue::peek_time`], the seq
-    /// resolves same-instant ties exactly.
-    pub fn peek_key(&mut self) -> Option<(SimTime, u64)> {
-        match &mut self.imp {
-            Imp::Wheel(w) => w.settle(),
-            Imp::Heap(h) => h.peek().map(Entry::key),
-        }
-    }
-
-    /// Number of pending events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        match &self.imp {
-            Imp::Wheel(w) => w.len,
-            Imp::Heap(h) => h.len(),
-        }
-    }
-
-    /// `true` if no events are pending.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drops all pending events and resets the queue to a clean
-    /// deterministic state: the FIFO tie-break counter restarts at 0 and
-    /// (on the wheel backend) the cursor rewinds to the time origin, so
-    /// a reused queue behaves exactly like a freshly built one.
-    /// Allocated storage is kept for reuse; see [`EventQueue::reset`] to
-    /// also drop it.
-    pub fn clear(&mut self) {
-        match &mut self.imp {
-            Imp::Wheel(w) => w.clear(),
-            Imp::Heap(h) => h.clear(),
-        }
-        self.seq = 0;
-    }
-
-    /// Rebuilds the queue from scratch on its current backend: like
-    /// [`EventQueue::clear`], but also discards all retained storage.
-    /// Use when recycling a queue across simulations of very different
-    /// sizes.
-    pub fn reset(&mut self) {
-        *self = Self::with_backend(self.backend());
-    }
 }
 
 impl<E> Default for EventQueue<E> {
@@ -551,13 +389,12 @@ impl<E> Default for EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DetRng, SimDuration};
-
-    const BACKENDS: [QueueBackend; 2] = [QueueBackend::Wheel, QueueBackend::Heap];
+    use crate::SimDuration;
+    use proptest::prelude::*;
 
     #[test]
-    fn with_capacity_pre_sizes_heap_without_growth() {
-        let mut q = EventQueue::<u64>::with_backend_and_capacity(QueueBackend::Heap, 64);
+    fn with_capacity_pre_sizes_without_growth() {
+        let mut q = EventQueue::<u64>::with_capacity(64);
         let cap = q.capacity();
         assert!(cap >= 64);
         for i in 0..64u64 {
@@ -572,210 +409,219 @@ mod tests {
     }
 
     #[test]
-    fn default_backend_is_wheel() {
-        assert_eq!(EventQueue::<u8>::new().backend(), QueueBackend::Wheel);
-    }
-
-    #[test]
     fn pops_in_time_order() {
-        for backend in BACKENDS {
-            let mut q = EventQueue::with_backend(backend);
-            q.schedule(SimTime::from_nanos(30), 3);
-            q.schedule(SimTime::from_nanos(10), 1);
-            q.schedule(SimTime::from_nanos(20), 2);
-            assert_eq!(q.pop(), Some((SimTime::from_nanos(10), 1)));
-            assert_eq!(q.pop(), Some((SimTime::from_nanos(20), 2)));
-            assert_eq!(q.pop(), Some((SimTime::from_nanos(30), 3)));
-            assert_eq!(q.pop(), None);
-        }
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_nanos(30), 3);
+        q.schedule(SimTime::from_nanos(10), 1);
+        q.schedule(SimTime::from_nanos(20), 2);
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(10), 1)));
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(20), 2)));
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(30), 3)));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
     fn ties_break_fifo() {
-        for backend in BACKENDS {
-            let mut q = EventQueue::with_backend(backend);
-            for i in 0..100 {
-                q.schedule(SimTime::from_nanos(7), i);
-            }
-            for i in 0..100 {
-                assert_eq!(q.pop().unwrap().1, i);
-            }
+        let mut q = EventQueue::new();
+        for i in 0..100 {
+            q.schedule(SimTime::from_nanos(7), i);
+        }
+        for i in 0..100 {
+            assert_eq!(q.pop().unwrap().1, i);
         }
     }
 
     #[test]
     fn peek_does_not_remove() {
-        for backend in BACKENDS {
-            let mut q = EventQueue::with_backend(backend);
-            q.schedule(SimTime::from_nanos(42), ());
-            assert_eq!(q.peek_time(), Some(SimTime::from_nanos(42)));
-            assert_eq!(q.len(), 1);
-            assert!(!q.is_empty());
-        }
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_nanos(42), ());
+        assert_eq!(q.peek_key(), Some((SimTime::from_nanos(42), 0)));
+        assert_eq!(q.len(), 1);
+        assert!(!q.is_empty());
     }
 
     #[test]
     fn peek_sees_far_timers_and_l1() {
-        for backend in BACKENDS {
-            let mut q = EventQueue::with_backend(backend);
-            q.schedule(SimTime::from_secs(5), 'f'); // far heap
-            assert_eq!(q.peek_time(), Some(SimTime::from_secs(5)));
-            q.schedule(SimTime::from_millis(3), 'm'); // L1 range
-            assert_eq!(q.peek_time(), Some(SimTime::from_millis(3)));
-            q.schedule(SimTime::from_micros(9), 'n'); // L0 range
-            assert_eq!(q.peek_time(), Some(SimTime::from_micros(9)));
-            assert_eq!(q.pop().unwrap().1, 'n');
-            assert_eq!(q.pop().unwrap().1, 'm');
-            assert_eq!(q.pop().unwrap().1, 'f');
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_secs(5), 'f'); // far heap
+        q.schedule(SimTime::from_millis(3), 'm'); // L1 range
+        q.schedule(SimTime::from_micros(9), 'n'); // L0 range
+        for (at, seq, ev) in [
+            (SimTime::from_micros(9), 2, 'n'),
+            (SimTime::from_millis(3), 1, 'm'),
+            (SimTime::from_secs(5), 0, 'f'),
+        ] {
+            assert_eq!(q.peek_key(), Some((at, seq)));
+            assert_eq!(q.pop(), Some((at, ev)));
         }
+        assert_eq!(q.peek_key(), None);
     }
 
     #[test]
     fn clear_empties_queue_and_resets_fifo_seq() {
-        for backend in BACKENDS {
-            let mut q = EventQueue::with_backend(backend);
-            q.schedule(SimTime::from_nanos(1), 1);
-            q.schedule(SimTime::from_nanos(2), 2);
-            q.clear();
-            assert!(q.is_empty());
-            assert_eq!(q.pop(), None);
-            assert_eq!(q.seq, 0, "clear() must rewind the tie-break counter");
-            // A reused queue behaves exactly like a fresh one.
-            q.schedule(SimTime::from_nanos(7), 10);
-            q.schedule(SimTime::from_nanos(7), 11);
-            assert_eq!(q.pop(), Some((SimTime::from_nanos(7), 10)));
-            assert_eq!(q.pop(), Some((SimTime::from_nanos(7), 11)));
-        }
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_nanos(1), 1);
+        q.schedule(SimTime::from_nanos(2), 2);
+        q.clear();
+        assert!(q.is_empty());
+        assert_eq!(q.pop(), None);
+        assert_eq!(q.seq, 0, "clear() must rewind the tie-break counter");
+        // A reused queue behaves exactly like a fresh one.
+        q.schedule(SimTime::from_nanos(7), 10);
+        q.schedule(SimTime::from_nanos(7), 11);
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(7), 10)));
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(7), 11)));
     }
 
     #[test]
     fn reset_rebuilds_pristine_state() {
-        for backend in BACKENDS {
-            let mut q = EventQueue::with_backend_and_capacity(backend, 512);
-            for i in 0..1000u64 {
-                q.schedule(SimTime::from_micros(i * 37), i);
-            }
-            for _ in 0..500 {
-                q.pop();
-            }
-            q.reset();
-            assert!(q.is_empty());
-            assert_eq!(q.backend(), backend);
-            assert_eq!(q.seq, 0);
-            q.schedule(SimTime::from_nanos(3), 99);
-            assert_eq!(q.pop(), Some((SimTime::from_nanos(3), 99)));
+        let mut q = EventQueue::with_capacity(512);
+        for i in 0..1000u64 {
+            q.schedule(SimTime::from_micros(i * 37), i);
         }
+        for _ in 0..500 {
+            q.pop();
+        }
+        q.reset();
+        assert!(q.is_empty());
+        assert_eq!(q.seq, 0);
+        q.schedule(SimTime::from_nanos(3), 99);
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(3), 99)));
     }
 
     #[test]
     fn interleaved_schedule_and_pop_stay_ordered() {
-        for backend in BACKENDS {
-            let mut q = EventQueue::with_backend(backend);
-            q.schedule(SimTime::from_nanos(5), 'a');
-            q.schedule(SimTime::from_nanos(15), 'c');
-            assert_eq!(q.pop().unwrap().1, 'a');
-            q.schedule(SimTime::from_nanos(10), 'b');
-            assert_eq!(q.pop().unwrap().1, 'b');
-            assert_eq!(q.pop().unwrap().1, 'c');
-        }
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_nanos(5), 'a');
+        q.schedule(SimTime::from_nanos(15), 'c');
+        assert_eq!(q.pop().unwrap().1, 'a');
+        q.schedule(SimTime::from_nanos(10), 'b');
+        assert_eq!(q.pop().unwrap().1, 'b');
+        assert_eq!(q.pop().unwrap().1, 'c');
     }
 
     #[test]
     fn same_instant_reschedule_from_handler_pops_after_pending() {
         // An event scheduled for "now" while draining that instant must
         // pop after events already pending at the same instant.
-        for backend in BACKENDS {
-            let mut q = EventQueue::with_backend(backend);
-            let t = SimTime::from_micros(50);
-            q.schedule(t, 0);
-            q.schedule(t, 1);
-            assert_eq!(q.pop(), Some((t, 0)));
-            q.schedule(t, 2); // "handler" re-arms at the same instant
-            assert_eq!(q.pop(), Some((t, 1)));
-            assert_eq!(q.pop(), Some((t, 2)));
+        let mut q = EventQueue::new();
+        let t = SimTime::from_micros(50);
+        q.schedule(t, 0);
+        q.schedule(t, 1);
+        assert_eq!(q.pop(), Some((t, 0)));
+        q.schedule(t, 2); // "handler" re-arms at the same instant
+        assert_eq!(q.pop(), Some((t, 1)));
+        assert_eq!(q.pop(), Some((t, 2)));
+    }
+
+    /// The reference model: a plain binary heap over `(time, seq)`
+    /// keys, with the same sequence counter as [`EventQueue`].
+    #[derive(Default)]
+    struct HeapQueue {
+        heap: BinaryHeap<Reverse<(SimTime, u64, u64)>>,
+        seq: u64,
+    }
+
+    impl HeapQueue {
+        fn schedule(&mut self, at: SimTime, payload: u64) -> u64 {
+            let seq = self.alloc_seq();
+            self.heap.push(Reverse((at, seq, payload)));
+            seq
+        }
+
+        fn alloc_seq(&mut self) -> u64 {
+            self.seq += 1;
+            self.seq - 1
+        }
+
+        fn pop_keyed(&mut self) -> Option<(SimTime, u64, u64)> {
+            self.heap.pop().map(|Reverse(e)| e)
+        }
+
+        fn peek_key(&self) -> Option<(SimTime, u64)> {
+            self.heap.peek().map(|&Reverse((at, seq, _))| (at, seq))
         }
     }
 
-    /// The guarantee everything rests on: for arbitrary interleavings of
-    /// schedules and pops — including same-instant ties, far timers, and
-    /// re-arms at the current instant — the wheel pops the exact
-    /// sequence the reference heap pops.
-    #[test]
-    fn wheel_matches_heap_on_randomized_workloads() {
-        for seed in 0..8u64 {
-            let mut rng = DetRng::new(0xC0FFEE ^ seed);
-            let mut wheel = EventQueue::with_backend(QueueBackend::Wheel);
-            let mut heap = EventQueue::with_backend(QueueBackend::Heap);
-            let mut now = SimTime::ZERO;
-            let mut next_payload = 0u64;
-            for _ in 0..20_000 {
-                if rng.chance(0.55) || wheel.is_empty() {
-                    // Mix of near, clustered-tie, L1-range, and far offsets.
-                    let offset = match rng.below(10) {
-                        0 => 0,                                   // exactly "now"
-                        1..=2 => rng.below(4) * 1_000,            // tie-heavy near
-                        3..=6 => rng.below(200_000),              // L0 range
-                        7..=8 => 300_000 + rng.below(50_000_000), // L1 range
-                        _ => rng.below(5_000_000_000),            // far timers
-                    };
-                    let at = now + SimDuration::from_nanos(offset);
-                    wheel.schedule(at, next_payload);
-                    heap.schedule(at, next_payload);
-                    next_payload += 1;
-                } else {
-                    let w = wheel.pop();
-                    let h = heap.pop();
-                    assert_eq!(w, h, "seed {seed}: wheel diverged from heap");
-                    if let Some((t, _)) = w {
-                        assert!(t >= now, "time went backwards");
-                        now = t;
-                    }
-                }
-                assert_eq!(wheel.len(), heap.len());
-                assert_eq!(wheel.peek_time(), heap.peek_time());
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        /// Schedule an event this many nanoseconds after the last pop.
+        Schedule(u64),
+        /// Pop up to this many events (long drains let time leap and
+        /// force L1 scatters and far-heap re-filing).
+        Pop(u64),
+        /// Claim a seq without scheduling (an external event source).
+        AllocSeq,
+        /// Settle the wheel through `peek_key` (storage movement only).
+        PeekKey,
+    }
+
+    /// Op mix: ~56 % schedules (mostly near, some L1 and far), ~37 %
+    /// single pops, and rare long drains, so the pending set grows
+    /// slowly and the cursor sweeps many L1 windows in one sequence.
+    fn op() -> impl Strategy<Value = Op> {
+        (0u64..=u64::MAX).prop_map(|r| {
+            let v = r / 100;
+            match r % 100 {
+                0..=5 => Op::Schedule(0),                          // exactly "now"
+                6..=15 => Op::Schedule(v % 4 * 1_000),             // tie-heavy near
+                16..=35 => Op::Schedule(v % 200_000),              // L0 range
+                36..=45 => Op::Schedule(300_000 + v % 50_000_000), // L1 range
+                46..=50 => Op::Schedule(v % 200_000_000),          // L1 edge / far
+                51..=55 => Op::Schedule(v % 5_000_000_000),        // far timers
+                56..=92 => Op::Pop(1),
+                93 => Op::Pop(1 + v % 16),
+                94..=96 => Op::AllocSeq,
+                _ => Op::PeekKey,
             }
-            // Drain both to the end.
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The guarantee everything rests on: for arbitrary interleavings
+        /// of schedules, pops and external seq claims — including
+        /// same-instant ties, far timers, long quiet gaps, and re-arms at
+        /// the current instant — the wheel pops the exact `(time, seq)`
+        /// sequence the reference heap pops.
+        #[test]
+        fn wheel_matches_reference_heap(ops in proptest::collection::vec(op(), 1..20_000)) {
+            let mut wheel = EventQueue::new();
+            let mut heap = HeapQueue::default();
+            let mut now = SimTime::ZERO;
+            let mut payload = 0u64;
+            for op in ops {
+                match op {
+                    Op::Schedule(offset) => {
+                        let at = now + SimDuration::from_nanos(offset);
+                        prop_assert_eq!(wheel.schedule(at, payload), heap.schedule(at, payload));
+                        payload += 1;
+                    }
+                    Op::Pop(n) => {
+                        for _ in 0..n {
+                            let w = wheel.pop_keyed();
+                            prop_assert_eq!(w, heap.pop_keyed(), "wheel diverged from heap");
+                            match w {
+                                Some((t, _, _)) => {
+                                    prop_assert!(t >= now, "time went backwards");
+                                    now = t;
+                                }
+                                None => break,
+                            }
+                        }
+                    }
+                    Op::AllocSeq => prop_assert_eq!(wheel.alloc_seq(), heap.alloc_seq()),
+                    Op::PeekKey => prop_assert_eq!(wheel.peek_key(), heap.peek_key()),
+                }
+                prop_assert_eq!(wheel.len(), heap.heap.len());
+            }
             loop {
-                let w = wheel.pop();
-                let h = heap.pop();
-                assert_eq!(w, h, "seed {seed}: drain diverged");
+                let w = wheel.pop_keyed();
+                prop_assert_eq!(w, heap.pop_keyed(), "drain diverged");
                 if w.is_none() {
                     break;
                 }
-            }
-        }
-    }
-
-    /// Monotone-advancing variant that exercises L1 scatter and far-heap
-    /// rebasing heavily: long quiet gaps force the cursor to jump.
-    #[test]
-    fn wheel_matches_heap_across_long_gaps() {
-        let mut rng = DetRng::new(42);
-        let mut wheel = EventQueue::with_backend(QueueBackend::Wheel);
-        let mut heap = EventQueue::with_backend(QueueBackend::Heap);
-        let mut now = SimTime::ZERO;
-        for round in 0..200 {
-            // A burst of events spread across all three levels...
-            for _ in 0..rng.below(40) + 1 {
-                let at = now + SimDuration::from_nanos(rng.below(200_000_000));
-                wheel.schedule(at, round);
-                heap.schedule(at, round);
-            }
-            // ...then drain most of them, letting time leap forward.
-            for _ in 0..rng.below(45) {
-                let w = wheel.pop();
-                assert_eq!(w, heap.pop(), "round {round}");
-                match w {
-                    Some((t, _)) => now = t,
-                    None => break,
-                }
-            }
-        }
-        loop {
-            let w = wheel.pop();
-            assert_eq!(w, heap.pop());
-            if w.is_none() {
-                break;
             }
         }
     }

@@ -41,7 +41,7 @@ mod token;
 pub mod trace;
 
 pub use cancel::{CancelReason, CancelToken};
-pub use events::{default_backend, set_default_backend, EventQueue, QueueBackend};
+pub use events::EventQueue;
 pub use ewma::Ewma;
 pub use hash::{fnv1a_64, xxhash64, Fingerprint};
 pub use rng::DetRng;

@@ -243,34 +243,10 @@ impl TraceRecorder {
         }
     }
 
-    /// Creates a recorder that never evicts: the buffer grows on demand
-    /// and `dropped` stays 0. Used by sharded runs to journal every event
-    /// between epoch flushes (the journal is drained frequently, so the
-    /// buffer stays small in practice).
-    #[must_use]
-    pub fn unbounded() -> Self {
-        TraceRecorder {
-            buf: Vec::new(),
-            cap: usize::MAX,
-            head: 0,
-            dropped: 0,
-            panic_after: None,
-        }
-    }
-
     /// Arms the fault-injection hook: the recorder panics when the `n`-th
     /// subsequent event is pushed. Used by the CI partial-trace check.
     pub fn arm_panic_after(&mut self, n: u64) {
         self.panic_after = Some(n.max(1));
-    }
-
-    /// Takes every retained event (oldest-first), leaving the recorder
-    /// installed and empty. Eviction state is reset; the dropped count is
-    /// preserved.
-    pub fn drain(&mut self) -> Vec<TraceEvent> {
-        self.buf.rotate_left(self.head);
-        self.head = 0;
-        std::mem::take(&mut self.buf)
     }
 
     /// Appends an event, evicting the oldest if at capacity.
@@ -651,27 +627,6 @@ pub fn install(capacity: usize) {
     ACTIVE.with(|a| a.set(true));
 }
 
-/// Installs a fresh unbounded recorder on this thread, replacing (and
-/// discarding) any previous one. Shard workers use this to journal the
-/// events of each pop; the journal drains it after every handled event,
-/// so it never grows past a single event batch.
-pub fn install_unbounded() {
-    RECORDER.with(|r| *r.borrow_mut() = Some(TraceRecorder::unbounded()));
-    ACTIVE.with(|a| a.set(true));
-}
-
-/// Drains every event recorded on this thread so far (oldest-first),
-/// leaving the recorder installed. Returns an empty vec when tracing is
-/// not installed.
-#[must_use]
-pub fn drain_events() -> Vec<TraceEvent> {
-    RECORDER.with(|r| {
-        r.borrow_mut()
-            .as_mut()
-            .map_or_else(Vec::new, TraceRecorder::drain)
-    })
-}
-
 /// Arms the installed recorder to panic after `n` more events — the CI
 /// hook that exercises the partial-trace path. No-op when disabled.
 pub fn arm_panic_after(n: u64) {
@@ -756,42 +711,6 @@ mod tests {
         let s = t.to_jsonl();
         let back = Trace::from_jsonl(&s).unwrap();
         assert_eq!(back, t);
-    }
-
-    #[test]
-    fn unbounded_never_evicts_and_drain_resets() {
-        let mut r = TraceRecorder::unbounded();
-        for i in 0..1000 {
-            r.push(ev(i, TraceKind::Submit, i));
-        }
-        assert_eq!(r.dropped(), 0);
-        let first: Vec<u64> = r.drain().iter().map(|e| e.req).collect();
-        assert_eq!(first, (0..1000).collect::<Vec<_>>());
-        // The recorder stays usable after a drain, still without loss.
-        r.push(ev(7, TraceKind::Submit, 7));
-        r.push(ev(8, TraceKind::Complete, 8));
-        let second: Vec<u64> = r.drain().iter().map(|e| e.req).collect();
-        assert_eq!(second, vec![7, 8]);
-        assert_eq!(r.dropped(), 0);
-    }
-
-    #[test]
-    fn thread_local_unbounded_install_and_drain() {
-        install_unbounded();
-        assert!(enabled());
-        record_with(|| ev(1, TraceKind::Submit, 1));
-        record_with(|| ev(2, TraceKind::DeviceStart, 1));
-        let drained = drain_events();
-        assert_eq!(drained.len(), 2);
-        // Drain leaves the recorder installed and empty...
-        assert!(enabled());
-        record_with(|| ev(3, TraceKind::Complete, 1));
-        let t = take().expect("recorder still installed");
-        assert_eq!(t.events.len(), 1);
-        assert!(t.is_lossless());
-        // ...and take() uninstalls as usual.
-        assert!(!enabled());
-        assert!(drain_events().is_empty());
     }
 
     #[test]

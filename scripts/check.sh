@@ -85,9 +85,9 @@ hits=$(grep -o '"hits": [0-9]*' target/isol-bench/timings.json | head -1 | grep 
     || { echo "FAIL: warm run reported zero cache hits"; exit 1; }
 rm -rf "$cold_dir"
 
-echo "==> trace check (traced smoke run must satisfy every trace invariant)"
+echo "==> trace check (traced smoke run must satisfy every trace invariant; --shards 4 is ignored because traced runs never shard)"
 rm -rf target/isol-bench/traces
-./target/release/figures --smoke --no-cache --trace fig4 > /dev/null
+./target/release/figures --smoke --no-cache --trace --shards 4 fig4 > /dev/null
 ./target/release/traceck
 
 echo "==> fleet_scale check (256-tenant smoke grid, byte-identical across --jobs/--shards)"
@@ -113,7 +113,7 @@ rm -rf "$shard_dir"
 # read timings.json from the most recent figures run, so the fig4+q10
 # regeneration must come right before it (the fleet_scale grid above
 # has much heavier cells and would skew both).
-echo "==> perf snapshot check (>10% regression against BENCH_pr7.json/BENCH_pr9.json fails; includes the arena-vs-map io.cost tick gate, the merged-vs-legacy engine gate, and the 64k-tenant cell budget + >=3x-vs-PR8 gates)"
+echo "==> perf snapshot check (>10% regression against BENCH_pr7.json/BENCH_pr9.json fails; includes the 64k-tenant cell budget + >=3x-vs-PR8 gates)"
 ./target/release/figures --smoke --no-cache fig4 q10 > /dev/null
 ./target/release/perfsnap --check
 
