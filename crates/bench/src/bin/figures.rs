@@ -2,11 +2,11 @@
 //!
 //! ```text
 //! figures [--fidelity smoke|standard|full] [--smoke] [--jobs N|auto]
-//!         [--shards N|auto] [--no-cache] [--refresh] [--profile]
-//!         [--faults] [--trace[=N]] [--inject-panic LABEL]
-//!         [--inject-hang LABEL] [--resume] [--watchdog-soft-ms N]
-//!         [--watchdog-hard-ms N] [--cell-retries N]
-//!         [--retry-backoff-ms N] [--scenario FILE.toml]...
+//!         [--shards N|auto] [--no-cache] [--refresh] [--faults]
+//!         [--trace[=N]] [--inject-panic LABEL] [--inject-hang LABEL]
+//!         [--resume] [--watchdog-soft-ms N] [--watchdog-hard-ms N]
+//!         [--cell-retries N] [--retry-backoff-ms N]
+//!         [--scenario FILE.toml]...
 //!         [fig2 fig3 fig4 fig5 fig6 fig7 q10 table1 optane writeback
 //!          q_faults fleet_scale app_mix | all]
 //! ```
@@ -41,18 +41,12 @@
 //!
 //! # Scheduling
 //!
-//! By default the cells of *all* selected experiments are concatenated
-//! into one batch for a single global worker pool, so the pool never
-//! drains at an experiment boundary. Results return positionally, so
-//! every CSV is byte-identical to the per-experiment scheduling for any
-//! `--jobs` value. `--profile` falls back to running experiments
-//! sequentially (each on its own pool) because engine-counter deltas
-//! cannot be attributed when experiments overlap; it additionally
-//! reports each experiment's engine profile — simulation runs, events
-//! popped, pop rate, and peak pending events — and writes
-//! `target/isol-bench/profile.json`. With `--jobs > 1` concurrent
-//! scenarios of one experiment still overlap in the counter deltas; use
-//! `--jobs 1` for clean attribution.
+//! The cells of *all* selected experiments are concatenated into one
+//! batch for a single global worker pool, so the pool never drains at
+//! an experiment boundary. Results return positionally, so every CSV is
+//! byte-identical to running each experiment on its own (the
+//! experiments' `run`, which the goldens pin) for any `--jobs` value.
+//! Engine cost per layer is measured by `perfbench`, not here.
 //!
 //! `--faults` adds the fault-injection isolation study (`q_faults`) to
 //! the selection; `--smoke` is shorthand for `--fidelity smoke`.
@@ -130,8 +124,7 @@ use isol_bench::experiments::{
 };
 use isol_bench::{cache, journal, runner, Cell, Fidelity, OutputSink, Staged};
 use isol_bench_harness::{
-    parse_jobs, parse_selection, parse_shards, CellTiming, Failures, Profiles, ResilienceSummary,
-    Timings, OUTPUT_DIR,
+    parse_count, parse_selection, CellTiming, Failures, ResilienceSummary, Timings, OUTPUT_DIR,
 };
 
 fn payload_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -169,7 +162,6 @@ fn stage_push<R>(staged: Staged<R>, batch: &mut Vec<Cell>, spans: &mut Vec<Span>
 #[allow(clippy::too_many_lines)]
 fn main() -> ExitCode {
     let mut fidelity = Fidelity::Standard;
-    let mut profile = false;
     let mut no_cache = false;
     let mut refresh = false;
     let mut resume = false;
@@ -188,9 +180,7 @@ fn main() -> ExitCode {
         }
     };
     while let Some(a) = args.next() {
-        if a == "--profile" {
-            profile = true;
-        } else if a == "--smoke" {
+        if a == "--smoke" {
             fidelity = Fidelity::Smoke;
         } else if a == "--no-cache" {
             no_cache = true;
@@ -280,7 +270,7 @@ fn main() -> ExitCode {
                 }
             }
         } else if a == "--jobs" {
-            match args.next().as_deref().map(parse_jobs) {
+            match args.next().map(|v| parse_count(&a, &v)) {
                 Some(Ok(n)) => runner::set_jobs(n),
                 Some(Err(e)) => {
                     eprintln!("{e}");
@@ -292,7 +282,7 @@ fn main() -> ExitCode {
                 }
             }
         } else if a == "--shards" {
-            match args.next().as_deref().map(parse_shards) {
+            match args.next().map(|v| parse_count(&a, &v)) {
                 Some(Ok(n)) => runner::set_shards(n),
                 Some(Err(e)) => {
                     eprintln!("{e}");
@@ -436,78 +426,24 @@ fn main() -> ExitCode {
 
     let wants = |name: &str| selection.iter().any(|s| s == name);
     let needs_table1 = wants("table1");
-    // --profile attributes engine-counter deltas per experiment, which
-    // the cross-experiment batch would smear; it keeps the sequential
-    // per-experiment scheduler. Subsystem wall-clock attribution costs
-    // two Instant reads per instrumented section, so it's armed only
-    // here.
-    let global_sched = !profile;
-    host_sim::stats::set_subsystem_timing(profile);
     let t0 = Instant::now();
     let mut timings = Timings::new(&format!("{fidelity:?}").to_lowercase(), jobs);
-    timings.set_scheduler(if global_sched { "global" } else { "sequential" });
     timings.set_shards(shards);
-    let mut profiles = Profiles::new();
     let mut failures = Failures::new();
     let mut batch_cells: Vec<cache::CellStat> = Vec::new();
 
     // fig2 is standalone; the rest feed Table I.
     let result: std::io::Result<()> = (|| {
-        // Samples the engine counters around one experiment and prints
-        // the delta (no-op unless --profile).
-        macro_rules! profiled {
-            ($name:literal, $elapsed:expr, $before:expr) => {
-                if profile {
-                    let (before, subsys_before) = $before;
-                    let after = host_sim::stats::snapshot();
-                    let subsys_after = host_sim::stats::subsys_snapshot();
-                    let mut subsys = [(0u64, 0u64); 5];
-                    for (d, (a, b)) in subsys
-                        .iter_mut()
-                        .zip(subsys_after.iter().zip(&subsys_before))
-                    {
-                        *d = (a.0 - b.0, a.1 - b.1);
-                    }
-                    let line = profiles.record_with_subsys(
-                        $name,
-                        after.runs - before.runs,
-                        after.events_popped - before.events_popped,
-                        $elapsed,
-                        after.peak_pending,
-                        after.sharded_runs - before.sharded_runs,
-                        subsys,
-                    );
-                    sink.note(&line);
-                    let per_shard = host_sim::stats::shard_events();
-                    if after.sharded_runs > before.sharded_runs && !per_shard.is_empty() {
-                        sink.note(&format!(
-                            "(last sharded run: events per shard {per_shard:?})"
-                        ));
-                    }
-                }
-            };
-        }
-        macro_rules! sample_before {
-            () => {{
-                if profile {
-                    host_sim::stats::reset_peak();
-                }
-                (
-                    host_sim::stats::snapshot(),
-                    host_sim::stats::subsys_snapshot(),
-                )
-            }};
-        }
-        // Runs one experiment (or one finishing step) without letting a
-        // panic kill the whole regeneration: cell panics are already
-        // caught (and the cells dropped) inside the runner; an
-        // experiment-level panic is caught here. Either way the failure
-        // lands in failures.json and the remaining experiments still
-        // run.
+        // Runs one finishing step (or Table I's derivation) without
+        // letting a panic kill the whole regeneration: cell panics are
+        // already caught (and the cells dropped) inside the runner and
+        // recorded after the batch; a finishing-step panic is caught
+        // here. Either way the failure lands in failures.json and the
+        // remaining experiments still finish.
         macro_rules! run_guarded {
             ($name:literal, $body:expr) => {{
-                let out =
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| $body)).map_err(|p| {
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| $body))
+                    .map_err(|p| {
                         let msg = payload_message(p);
                         eprintln!("{} panicked: {msg}", $name);
                         failures.record(
@@ -518,217 +454,113 @@ fn main() -> ExitCode {
                             runner::classify_panic(&msg).as_str(),
                             1,
                         );
-                    });
-                for f in runner::take_failures() {
-                    failures.record(
-                        $name,
-                        f.index,
-                        &f.label,
-                        &f.message,
-                        f.class.as_str(),
-                        f.attempts,
-                    );
-                }
-                match out {
-                    Ok(r) => Some(r),
-                    Err(()) => None,
-                }
+                    })
+                    .ok()
             }};
         }
 
-        if global_sched {
-            // ===== Global scheduler =====
-            // Stage every selected experiment, concatenate the cells
-            // into one batch, run the batch on one pool, then finish
-            // the experiments in the canonical (sequential) order so
-            // every CSV and table appears exactly as before.
-            let mut batch: Vec<Cell> = Vec::new();
-            let mut spans: Vec<Span> = Vec::new();
-            let fin_fig2 =
-                wants("fig2").then(|| stage_push(fig2::stage(fidelity), &mut batch, &mut spans));
-            let fin_optane = wants("optane")
-                .then(|| stage_push(optane::stage(fidelity), &mut batch, &mut spans));
-            let fin_writeback = wants("writeback")
-                .then(|| stage_push(writeback::stage(fidelity), &mut batch, &mut spans));
-            let fin_q_faults = wants("q_faults")
-                .then(|| stage_push(q_faults::stage(fidelity), &mut batch, &mut spans));
-            let fin_fleet_scale = wants("fleet_scale")
-                .then(|| stage_push(fleet_scale::stage(fidelity), &mut batch, &mut spans));
-            let fin_app_mix = wants("app_mix")
-                .then(|| stage_push(app_mix::stage(fidelity), &mut batch, &mut spans));
-            let fin_fig3 = (wants("fig3") || needs_table1)
-                .then(|| stage_push(fig3::stage(fidelity), &mut batch, &mut spans));
-            let fin_fig4 = (wants("fig4") || needs_table1)
-                .then(|| stage_push(fig4::stage(fidelity), &mut batch, &mut spans));
-            let fin_fig5 = (wants("fig5") || needs_table1)
-                .then(|| stage_push(fig5::stage(fidelity), &mut batch, &mut spans));
-            let fin_fig6 = (wants("fig6") || needs_table1)
-                .then(|| stage_push(fig6::stage(fidelity), &mut batch, &mut spans));
-            let fin_fig7 = (wants("fig7") || needs_table1)
-                .then(|| stage_push(fig7::stage(fidelity), &mut batch, &mut spans));
-            let fin_q10 = (wants("q10") || needs_table1)
-                .then(|| stage_push(q10::stage(fidelity), &mut batch, &mut spans));
-            sink.note(&format!(
-                "(global scheduler: {} cells from {} experiments on one pool)",
-                batch.len(),
-                spans.len()
-            ));
-            let batch_started = Instant::now();
-            let mut results = isol_bench::run_cells(batch);
-            let batch_elapsed = batch_started.elapsed();
-            // Cell panics carry global batch indices; map them back to
-            // their experiment and its local submission index.
-            for f in runner::take_failures() {
-                let (exp, local) = spans
-                    .iter()
-                    .find(|s| f.index >= s.start && f.index < s.end)
-                    .map_or(("batch", f.index), |s| (s.name, f.index - s.start));
-                failures.record(
-                    exp,
-                    local,
-                    &f.label,
-                    &f.message,
-                    f.class.as_str(),
-                    f.attempts,
-                );
-            }
-            batch_cells = cache::take_cell_stats();
-            sink.note(&format!("(batch ran in {batch_elapsed:.1?})"));
-            // An experiment's "seconds" under the global scheduler is
-            // the sum of its cells' wall-clock (they overlap other
-            // experiments') plus its finishing step.
-            let cells_secs = |name: &str| {
-                batch_cells
-                    .iter()
-                    .filter(|c| c.experiment == name)
-                    .map(|c| c.seconds)
-                    .sum::<f64>()
-            };
-            macro_rules! finish_exp {
-                ($name:literal, $fin:expr) => {{
-                    let mut out = None;
-                    if let Some(finish) = $fin {
-                        let n = spans
-                            .iter()
-                            .find(|s| s.name == $name)
-                            .map_or(0, |s| s.end - s.start);
-                        let slice: Vec<_> = results.drain(..n).collect();
-                        let started = Instant::now();
-                        sink.note(&format!("\n=== {} ===", $name));
-                        if let Some(r) = run_guarded!($name, finish(slice, &mut sink)) {
-                            out = Some(r?);
-                        }
-                        let elapsed =
-                            started.elapsed() + Duration::from_secs_f64(cells_secs($name));
-                        timings.record($name, elapsed);
-                        sink.note(&format!(
-                            "({} took {:.1?} of cell+finish time)",
-                            $name, elapsed
-                        ));
-                    }
-                    out
-                }};
-            }
-            finish_exp!("fig2", fin_fig2);
-            finish_exp!("optane", fin_optane);
-            finish_exp!("writeback", fin_writeback);
-            finish_exp!("q_faults", fin_q_faults);
-            finish_exp!("fleet_scale", fin_fleet_scale);
-            finish_exp!("app_mix", fin_app_mix);
-            let f3 = finish_exp!("fig3", fin_fig3);
-            let f4 = finish_exp!("fig4", fin_fig4);
-            let f5 = finish_exp!("fig5", fin_fig5);
-            let f6 = finish_exp!("fig6", fin_fig6);
-            let f7 = finish_exp!("fig7", fin_fig7);
-            let q = finish_exp!("q10", fin_q10);
-            if needs_table1 {
-                if let (Some(f3), Some(f4), Some(f5), Some(f6), Some(f7), Some(q)) = (
-                    f3.as_ref(),
-                    f4.as_ref(),
-                    f5.as_ref(),
-                    f6.as_ref(),
-                    f7.as_ref(),
-                    q.as_ref(),
-                ) {
-                    let started = Instant::now();
-                    sink.note("\n=== table1 ===");
-                    let derived =
-                        run_guarded!("table1", table1::derive(f3, f4, f5, f6, f7, q, fidelity));
-                    if let Some(result) = derived {
-                        table1::emit(&result, &mut sink)?;
-                        let matches = result
-                            .rows
-                            .iter()
-                            .filter(|r| {
-                                table1::paper_verdicts(r.knob).is_some_and(|p| {
-                                    p == [r.overhead, r.fairness, r.tradeoffs, r.bursts]
-                                })
-                            })
-                            .count();
-                        sink.note(&format!(
-                            "verdict rows matching the paper's Table I: {matches}/{}",
-                            result.rows.len()
-                        ));
-                    }
-                    timings.record("table1", started.elapsed());
-                } else {
-                    sink.note("\n(table1 skipped: a prerequisite experiment failed)");
-                }
-            }
-            return Ok(());
+        // Stage every selected experiment, concatenate the cells into
+        // one batch, run the batch on one pool, then finish the
+        // experiments in the canonical order so every CSV and table
+        // appears exactly as each experiment's own `run` emits it.
+        let mut batch: Vec<Cell> = Vec::new();
+        let mut spans: Vec<Span> = Vec::new();
+        let fin_fig2 =
+            wants("fig2").then(|| stage_push(fig2::stage(fidelity), &mut batch, &mut spans));
+        let fin_optane =
+            wants("optane").then(|| stage_push(optane::stage(fidelity), &mut batch, &mut spans));
+        let fin_writeback = wants("writeback")
+            .then(|| stage_push(writeback::stage(fidelity), &mut batch, &mut spans));
+        let fin_q_faults = wants("q_faults")
+            .then(|| stage_push(q_faults::stage(fidelity), &mut batch, &mut spans));
+        let fin_fleet_scale = wants("fleet_scale")
+            .then(|| stage_push(fleet_scale::stage(fidelity), &mut batch, &mut spans));
+        let fin_app_mix =
+            wants("app_mix").then(|| stage_push(app_mix::stage(fidelity), &mut batch, &mut spans));
+        let fin_fig3 = (wants("fig3") || needs_table1)
+            .then(|| stage_push(fig3::stage(fidelity), &mut batch, &mut spans));
+        let fin_fig4 = (wants("fig4") || needs_table1)
+            .then(|| stage_push(fig4::stage(fidelity), &mut batch, &mut spans));
+        let fin_fig5 = (wants("fig5") || needs_table1)
+            .then(|| stage_push(fig5::stage(fidelity), &mut batch, &mut spans));
+        let fin_fig6 = (wants("fig6") || needs_table1)
+            .then(|| stage_push(fig6::stage(fidelity), &mut batch, &mut spans));
+        let fin_fig7 = (wants("fig7") || needs_table1)
+            .then(|| stage_push(fig7::stage(fidelity), &mut batch, &mut spans));
+        let fin_q10 = (wants("q10") || needs_table1)
+            .then(|| stage_push(q10::stage(fidelity), &mut batch, &mut spans));
+        sink.note(&format!(
+            "(global scheduler: {} cells from {} experiments on one pool)",
+            batch.len(),
+            spans.len()
+        ));
+        let batch_started = Instant::now();
+        let mut results = isol_bench::run_cells(batch);
+        let batch_elapsed = batch_started.elapsed();
+        // Cell panics carry global batch indices; map them back to
+        // their experiment and its local submission index.
+        for f in runner::take_failures() {
+            let (exp, local) = spans
+                .iter()
+                .find(|s| f.index >= s.start && f.index < s.end)
+                .map_or(("batch", f.index), |s| (s.name, f.index - s.start));
+            failures.record(
+                exp,
+                local,
+                &f.label,
+                &f.message,
+                f.class.as_str(),
+                f.attempts,
+            );
         }
-
-        // ===== Sequential scheduler (--profile) =====
-        macro_rules! standalone {
-            ($name:literal, $module:ident) => {
-                if wants($name) {
+        batch_cells = cache::take_cell_stats();
+        sink.note(&format!("(batch ran in {batch_elapsed:.1?})"));
+        // An experiment's "seconds" under the global scheduler is
+        // the sum of its cells' wall-clock (they overlap other
+        // experiments') plus its finishing step.
+        let cells_secs = |name: &str| {
+            batch_cells
+                .iter()
+                .filter(|c| c.experiment == name)
+                .map(|c| c.seconds)
+                .sum::<f64>()
+        };
+        macro_rules! finish_exp {
+            ($name:literal, $fin:expr) => {{
+                let mut out = None;
+                if let Some(finish) = $fin {
+                    let n = spans
+                        .iter()
+                        .find(|s| s.name == $name)
+                        .map_or(0, |s| s.end - s.start);
+                    let slice: Vec<_> = results.drain(..n).collect();
                     let started = Instant::now();
-                    let before = sample_before!();
                     sink.note(&format!("\n=== {} ===", $name));
-                    if let Some(r) = run_guarded!($name, $module::run(fidelity, &mut sink)) {
-                        r?;
+                    if let Some(r) = run_guarded!($name, finish(slice, &mut sink)) {
+                        out = Some(r?);
                     }
-                    let elapsed = started.elapsed();
+                    let elapsed = started.elapsed() + Duration::from_secs_f64(cells_secs($name));
                     timings.record($name, elapsed);
-                    sink.note(&format!("({} took {:.1?})", $name, elapsed));
-                    profiled!($name, elapsed, before);
+                    sink.note(&format!(
+                        "({} took {:.1?} of cell+finish time)",
+                        $name, elapsed
+                    ));
                 }
-            };
+                out
+            }};
         }
-        standalone!("fig2", fig2);
-        standalone!("optane", optane);
-        standalone!("writeback", writeback);
-        standalone!("q_faults", q_faults);
-        standalone!("fleet_scale", fleet_scale);
-        standalone!("app_mix", app_mix);
-        let mut f3 = None;
-        let mut f4 = None;
-        let mut f5 = None;
-        let mut f6 = None;
-        let mut f7 = None;
-        let mut q = None;
-        macro_rules! stage {
-            ($name:literal, $slot:ident, $module:ident) => {
-                if wants($name) || needs_table1 {
-                    let started = Instant::now();
-                    let before = sample_before!();
-                    sink.note(&format!("\n=== {} ===", $name));
-                    if let Some(r) = run_guarded!($name, $module::run(fidelity, &mut sink)) {
-                        $slot = Some(r?);
-                    }
-                    let elapsed = started.elapsed();
-                    timings.record($name, elapsed);
-                    sink.note(&format!("({} took {:.1?})", $name, elapsed));
-                    profiled!($name, elapsed, before);
-                }
-            };
-        }
-        stage!("fig3", f3, fig3);
-        stage!("fig4", f4, fig4);
-        stage!("fig5", f5, fig5);
-        stage!("fig6", f6, fig6);
-        stage!("fig7", f7, fig7);
-        stage!("q10", q, q10);
+        finish_exp!("fig2", fin_fig2);
+        finish_exp!("optane", fin_optane);
+        finish_exp!("writeback", fin_writeback);
+        finish_exp!("q_faults", fin_q_faults);
+        finish_exp!("fleet_scale", fin_fleet_scale);
+        finish_exp!("app_mix", fin_app_mix);
+        let f3 = finish_exp!("fig3", fin_fig3);
+        let f4 = finish_exp!("fig4", fin_fig4);
+        let f5 = finish_exp!("fig5", fin_fig5);
+        let f6 = finish_exp!("fig6", fin_fig6);
+        let f7 = finish_exp!("fig7", fin_fig7);
+        let q = finish_exp!("q10", fin_q10);
         if needs_table1 {
             if let (Some(f3), Some(f4), Some(f5), Some(f6), Some(f7), Some(q)) = (
                 f3.as_ref(),
@@ -853,16 +685,6 @@ fn main() -> ExitCode {
     if let Err(e) = timings.write_json(&timings_path, t0.elapsed()) {
         eprintln!("cannot write {timings_path}: {e}");
         return ExitCode::FAILURE;
-    }
-    if profile {
-        let s = host_sim::stats::snapshot();
-        profiles.set_tourney(s.tourney_active_hwm, s.tourney_leaves);
-        let profile_path = format!("{OUTPUT_DIR}/profile.json");
-        if let Err(e) = profiles.write_json(&profile_path) {
-            eprintln!("cannot write {profile_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        sink.note(&format!("Engine profiles in {profile_path}."));
     }
     sink.note(&format!(
         "\nDone in {:.1?}; {} tables emitted; timings in {timings_path}.",

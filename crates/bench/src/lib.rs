@@ -22,40 +22,23 @@ pub mod fixtures;
 /// The directory experiment CSVs are written into.
 pub const OUTPUT_DIR: &str = "target/isol-bench";
 
-/// Parses the value of a `--jobs` flag: a positive worker count, or
-/// `auto`/`0` for "use all available cores".
+/// Parses the value of a count flag (`--jobs`, `--shards`): a positive
+/// count, or `auto`/`0` for "auto-detect".
 ///
-/// Returns the value to pass to `isol_bench::runner::set_jobs` (where 0
-/// means auto-detect).
+/// Returns the value to pass to `isol_bench::runner::set_jobs` or
+/// `set_shards` (where 0 means auto-detect).
 ///
 /// # Errors
 ///
-/// Returns a human-readable message when the value is not a count.
-pub fn parse_jobs(value: &str) -> Result<usize, String> {
+/// Returns a human-readable message naming `flag` when the value is
+/// not a count.
+pub fn parse_count(flag: &str, value: &str) -> Result<usize, String> {
     if value.eq_ignore_ascii_case("auto") {
         return Ok(0);
     }
     value
         .parse::<usize>()
-        .map_err(|_| format!("invalid --jobs value `{value}` (expected a number or `auto`)"))
-}
-
-/// Parses the value of a `--shards` flag: a positive per-scenario shard
-/// count, or `auto`/`0` for "whatever cores `--jobs` leaves free".
-///
-/// Returns the value to pass to `isol_bench::runner::set_shards` (where
-/// 0 means auto-detect).
-///
-/// # Errors
-///
-/// Returns a human-readable message when the value is not a count.
-pub fn parse_shards(value: &str) -> Result<usize, String> {
-    if value.eq_ignore_ascii_case("auto") {
-        return Ok(0);
-    }
-    value
-        .parse::<usize>()
-        .map_err(|_| format!("invalid --shards value `{value}` (expected a number or `auto`)"))
+        .map_err(|_| format!("invalid {flag} value `{value}` (expected a number or `auto`)"))
 }
 
 /// One grid cell's wall-clock + cache outcome, reported in the
@@ -75,13 +58,12 @@ pub struct CellTiming {
 /// Per-experiment wall-clock timings, serialized as machine-readable
 /// JSON (hand-rolled: the workspace is offline and carries no JSON
 /// dependency). Also carries the per-cell breakdown, the cache traffic
-/// summary, and which scheduler produced the run.
+/// summary, and the run's shard count.
 #[derive(Debug)]
 pub struct Timings {
     fidelity: String,
     jobs: usize,
     entries: Vec<(String, Duration)>,
-    scheduler: String,
     shards: usize,
     cache: (usize, usize, usize, usize, usize),
     resilience: ResilienceSummary,
@@ -114,7 +96,6 @@ impl Timings {
             fidelity: fidelity.to_owned(),
             jobs,
             entries: Vec::new(),
-            scheduler: "sequential".to_owned(),
             shards: 1,
             cache: (0, 0, 0, 0, 0),
             resilience: ResilienceSummary::default(),
@@ -125,12 +106,6 @@ impl Timings {
     /// Records one experiment's wall-clock duration.
     pub fn record(&mut self, name: &str, elapsed: Duration) {
         self.entries.push((name.to_owned(), elapsed));
-    }
-
-    /// Names the scheduler that produced the run (`sequential` per
-    /// experiment, or `global` for the cross-experiment batch).
-    pub fn set_scheduler(&mut self, scheduler: &str) {
-        self.scheduler = scheduler.to_owned();
     }
 
     /// Records the resolved per-scenario shard count the run used (the
@@ -189,9 +164,10 @@ impl Timings {
             ));
         }
         s.push_str("  ],\n");
+        // Every run uses the cross-experiment batch scheduler; the
+        // `kind` key keeps the file's shape stable for its readers.
         s.push_str(&format!(
-            "  \"scheduler\": {{\"kind\": \"{}\", \"shards\": {}}},\n",
-            json_escape(&self.scheduler),
+            "  \"scheduler\": {{\"kind\": \"global\", \"shards\": {}}},\n",
             self.shards
         ));
         let (hits, misses, stored, bypassed, corrupt) = self.cache;
@@ -232,180 +208,6 @@ impl Timings {
     pub fn write_json(&self, path: &str, total: Duration) -> std::io::Result<()> {
         let mut f = std::fs::File::create(path)?;
         f.write_all(self.to_json(total).as_bytes())
-    }
-}
-
-/// One experiment's engine-profile sample: how many simulation events
-/// it popped, at what rate, and the largest pending-event backlog any
-/// of its runs reached.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProfileEntry {
-    /// Experiment name (`fig4`, `q10`, ...).
-    pub name: String,
-    /// Simulation runs the experiment executed.
-    pub runs: u64,
-    /// Events popped across those runs.
-    pub events: u64,
-    /// Events per wall-clock second (`events / elapsed`).
-    pub pops_per_sec: f64,
-    /// Peak pending events in any single run.
-    pub peak_pending: u64,
-    /// Scenario runs that executed on more than one engine shard.
-    pub sharded_runs: u64,
-    /// Per-subsystem `(wall ns, calls)` deltas, indexed like
-    /// [`host_sim::stats::SUBSYS_NAMES`]. All zero unless subsystem
-    /// timing was enabled for the run.
-    pub subsys: [(u64, u64); 5],
-}
-
-/// Per-experiment engine profiles (the `figures --profile` payload),
-/// serialized next to [`Timings`] as `profile.json`.
-///
-/// Samples come from `host_sim::stats` counter deltas around each
-/// experiment; with `--jobs > 1` concurrent experiments overlap in the
-/// deltas, so profile with `--jobs 1` for clean attribution.
-#[derive(Debug, Default)]
-pub struct Profiles {
-    entries: Vec<ProfileEntry>,
-    /// Run-level wake-tournament occupancy `(active high-water mark,
-    /// provisioned leaves)`, if any sequential run executed.
-    tourney: Option<(u64, u64)>,
-}
-
-impl Profiles {
-    /// Starts an empty collection.
-    #[must_use]
-    pub fn new() -> Self {
-        Profiles::default()
-    }
-
-    /// Records one experiment's sample and returns the human-readable
-    /// one-liner the harness prints alongside the tables.
-    #[allow(clippy::too_many_arguments)]
-    pub fn record(
-        &mut self,
-        name: &str,
-        runs: u64,
-        events: u64,
-        elapsed: Duration,
-        peak: u64,
-        sharded_runs: u64,
-    ) -> String {
-        self.record_with_subsys(name, runs, events, elapsed, peak, sharded_runs, [(0, 0); 5])
-    }
-
-    /// [`record`](Profiles::record) plus per-subsystem `(ns, calls)`
-    /// deltas (see [`host_sim::stats::subsys_snapshot`]).
-    #[allow(clippy::too_many_arguments)]
-    pub fn record_with_subsys(
-        &mut self,
-        name: &str,
-        runs: u64,
-        events: u64,
-        elapsed: Duration,
-        peak: u64,
-        sharded_runs: u64,
-        subsys: [(u64, u64); 5],
-    ) -> String {
-        let pops_per_sec = if elapsed.as_secs_f64() > 0.0 {
-            events as f64 / elapsed.as_secs_f64()
-        } else {
-            0.0
-        };
-        self.entries.push(ProfileEntry {
-            name: name.to_owned(),
-            runs,
-            events,
-            pops_per_sec,
-            peak_pending: peak,
-            sharded_runs,
-            subsys,
-        });
-        let shard_note = if sharded_runs > 0 {
-            format!(", {sharded_runs} sharded")
-        } else {
-            String::new()
-        };
-        let subsys_note = if subsys.iter().any(|&(ns, _)| ns > 0) {
-            let total: u64 = subsys.iter().map(|&(ns, _)| ns).sum();
-            let mut parts = Vec::new();
-            for (name, &(ns, _)) in host_sim::stats::SUBSYS_NAMES.iter().zip(&subsys) {
-                if ns > 0 {
-                    parts.push(format!("{name} {:.0}%", 100.0 * ns as f64 / total as f64));
-                }
-            }
-            format!(", subsys: {}", parts.join(" / "))
-        } else {
-            String::new()
-        };
-        format!(
-            "(profile: {runs} runs, {events} events, {:.2} Mpops/s, peak pending {peak}{shard_note}{subsys_note})",
-            pops_per_sec / 1e6
-        )
-    }
-
-    /// Records the run-level wake-tournament occupancy: the active-leaf high-water mark and the provisioned leaf
-    /// count. `1 - hwm/leaves` is the suppressed-tenant ratio.
-    pub fn set_tourney(&mut self, active_hwm: u64, leaves: u64) {
-        if leaves > 0 {
-            self.tourney = Some((active_hwm, leaves));
-        }
-    }
-
-    /// Recorded samples, in run order.
-    #[must_use]
-    pub fn entries(&self) -> &[ProfileEntry] {
-        &self.entries
-    }
-
-    /// Renders the JSON document.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n  \"experiments\": [\n");
-        for (i, e) in self.entries.iter().enumerate() {
-            let comma = if i + 1 == self.entries.len() { "" } else { "," };
-            // The subsys object appears only when timing was on, so
-            // profiles taken without `--profile`'s sequential scheduler
-            // keep the compact shape.
-            let subsys = if e.subsys.iter().any(|&(ns, n)| ns > 0 || n > 0) {
-                let fields: Vec<String> = host_sim::stats::SUBSYS_NAMES
-                    .iter()
-                    .zip(&e.subsys)
-                    .map(|(name, &(ns, n))| format!("\"{name}\": {{\"ns\": {ns}, \"calls\": {n}}}"))
-                    .collect();
-                format!(", \"subsys\": {{{}}}", fields.join(", "))
-            } else {
-                String::new()
-            };
-            s.push_str(&format!(
-                "    {{\"name\": \"{}\", \"runs\": {}, \"events\": {}, \"pops_per_sec\": {:.0}, \"peak_pending\": {}, \"sharded_runs\": {}{subsys}}}{comma}\n",
-                json_escape(&e.name),
-                e.runs,
-                e.events,
-                e.pops_per_sec,
-                e.peak_pending,
-                e.sharded_runs
-            ));
-        }
-        s.push_str("  ]");
-        if let Some((hwm, leaves)) = self.tourney {
-            s.push_str(&format!(
-                ",\n  \"tourney\": {{\"active_hwm\": {hwm}, \"leaves\": {leaves}, \"suppressed_ratio\": {:.4}}}",
-                1.0 - hwm as f64 / leaves as f64
-            ));
-        }
-        s.push_str("\n}\n");
-        s
-    }
-
-    /// Writes the JSON document to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem failures.
-    pub fn write_json(&self, path: &str) -> std::io::Result<()> {
-        let mut f = std::fs::File::create(path)?;
-        f.write_all(self.to_json().as_bytes())
     }
 }
 
@@ -650,13 +452,25 @@ mod tests {
     }
 
     #[test]
-    fn jobs_values_parse() {
-        assert_eq!(parse_jobs("4"), Ok(4));
-        assert_eq!(parse_jobs("1"), Ok(1));
-        assert_eq!(parse_jobs("auto"), Ok(0));
-        assert_eq!(parse_jobs("0"), Ok(0));
-        assert!(parse_jobs("four").is_err());
-        assert!(parse_jobs("-1").is_err());
+    fn count_values_parse() {
+        let table = [
+            ("4", Some(4)),
+            ("1", Some(1)),
+            ("auto", Some(0)),
+            ("AUTO", Some(0)),
+            ("0", Some(0)),
+            ("four", None),
+            ("-1", None),
+        ];
+        for flag in ["--jobs", "--shards"] {
+            for (value, want) in table {
+                match (parse_count(flag, value), want) {
+                    (Ok(n), Some(w)) => assert_eq!(n, w, "{flag} {value}"),
+                    (Err(e), None) => assert!(e.contains(flag) && e.contains(value), "{e}"),
+                    (got, _) => panic!("{flag} {value}: unexpected {got:?}"),
+                }
+            }
+        }
     }
 
     #[test]
@@ -679,7 +493,6 @@ mod tests {
     fn timings_json_carries_scheduler_cache_and_cells() {
         let mut t = Timings::new("smoke", 4);
         t.record("fig4", Duration::from_millis(100));
-        t.set_scheduler("global");
         t.set_cache_summary(10, 2, 2, 1, 1);
         t.set_resilience(ResilienceSummary {
             watchdog_soft: 2,
@@ -729,71 +542,5 @@ mod tests {
         let t = Timings::new("we\"ird\\name", 1);
         let json = t.to_json(Duration::ZERO);
         assert!(json.contains("we\\\"ird\\\\name"));
-    }
-
-    #[test]
-    fn profiles_record_and_serialize() {
-        let mut p = Profiles::new();
-        let line = p.record("fig4", 12, 3_000_000, Duration::from_secs(2), 512, 0);
-        assert!(line.contains("12 runs"));
-        assert!(line.contains("3000000 events"));
-        assert!(line.contains("1.50 Mpops/s"));
-        assert!(line.contains("peak pending 512"));
-        assert!(!line.contains("sharded"));
-        let line = p.record("q10", 6, 1_000_000, Duration::from_millis(500), 64, 6);
-        assert!(line.contains("6 sharded)"));
-        assert_eq!(p.entries().len(), 2);
-        let json = p.to_json();
-        assert!(json.contains("{\"name\": \"fig4\", \"runs\": 12, \"events\": 3000000, \"pops_per_sec\": 1500000, \"peak_pending\": 512, \"sharded_runs\": 0},"));
-        assert!(json.contains("{\"name\": \"q10\", \"runs\": 6, \"events\": 1000000, \"pops_per_sec\": 2000000, \"peak_pending\": 64, \"sharded_runs\": 6}\n"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-    }
-
-    #[test]
-    fn profiles_subsys_and_tourney_serialize() {
-        let mut p = Profiles::new();
-        let mut subsys = [(0u64, 0u64); 5];
-        subsys[0] = (750_000, 1_000); // arrival-gen
-        subsys[4] = (250_000, 2_000); // stats
-        let line = p.record_with_subsys(
-            "fleet_scale",
-            3,
-            900_000,
-            Duration::from_secs(1),
-            128,
-            0,
-            subsys,
-        );
-        assert!(
-            line.contains("subsys: arrival-gen 75% / stats 25%"),
-            "{line}"
-        );
-        p.set_tourney(214, 4096);
-        let json = p.to_json();
-        assert!(json.contains("\"subsys\": {\"arrival-gen\": {\"ns\": 750000, \"calls\": 1000}"));
-        assert!(json.contains(
-            "\"tourney\": {\"active_hwm\": 214, \"leaves\": 4096, \"suppressed_ratio\": 0.9478}"
-        ));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        // Zero leaves never records (no sequential run executed).
-        let mut q = Profiles::new();
-        q.set_tourney(0, 0);
-        assert!(!q.to_json().contains("tourney"));
-    }
-
-    #[test]
-    fn profiles_zero_elapsed_yields_zero_rate() {
-        let mut p = Profiles::new();
-        p.record("x", 1, 10, Duration::ZERO, 1, 0);
-        assert_eq!(p.entries()[0].pops_per_sec, 0.0);
-    }
-
-    #[test]
-    fn shards_values_parse() {
-        assert_eq!(parse_shards("4"), Ok(4));
-        assert_eq!(parse_shards("auto"), Ok(0));
-        assert_eq!(parse_shards("0"), Ok(0));
-        assert!(parse_shards("many").is_err());
     }
 }

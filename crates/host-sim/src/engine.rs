@@ -17,17 +17,7 @@ use crate::cpu::{Core, Work};
 use crate::devhost::DeviceHost;
 use crate::report::{AppReport, CoreReport, DeviceReport, RunReport};
 use crate::setup::{AppSetup, DeviceSetup, HostConfig};
-use crate::stats::{SS_ARRIVAL, SS_DEVICE, SS_QOS, SS_SCHED, SS_STATS};
 use crate::tourney::Tourney;
-
-/// Folds a `--profile` span started at `t0` into subsystem bucket
-/// `idx` (no-op when profiling is off and `t0` is `None`).
-#[inline]
-fn prof_add(t0: Option<std::time::Instant>, idx: usize) {
-    if let Some(t0) = t0 {
-        crate::stats::add_subsys(idx, t0.elapsed().as_nanos() as u64);
-    }
-}
 
 /// Queue depth at or above which a submitter counts as a deep-queue
 /// batch app (ring batching amortizes engine costs; scheduler-lock
@@ -174,9 +164,6 @@ pub struct HostSim {
     pub(crate) active_leaves: usize,
     /// High-water mark of `active_leaves` over the run.
     pub(crate) active_hwm: usize,
-    /// Cached [`crate::stats::subsystem_timing_enabled`] for the run
-    /// (one atomic load per run, not per event).
-    pub(crate) profile: bool,
 }
 
 impl HostSim {
@@ -481,7 +468,6 @@ impl HostSim {
             tree_pending: 0,
             active_leaves: 0,
             active_hwm: 0,
-            profile: false,
         }
     }
 
@@ -662,8 +648,6 @@ impl HostSim {
         let (popped, peak) = self.run_loop(until);
         crate::stats::record_run(popped, peak);
         crate::stats::record_tourney(self.active_hwm as u64, self.apps.len() as u64);
-        let (t, r, f) = self.fault_totals();
-        crate::stats::record_faults(t, r, f);
         self.now = until;
         trace::record_with(|| TraceEvent::new(until.as_nanos(), TraceKind::RunEnd, 0, 0, 0, 0, 0));
         self.finish(until)
@@ -768,7 +752,6 @@ impl HostSim {
     /// them; a cancelled run never contributes rows to any output, so
     /// determinism is unaffected).
     pub(crate) fn run_loop(&mut self, until: SimTime) -> (u64, u64) {
-        self.profile = crate::stats::subsystem_timing_enabled();
         let mut popped = 0u64;
         let mut peak = (self.queue.len() + self.tree_pending) as u64;
         while let Some((t, ev)) = self.pop_next() {
@@ -778,7 +761,6 @@ impl HostSim {
             if popped.is_multiple_of(Self::CANCEL_POLL_INTERVAL)
                 && simcore::cancel::charge_current(Self::CANCEL_POLL_INTERVAL)
             {
-                crate::stats::record_cancelled();
                 break;
             }
             self.now = t;
@@ -812,13 +794,6 @@ impl HostSim {
             peak = peak.max((self.queue.len() + self.tree_pending) as u64);
         }
         (popped, peak)
-    }
-
-    /// Summed `(timeouts fired, retries, failed)` across devices.
-    pub(crate) fn fault_totals(&self) -> (u64, u64, u64) {
-        self.devs.iter().fold((0, 0, 0), |(t, r, f), d| {
-            (t + d.timeouts_fired, r + d.retries, f + d.failed)
-        })
     }
 
     fn measured(&self) -> bool {
@@ -900,13 +875,11 @@ impl HostSim {
                 }
             }
             let dev = app.pick_device();
-            let t0 = self.profile.then(std::time::Instant::now);
             // Same tuple sequence as `next_io()` (proven by the
             // batch_equivalence proptests), drawn from a pregenerated
             // chunk. The stream RNG is private to this app, so drawing
             // ahead is unobservable.
             let (op, pattern, offset) = app.batch.next(&mut app.stream);
-            prof_add(t0, SS_ARRIVAL);
             let id = self.next_req_id;
             self.next_req_id += 1;
             let mut req = IoRequest::new(id, a, app.group, dev, op, pattern, len, offset, self.now);
@@ -956,11 +929,8 @@ impl HostSim {
             if app.inflight >= app.spec.iodepth() {
                 break;
             }
-            let t0 = self.profile.then(std::time::Instant::now);
             let cl = app.model.as_mut().expect("closed-loop app");
-            let poll = cl.engine.next_op(now);
-            prof_add(t0, SS_ARRIVAL);
-            let aop = match poll {
+            let aop = match cl.engine.next_op(now) {
                 AppPoll::Op(aop) => aop,
                 AppPoll::WaitUntil(at) => {
                     // Clamp forward like the rate-bucket path: a stale
@@ -1047,15 +1017,10 @@ impl HostSim {
             Work::Submit(mut req) => {
                 req.submitted_at = self.now;
                 let dev = req.dev;
-                let t0 = self.profile.then(std::time::Instant::now);
                 let dh = &mut self.devs[dev.index()];
-                let cleared = dh.qos.submit(req, self.now);
-                prof_add(t0, SS_QOS);
-                if let Some(mut cleared) = cleared {
-                    let t1 = self.profile.then(std::time::Instant::now);
+                if let Some(mut cleared) = dh.qos.submit(req, self.now) {
                     cleared.scheduled_at = self.now;
                     dh.sched.insert(cleared, self.now);
-                    prof_add(t1, SS_SCHED);
                 }
                 self.pump_device(dev);
             }
@@ -1071,7 +1036,6 @@ impl HostSim {
                     )
                 });
                 let ctx_factor = self.devs[req.dev.index()].ctx_factor;
-                let t0 = self.profile.then(std::time::Instant::now);
                 let app = &mut self.apps[req.app.index()];
                 app.inflight = app.inflight.saturating_sub(1);
                 if measured {
@@ -1102,7 +1066,6 @@ impl HostSim {
                         cl.engine.on_complete(token, true, self.now);
                     }
                 }
-                prof_add(t0, SS_STATS);
                 let a = req.app;
                 self.schedule_wake(a, self.now);
             }
@@ -1141,18 +1104,15 @@ impl HostSim {
         // common case on the `none`/`MQ-DL`/`BFQ` knob rows.
         let has_qos = !dh.qos.is_empty();
         if has_qos {
-            let t0 = self.profile.then(std::time::Instant::now);
             // Pass requests released by QoS stages on to the scheduler
             // (scratch buffers keep this per-event path allocation-free).
             dh.qos.drain_into(now, &mut self.qos_scratch);
-            prof_add(t0, SS_QOS);
             for mut r in self.qos_scratch.drain(..) {
                 r.scheduled_at = now;
                 dh.sched.insert(r, now);
             }
         }
         // Serialized dispatch path: start the next dispatch if free.
-        let t0 = self.profile.then(std::time::Instant::now);
         if dh.dispatching.is_none() && dh.device.has_capacity(now) {
             if let Some(req) = dh.sched.dispatch(now) {
                 let cost = dh.sched.dispatch_overhead();
@@ -1169,11 +1129,8 @@ impl HostSim {
                 );
             }
         }
-        prof_add(t0, SS_SCHED);
         // Start service on free device units.
-        let t0 = self.profile.then(std::time::Instant::now);
         dh.device.start_ready_into(now, &mut self.start_scratch);
-        prof_add(t0, SS_DEVICE);
         let io_timeout = self.config.io_timeout;
         let started_any = !self.start_scratch.is_empty();
         for c in self.start_scratch.drain(..) {
@@ -1205,9 +1162,7 @@ impl HostSim {
         let mut req = dh.dispatching.take().expect("dispatch path was busy");
         if dh.device.is_online(now) {
             req.dispatched_at = now;
-            let t0 = self.profile.then(std::time::Instant::now);
             dh.device.accept(req, now);
-            prof_add(t0, SS_DEVICE);
         } else {
             // The device went into reset mid-dispatch: requeue through
             // the scheduler like any other bounced request.
@@ -1461,9 +1416,7 @@ impl HostSim {
             return;
         }
         dh.qos_pump_at = None;
-        let t0 = self.profile.then(std::time::Instant::now);
         dh.qos.tick(now);
-        prof_add(t0, SS_QOS);
         self.pump_device(dev);
     }
 

@@ -231,7 +231,6 @@ fn split(sim: HostSim, plan: &[Component]) -> Vec<HostSim> {
                 tree_pending: 0,
                 active_leaves: 0,
                 active_hwm: 0,
-                profile: false,
             }
         })
         .collect()
@@ -242,19 +241,16 @@ struct CompResult {
     report: RunReport,
     popped: u64,
     peak: u64,
-    faults: (u64, u64, u64),
 }
 
 /// Runs one component engine to `until`.
 fn run_component(mut part: HostSim, until: SimTime) -> CompResult {
     part.seed_initial_events();
     let (popped, peak) = part.run_loop(until);
-    let faults = part.fault_totals();
     CompResult {
         report: part.finish(until),
         popped,
         peak,
-        faults,
     }
 }
 
@@ -316,30 +312,14 @@ fn merge_reports(
 /// merged report.
 fn finish_sharded(
     plan: &[Component],
-    groups: &[Vec<usize>],
     results: Vec<Option<CompResult>>,
     dims: (usize, usize, usize),
 ) -> RunReport {
-    let popped: Vec<u64> = results
-        .iter()
-        .map(|r| r.as_ref().expect("every component ran").popped)
-        .collect();
-    let peak = results
-        .iter()
-        .map(|r| r.as_ref().expect("every component ran").peak)
-        .max()
-        .unwrap_or(0);
-    let (t, rt, f) = results.iter().fold((0, 0, 0), |(t, rt, f), r| {
-        let (dt, dr, df) = r.as_ref().expect("every component ran").faults;
-        (t + dt, rt + dr, f + df)
+    let (popped, peak) = results.iter().fold((0, 0), |(popped, peak), r| {
+        let r = r.as_ref().expect("every component ran");
+        (popped + r.popped, peak.max(r.peak))
     });
-    crate::stats::record_run(popped.iter().sum(), peak);
-    crate::stats::record_faults(t, rt, f);
-    let per_shard: Vec<u64> = groups
-        .iter()
-        .map(|g| g.iter().map(|&ci| popped[ci]).sum())
-        .collect();
-    crate::stats::record_sharded(per_shard);
+    crate::stats::record_run(popped, peak);
     merge_reports(plan, results, dims.0, dims.1, dims.2)
 }
 
@@ -400,7 +380,7 @@ impl HostSim {
         let groups = pack(&plan, shards.min(plan.len()));
         let parts = split(self, &plan);
         let results = run_workers(&groups, parts, until);
-        finish_sharded(&plan, &groups, results, dims)
+        finish_sharded(&plan, results, dims)
     }
 }
 

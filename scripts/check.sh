@@ -70,10 +70,15 @@ test -f target/isol-bench/failures.json \
 grep -q 'q_faults-io.cost' target/isol-bench/failures.json \
     || { echo "FAIL: failures.json does not name the panicked cell"; exit 1; }
 
-echo "==> cell-cache check (warm rerun must be byte-identical, served from cache)"
+echo "==> cell-cache check (cold fig4 CSVs match the goldens; warm rerun must be byte-identical, served from cache)"
 rm -rf target/isol-bench/cache
 cold_dir=$(mktemp -d)
 ./target/release/figures --smoke all > /dev/null
+# The batch scheduler must reproduce the goldens that pin Staged::run.
+for f in fig4_bandwidth_cpu_1ssd.csv fig4_bandwidth_cpu_7ssd.csv; do
+    cmp -s "target/isol-bench/$f" "crates/core/tests/golden/$f" \
+        || { echo "FAIL: $f differs from crates/core/tests/golden/$f"; exit 1; }
+done
 cp target/isol-bench/*.csv "$cold_dir"/
 ./target/release/figures --smoke all > /dev/null
 for f in "$cold_dir"/*.csv; do
