@@ -3,7 +3,9 @@
 //! — across `--jobs` worker counts and across `--shards` counts. At 256
 //! tenants over 4 devices the scenario decomposes into 4 components, so
 //! the shards axis genuinely exercises parallel intra-scenario
-//! execution (not the single-component fallback).
+//! execution (not the single-component fallback). The sequential run
+//! must also match the committed golden CSV, which pins the nested-group
+//! io.cost output (and every other knob's) at smoke fidelity.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -50,6 +52,18 @@ fn assert_same_csvs(a: &BTreeMap<String, Vec<u8>>, b: &BTreeMap<String, Vec<u8>>
     }
 }
 
+/// Compares the emitted `fleet_scale.csv` against the committed golden.
+fn assert_matches_golden(csvs: &BTreeMap<String, Vec<u8>>) {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/fleet_scale.csv");
+    let golden = fs::read(&path)
+        .unwrap_or_else(|e| panic!("missing golden fixture {}: {e}", path.display()));
+    assert!(
+        csvs["fleet_scale"] == golden,
+        "fleet_scale.csv diverged from the committed golden fixture:\n{}",
+        String::from_utf8_lossy(&csvs["fleet_scale"])
+    );
+}
+
 #[test]
 fn fleet_scale_grid_is_byte_identical_across_worker_counts() {
     let _guard = GLOBAL_CONFIG.lock().unwrap_or_else(|e| e.into_inner());
@@ -59,6 +73,7 @@ fn fleet_scale_grid_is_byte_identical_across_worker_counts() {
     let parallel = fleet_scale_csvs("jobs4");
     runner::set_jobs(0);
     assert_same_csvs(&sequential, &parallel, "jobs=1 and jobs=4");
+    assert_matches_golden(&sequential);
 }
 
 #[test]

@@ -45,8 +45,7 @@ pub(crate) struct AppRuntime {
     pub near_wakes: u32,
     /// Cached `spec.is_active` result, valid while `now <
     /// phase_cached_until` (phase activity is constant between
-    /// transitions, so the per-wake spec walk — which allocates in
-    /// `next_transition` — only runs at phase edges).
+    /// transitions, so the per-wake spec walks only run at phase edges).
     pub phase_active: bool,
     /// Cached `spec.next_transition` result over the same interval.
     pub phase_trans: Option<SimTime>,

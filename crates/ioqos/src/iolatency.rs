@@ -30,7 +30,7 @@ use blkio::{GroupId, IoRequest};
 use simcore::{SimDuration, SimTime};
 
 use crate::arena::{GroupArena, SlotSet};
-use crate::{QosController, SubmitOutcome};
+use crate::{nth_latency, QosController, SubmitOutcome};
 
 /// Evaluation window (kernel: 500 ms).
 const WINDOW: SimDuration = SimDuration::from_millis(500);
@@ -167,11 +167,10 @@ impl IoLatencyController {
                 }
                 self.scratch_lats.clear();
                 self.scratch_lats.extend_from_slice(&state.window_lat_ns);
-                self.scratch_lats.sort_unstable();
-                let lats = &self.scratch_lats;
+                let lats = &mut self.scratch_lats;
                 let idx =
                     ((lats.len() as f64 * PERCENTILE).ceil() as usize).clamp(1, lats.len()) - 1;
-                let p90_us = lats[idx] / 1_000;
+                let p90_us = nth_latency(lats, idx) / 1_000;
                 if p90_us > target_us {
                     strictest_violated =
                         Some(strictest_violated.map_or(target_us, |t| t.min(target_us)));

@@ -221,26 +221,22 @@ impl JobSpec {
         if now < self.start_at {
             return Some(self.start_at);
         }
-        let mut candidates: Vec<SimTime> = Vec::new();
-        if let Some(stop) = self.stop_at {
-            if now < stop {
-                candidates.push(stop);
-            }
-        }
-        if let Some(b) = self.burst {
+        let stop = self.stop_at.filter(|&stop| now < stop);
+        let edge = self.burst.and_then(|b| {
             let period = b.on + b.off;
-            if !period.is_zero() {
-                let elapsed = now.saturating_since(self.start_at).as_nanos();
-                let in_period = elapsed % period.as_nanos();
-                let next_edge = if in_period < b.on.as_nanos() {
-                    b.on.as_nanos() - in_period
-                } else {
-                    period.as_nanos() - in_period
-                };
-                candidates.push(now + SimDuration::from_nanos(next_edge.max(1)));
+            if period.is_zero() {
+                return None;
             }
-        }
-        candidates.into_iter().min()
+            let elapsed = now.saturating_since(self.start_at).as_nanos();
+            let in_period = elapsed % period.as_nanos();
+            let next_edge = if in_period < b.on.as_nanos() {
+                b.on.as_nanos() - in_period
+            } else {
+                period.as_nanos() - in_period
+            };
+            Some(now + SimDuration::from_nanos(next_edge.max(1)))
+        });
+        stop.into_iter().chain(edge).min()
     }
 }
 
@@ -404,6 +400,19 @@ mod tests {
         assert_eq!(
             j.next_transition(SimTime::from_millis(15)),
             Some(SimTime::from_millis(20))
+        );
+        // With a stop, the earlier of the stop and the next edge.
+        let j = JobSpec::builder("x")
+            .burst(SimDuration::from_millis(10), SimDuration::from_millis(10))
+            .stop_at(SimTime::from_millis(25))
+            .build();
+        assert_eq!(
+            j.next_transition(SimTime::from_millis(15)),
+            Some(SimTime::from_millis(20))
+        );
+        assert_eq!(
+            j.next_transition(SimTime::from_millis(22)),
+            Some(SimTime::from_millis(25))
         );
     }
 

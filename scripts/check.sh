@@ -95,9 +95,11 @@ rm -rf target/isol-bench/traces
 ./target/release/figures --smoke --no-cache --trace --shards 4 fig4 > /dev/null
 ./target/release/traceck
 
-echo "==> fleet_scale check (256-tenant smoke grid, byte-identical across --jobs/--shards)"
+echo "==> fleet_scale check (256-tenant smoke grid matches the golden, byte-identical across --jobs/--shards)"
 fleet_dir=$(mktemp -d)
 ./target/release/figures --smoke --no-cache --jobs 1 --shards 1 fleet_scale > /dev/null
+cmp -s target/isol-bench/fleet_scale.csv crates/core/tests/golden/fleet_scale.csv \
+    || { echo "FAIL: fleet_scale.csv differs from crates/core/tests/golden/fleet_scale.csv"; exit 1; }
 cp target/isol-bench/fleet_scale.csv "$fleet_dir"/
 ./target/release/figures --smoke --no-cache --jobs 4 --shards 4 fleet_scale > /dev/null
 cmp -s "$fleet_dir/fleet_scale.csv" target/isol-bench/fleet_scale.csv \
