@@ -10,7 +10,6 @@ use simcore::trace::{self, TraceEvent, TraceKind};
 use simcore::{DetRng, EventQueue, SimDuration, SimTime, TokenBucket};
 use workload::{AddressStream, AppEngine, AppPoll};
 
-use std::cell::Cell;
 use std::collections::VecDeque;
 
 use crate::app::{AppRuntime, ClosedLoopState, Wake, WakeRoute};
@@ -24,19 +23,6 @@ use crate::tourney::Tourney;
 /// batch app (ring batching amortizes engine costs; scheduler-lock
 /// contention applies).
 const DEEP_QD: u32 = 64;
-
-/// The deep-queue apps submitting to one device, with how many of them
-/// are active cached over an interval in which none can change phase.
-#[derive(Debug, Default)]
-pub(crate) struct DeepSubmitters {
-    /// Indices of the apps with `iodepth ≥ DEEP_QD` that list the device.
-    apps: Vec<usize>,
-    /// Active count among `apps`, valid while `now < until`, the
-    /// earliest phase transition among them after the count was taken
-    /// (engine time only moves forward).
-    count: Cell<u32>,
-    until: Cell<SimTime>,
-}
 
 /// Horizon splitting near from far future wakes.
 /// Wakes due within it (rate-limiter waits, imminent phase edges) arm
@@ -178,9 +164,6 @@ pub struct HostSim {
     pub(crate) active_leaves: usize,
     /// High-water mark of `active_leaves` over the run.
     pub(crate) active_hwm: usize,
-    /// Per device, its deep-queue submitters (see
-    /// [`HostSim::deep_submitters_on`]).
-    pub(crate) deep_submitters: Vec<DeepSubmitters>,
 }
 
 impl HostSim {
@@ -456,7 +439,6 @@ impl HostSim {
         // the bound is generous; aborts and resets can leave extra stale
         // DeviceDone events, and the queue then grows.
         let event_capacity = Self::event_capacity(&apps, &cores, &devs);
-        let deep_submitters = Self::deep_submitters(&apps, devs.len());
 
         // The wake tree starts small and grows with the active set; the
         // per-core / per-device trees are provisioned in full (their
@@ -486,25 +468,7 @@ impl HostSim {
             tree_pending: 0,
             active_leaves: 0,
             active_hwm: 0,
-            deep_submitters,
         }
-    }
-
-    /// Per device (of `n_devs`), the apps with `iodepth ≥ DEEP_QD` that
-    /// list it.
-    pub(crate) fn deep_submitters(apps: &[AppRuntime], n_devs: usize) -> Vec<DeepSubmitters> {
-        let mut per_dev: Vec<DeepSubmitters> =
-            (0..n_devs).map(|_| DeepSubmitters::default()).collect();
-        for (i, app) in apps.iter().enumerate() {
-            if app.spec.iodepth() >= DEEP_QD {
-                for (k, d) in app.devices.iter().enumerate() {
-                    if !app.devices[..k].contains(d) {
-                        per_dev[d.index()].apps.push(i);
-                    }
-                }
-            }
-        }
-        per_dev
     }
 
     /// Sentinel in `app_leaf` for "no tree leaf held".
@@ -847,35 +811,17 @@ impl HostSim {
         }
     }
 
-    /// How many deep-queue apps are active on `dev` (at least 1): a walk
-    /// of the device's deep submitters at most once per phase edge
-    /// among them, not a scan of every app per submit.
     fn deep_submitters_on(&self, dev: DeviceId) -> u32 {
-        let deep = &self.deep_submitters[dev.index()];
-        let now = self.now;
-        if now >= deep.until.get() {
-            let mut n = 0;
-            let mut until = SimTime::MAX;
-            for &i in &deep.apps {
-                let spec = &self.apps[i].spec;
-                n += u32::from(spec.is_active(now));
-                if let Some(t) = spec.next_transition(now) {
-                    until = until.min(t);
-                }
+        let mut n = 0;
+        for app in &self.apps {
+            if app.spec.iodepth() >= DEEP_QD
+                && app.spec.is_active(self.now)
+                && app.devices.contains(&dev)
+            {
+                n += 1;
             }
-            deep.count.set(n);
-            deep.until.set(until);
         }
-        debug_assert_eq!(
-            deep.count.get(),
-            self.apps
-                .iter()
-                .filter(|app| app.spec.iodepth() >= DEEP_QD
-                    && app.spec.is_active(now)
-                    && app.devices.contains(&dev))
-                .count() as u32
-        );
-        deep.count.get().max(1)
+        n.max(1)
     }
 
     fn amortization(qd: u32) -> f64 {
@@ -1834,37 +1780,6 @@ mod tests {
         let rt = r.apps[0].mean_mib_s;
         let idle = r.apps[1].mean_mib_s;
         assert!(rt > 20.0 * idle.max(0.01), "rt {rt} vs idle {idle}");
-    }
-
-    #[test]
-    fn deep_submitter_count_follows_phase_edges() {
-        // Deep-queue apps on one MQ-DL device whose phases change at
-        // different instants: a late starter, an early stopper and a
-        // bursty one. Every deep submit checks the cached count against
-        // a scan of every app (debug builds), so a count served past a
-        // phase edge fails here.
-        let h = simple_hierarchy(4);
-        let deep = |i: usize| JobSpec::builder(&format!("d-{i}")).iodepth(64);
-        let specs = [
-            deep(0).build(),
-            deep(1).start_at(SimTime::from_millis(7)).build(),
-            deep(2).stop_at(SimTime::from_millis(13)).build(),
-            deep(3)
-                .burst(SimDuration::from_millis(3), SimDuration::from_millis(2))
-                .build(),
-        ];
-        let apps = specs
-            .into_iter()
-            .map(|spec| AppSetup::new(spec, vec![DeviceId(0)]))
-            .collect();
-        let sim = HostSim::build(
-            HostConfig::with_cores(4),
-            h,
-            apps,
-            vec![DeviceSetup::flash().with_scheduler(SchedKind::MqDeadline)],
-        );
-        let r = sim.run(SimTime::from_millis(30));
-        assert!(r.apps.iter().all(|a| a.issued > 0), "every app submits");
     }
 
     #[test]

@@ -212,7 +212,6 @@ fn split(sim: HostSim, plan: &[Component]) -> Vec<HostSim> {
                 config: config.clone(),
                 now: SimTime::ZERO,
                 queue: EventQueue::with_capacity(cap),
-                deep_submitters: HostSim::deep_submitters(&c_apps, c_devs.len()),
                 apps: c_apps,
                 cores: c_cores,
                 devs: c_devs,

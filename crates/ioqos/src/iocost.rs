@@ -57,10 +57,7 @@
 //! * **Outsiders** — a first-contact caller or a pruned one (row after
 //!   every member), or one lapsed but still in `active` (row at its
 //!   slot) — cost one streaming walk that re-sums the in-use share with
-//!   their row in place. When that row already sits where the caller's
-//!   submit will make it a member, the walk's sums are the next member
-//!   sums and are installed as such: a fleet ramping up in slot order
-//!   pays one walk per newcomer.
+//!   their row in place.
 //!
 //! Rows, row order and per-row arithmetic are those of the row-by-row
 //! definition, kept as the test reference; weight sums are exact
@@ -76,7 +73,7 @@ use simcore::trace::{self, TraceEvent, TraceKind};
 use simcore::{SimDuration, SimTime};
 
 use crate::arena::{GroupArena, SlotSet};
-use crate::{nth_latency, QosController, SubmitOutcome};
+use crate::{QosController, SubmitOutcome};
 
 /// A group's vtime advanced to `vtime` charging `abs` for `req` (probe).
 fn vtime_event(req: &IoRequest, now: SimTime, vtime: f64, abs: f64) -> TraceEvent {
@@ -347,12 +344,6 @@ impl IoCostController {
     /// shared [`RowSums`] in O(1); any other caller costs one walk of
     /// the active set (see the module doc).
     fn hweight(&self, group: GroupId, now: SimTime) -> f64 {
-        self.hweight_and_join(group, now).0
-    }
-
-    /// [`Self::hweight`], plus — for a caller outside the rows — the
-    /// member sums once it joins them (see [`Self::hweight_outsider`]).
-    fn hweight_and_join(&self, group: GroupId, now: SimTime) -> (f64, Option<RowSums>) {
         let sums = self.row_sums(now);
         let Some(g) = self.groups.get(group) else {
             // First contact: nominal share, full usage, row after every
@@ -360,7 +351,7 @@ impl IoCostController {
             return self.hweight_outsider(group, 1.0, &sums, now);
         };
         if g.hw_gen.get() == sums.gen {
-            return (g.hw_value.get(), None);
+            return g.hw_value.get();
         }
         if !(self.active.contains(group) && g.in_rows(now)) {
             // Lapsed (row at its slot) or pruned (row after every
@@ -377,7 +368,7 @@ impl IoCostController {
         let value = share(row_used(w, sums.total_w, g.usage), w, sums.inuse, wants_w);
         g.hw_value.set(value);
         g.hw_gen.set(sums.gen);
-        (value, None)
+        value
     }
 
     /// The row-member sums at `now`, rebuilt by two slot-order walks of
@@ -422,27 +413,12 @@ impl IoCostController {
     /// hweight of a caller that is not a row member: its row joins the
     /// members at its slot if it is still in the active set, else after
     /// every member, and the in-use share is re-summed in that order.
-    ///
-    /// Once the caller submits, it is a member with its row at its slot.
-    /// When that is where this pass put it (always for a lapsed caller;
-    /// for any other caller when no member follows its slot), the pass
-    /// has summed exactly the next member rows, so it also returns them
-    /// for [`Self::join_rows`] — without the caller's wants-more weight,
-    /// which the join decides. A fleet ramping up in slot order then
-    /// pays one walk per newcomer instead of three.
-    fn hweight_outsider(
-        &self,
-        group: GroupId,
-        usage: f64,
-        sums: &RowSums,
-        now: SimTime,
-    ) -> (f64, Option<RowSums>) {
+    fn hweight_outsider(&self, group: GroupId, usage: f64, sums: &RowSums, now: SimTime) -> f64 {
         let w = f64::from(self.weight(group));
         let total_w = sums.total_w + w;
         let mine = row_used(w, total_w, usage);
         let mut inuse = 0.0;
         let mut placed = false;
-        let mut member_after = false;
         for id in self.active.iter() {
             if id == group {
                 inuse += mine;
@@ -455,35 +431,13 @@ impl IoCostController {
                 .expect("active members are materialized");
             if g.in_rows(now) {
                 inuse += row_used(f64::from(self.weight(id)), total_w, g.usage);
-                member_after |= id.index() > group.index();
             }
         }
         if !placed {
             inuse += mine;
         }
         // The caller always wants more.
-        let value = share(mine, w, inuse, sums.wants_w + w);
-        let joined = (placed || !member_after).then_some(RowSums {
-            total_w,
-            inuse,
-            ..*sums
-        });
-        (value, joined)
-    }
-
-    /// Installs the member sums an outsider pass left for `group`, now
-    /// that its submit has made it a row member: adds its own
-    /// wants-more weight and activity horizon, and stamps the sums with
-    /// the current epoch and a fresh generation.
-    fn join_rows(&self, group: GroupId, mut sums: RowSums) {
-        let g = self.groups.get(group).expect("a submitter is materialized");
-        if g.wants_more() {
-            sums.wants_w += f64::from(self.weight(group));
-        }
-        sums.valid_until = sums.valid_until.min(g.active_until);
-        sums.epoch = self.epoch;
-        sums.gen = self.rows.get().gen.wrapping_add(1);
-        self.rows.set(sums);
+        share(mine, w, inuse, sums.wants_w + w)
     }
 
     fn adjust_vrate(&mut self, now: SimTime) {
@@ -500,7 +454,7 @@ impl IoCostController {
             measured = true;
             let idx =
                 ((window.len() as f64 * pct / 100.0).ceil() as usize).clamp(1, window.len()) - 1;
-            if nth_latency(window, idx) / 1_000 > target_us {
+            if *window.select_nth_unstable(idx).1 / 1_000 > target_us {
                 missed = true;
             }
             window.clear();
@@ -559,8 +513,7 @@ impl QosController for IoCostController {
         let abs = self.abs_cost(req.op, req.pattern, req.len);
         // Priced against the pre-contact state, like the kernel charges
         // before linking the iocg in.
-        let (hw, joined) = self.hweight_and_join(req.group, now);
-        let charge = abs / hw;
+        let charge = abs / self.hweight(req.group, now);
         let vnow = self.vnow(now);
         let margin = self.margin_v();
         let newly_active = self.active.insert(req.group);
@@ -577,8 +530,7 @@ impl QosController for IoCostController {
             // No banking: an idle group resumes near the global clock.
             g.vtime = g.vtime.max(vnow - margin);
         }
-        let group = req.group;
-        let outcome = if g.held.is_empty() && g.vtime + charge <= vnow + margin {
+        if g.held.is_empty() && g.vtime + charge <= vnow + margin {
             g.vtime += charge;
             g.spent_in_period += charge;
             g.inflight += 1;
@@ -594,11 +546,7 @@ impl QosController for IoCostController {
             g.held.push_back((req, abs));
             self.held_total += 1;
             SubmitOutcome::Held
-        };
-        if let Some(sums) = joined {
-            self.join_rows(group, sums);
         }
-        outcome
     }
 
     fn on_device_complete(&mut self, req: &IoRequest, now: SimTime) {

@@ -30,7 +30,7 @@ use blkio::{GroupId, IoRequest};
 use simcore::{SimDuration, SimTime};
 
 use crate::arena::{GroupArena, SlotSet};
-use crate::{nth_latency, QosController, SubmitOutcome};
+use crate::{QosController, SubmitOutcome};
 
 /// Evaluation window (kernel: 500 ms).
 const WINDOW: SimDuration = SimDuration::from_millis(500);
@@ -170,7 +170,7 @@ impl IoLatencyController {
                 let lats = &mut self.scratch_lats;
                 let idx =
                     ((lats.len() as f64 * PERCENTILE).ceil() as usize).clamp(1, lats.len()) - 1;
-                let p90_us = nth_latency(lats, idx) / 1_000;
+                let p90_us = *lats.select_nth_unstable(idx).1 / 1_000;
                 if p90_us > target_us {
                     strictest_violated =
                         Some(strictest_violated.map_or(target_us, |t| t.min(target_us)));

@@ -120,12 +120,6 @@ pub trait QosController: std::fmt::Debug {
     fn name(&self) -> &'static str;
 }
 
-/// The latency an ascending sort of `window` would put at `idx`, found
-/// by selection in O(n) instead of a sort (reorders `window`).
-fn nth_latency(window: &mut [u64], idx: usize) -> u64 {
-    *window.select_nth_unstable(idx).1
-}
-
 #[cfg(test)]
 pub(crate) mod test_util {
     use blkio::{AccessPattern, AppId, DeviceId, GroupId, IoOp, IoRequest, ReqId};
@@ -147,35 +141,5 @@ pub(crate) mod test_util {
 
     pub fn read4k(id: ReqId, group: usize, at: SimTime) -> IoRequest {
         req(id, group, IoOp::Read, 4096, at)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::nth_latency;
-
-    #[test]
-    fn nth_latency_matches_the_sorted_window() {
-        // Random windows over a narrow value range, so duplicates are
-        // the norm, at every index a percentile can pick.
-        let mut state = 0x2545_f491_4f6c_dd1d_u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for len in 1..=64 {
-            let window: Vec<u64> = (0..len).map(|_| next() % 8 * 1_000).collect();
-            let mut sorted = window.clone();
-            sorted.sort_unstable();
-            for (idx, &want) in sorted.iter().enumerate() {
-                assert_eq!(
-                    nth_latency(&mut window.clone(), idx),
-                    want,
-                    "{window:?} at {idx}"
-                );
-            }
-        }
     }
 }
