@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! figures [--fidelity smoke|standard|full] [--smoke] [--jobs N|auto]
-//!         [--shards N|auto] [--no-cache] [--refresh] [--faults]
+//!         [--no-cache] [--refresh] [--faults]
 //!         [--trace[=N]] [--inject-panic LABEL] [--inject-hang LABEL]
 //!         [--resume] [--watchdog-soft-ms N] [--watchdog-hard-ms N]
 //!         [--cell-retries N] [--retry-backoff-ms N]
@@ -17,14 +17,9 @@
 //! selected.
 //!
 //! `--jobs` sets how many scenarios run concurrently (default: all
-//! available cores). `--shards` sets how many engine shards a *single*
-//! scenario may use when its devices decouple (default: the cores left
-//! over after `--jobs`; `jobs × shards` is clamped to the available
-//! cores with a warning instead of silently oversubscribing). Traced
-//! runs (`--trace`) always execute at one shard: a trace records the
-//! global interleaving of every device's events, which only the
-//! sequential engine loop produces. Output is byte-identical for every
-//! jobs and shards value; only wall-clock time changes. Per-experiment and per-cell timings land in
+//! available cores). Each scenario runs on one thread through
+//! `HostSim::run`. Output is byte-identical for every jobs value; only
+//! wall-clock time changes. Per-experiment and per-cell timings land in
 //! `target/isol-bench/timings.json`.
 //!
 //! # Incremental runs
@@ -57,8 +52,8 @@
 //! `isol_bench::scenario_file` for the schema and `scenarios/` for
 //! committed examples) and emits one per-tenant table. May be repeated.
 //! With no explicit experiment selection alongside, only the scenario
-//! files run; output is byte-identical across `--jobs`/`--shards`
-//! values like every other artifact.
+//! files run; output is byte-identical across `--jobs` values like
+//! every other artifact.
 //!
 //! # Tracing
 //!
@@ -281,18 +276,6 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             }
-        } else if a == "--shards" {
-            match args.next().map(|v| parse_count(&a, &v)) {
-                Some(Ok(n)) => runner::set_shards(n),
-                Some(Err(e)) => {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-                None => {
-                    eprintln!("--shards needs a value (a shard count or `auto`)");
-                    return ExitCode::FAILURE;
-                }
-            }
         } else {
             rest.push(a);
         }
@@ -373,21 +356,8 @@ fn main() -> ExitCode {
         }
     };
     let jobs = runner::jobs();
-    // Sharding is bit-exact, so capping it only changes wall-clock time:
-    // refuse to oversubscribe the machine silently.
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let shards = runner::shards();
-    let capped = (cores / jobs).max(1);
-    if shards > capped {
-        eprintln!(
-            "warning: --jobs {jobs} x --shards {shards} oversubscribes {cores} core(s); \
-             capping shards to {capped} (results are identical for any shard count)"
-        );
-        runner::set_shards(capped);
-    }
-    let shards = runner::shards();
     sink.note(&format!(
-        "# isol-bench figure regeneration ({fidelity:?} fidelity, {jobs} jobs, {shards} shards), CSVs in {OUTPUT_DIR}/"
+        "# isol-bench figure regeneration ({fidelity:?} fidelity, {jobs} jobs), CSVs in {OUTPUT_DIR}/"
     ));
     if let Some(capacity) = isol_bench::tracing::capacity() {
         isol_bench::tracing::reset_written();
@@ -428,7 +398,6 @@ fn main() -> ExitCode {
     let needs_table1 = wants("table1");
     let t0 = Instant::now();
     let mut timings = Timings::new(&format!("{fidelity:?}").to_lowercase(), jobs);
-    timings.set_shards(shards);
     let mut failures = Failures::new();
     let mut batch_cells: Vec<cache::CellStat> = Vec::new();
 

@@ -12,9 +12,6 @@
 //!
 //! * `event_queue_mops` — wheel-backed `EventQueue` churn throughput
 //!   (the engine's hot path; mirrors the `event_queue` Criterion bench),
-//! * `fleet_shard1_ms` / `fleet_shard4_ms` — the 7-SSD fleet scenario
-//!   at `--shards 1` vs `--shards 4` (mirrors the `shard` bench). The
-//!   reports must be identical; the ratio is the sharding speedup,
 //! * `qos_tick_arena_*_ns` — one `io.cost` period boundary at 8 and
 //!   1024 materialized tenants (~10 % active; mirrors the `qos_scale`
 //!   bench),
@@ -27,9 +24,7 @@
 //!
 //! `--check` compares against the committed snapshot and fails when a
 //! throughput metric drops (or a latency metric rises) by more than
-//! [`TOLERANCE`]. The `shards = 4` speedup gate (≥ 2.5×) only arms when
-//! the machine has at least 4 cores — on smaller hosts the snapshot
-//! still records the measured ratio, but physics caps it near 1×.
+//! [`TOLERANCE`].
 //!
 //! # The PR 9 snapshot (`BENCH_pr9.json`)
 //!
@@ -67,7 +62,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use ioqos::{IoCostController, QosController};
-use isol_bench::experiments::{fleet, fleet_scale};
+use isol_bench::experiments::fleet_scale;
 use isol_bench::{Fidelity, Knob};
 use isol_bench_harness::{fixtures, OUTPUT_DIR};
 use simcore::{EventQueue, SimDuration, SimTime};
@@ -78,10 +73,6 @@ const SNAPSHOT: &str = "BENCH_pr7.json";
 const TOLERANCE: f64 = 0.10;
 /// Timed samples per metric (minimum reported).
 const SAMPLES: usize = 5;
-/// Cores needed before the sharding-speedup gate arms.
-const SPEEDUP_CORES: usize = 4;
-/// Required fleet speedup at 4 shards on a ≥ 4-core machine.
-const SPEEDUP_FLOOR: f64 = 2.5;
 /// Ticks per timed qos sample (amortizes timer resolution).
 const QOS_TICK_ITERS: u32 = 50_000;
 /// Measurement passes `--check` may merge before reporting a
@@ -153,24 +144,6 @@ fn event_queue_mops() -> f64 {
     EVENTS as f64 / secs / 1e6
 }
 
-/// One fleet run at the given shard count, returning (min seconds,
-/// a determinism fingerprint of the report).
-fn fleet_run(shards: usize) -> (f64, u64) {
-    let until = fleet::bench_duration();
-    let mut fingerprint = 0u64;
-    let secs = min_secs(SAMPLES, || {
-        let sim = fleet::fleet_scenario(Knob::None, fleet::FLEET_SSDS).build_host(until);
-        let r = sim.run_sharded(until, shards);
-        fingerprint = r.apps.iter().fold(0u64, |acc, a| {
-            acc.wrapping_mul(0x100_0000_01b3)
-                .wrapping_add(a.completed)
-                .wrapping_add(a.latency.p99_us.to_bits())
-        });
-        black_box(&r);
-    });
-    (secs, fingerprint)
-}
-
 /// Min nanoseconds per `io.cost` period boundary with `n` tenants
 /// materialized and ~10 % active (the `qos_scale` bench's tick axis).
 fn qos_tick_ns(n: usize) -> f64 {
@@ -196,9 +169,7 @@ fn fleet_scale_cell_ms() -> f64 {
     let until = Fidelity::Smoke.fleet_scale_duration();
     let secs = min_secs(SAMPLES, || {
         let (s, _, _) = fleet_scale::fleet_scale_scenario(Knob::None, 256);
-        // A fixed shard count so the metric does not depend on how many
-        // cores the auto-detected runner config would grab.
-        black_box(&s.build_host(until).run_sharded(until, 4));
+        black_box(&s.build_host(until).run(until));
     });
     secs * 1e3
 }
@@ -282,9 +253,6 @@ fn cells_per_sec() -> Option<f64> {
 struct Snapshot {
     host_cores: usize,
     event_queue_mops: f64,
-    fleet_shard1_ms: f64,
-    fleet_shard4_ms: f64,
-    speedup: f64,
     qos_tick_arena_8_ns: f64,
     qos_tick_arena_1024_ns: f64,
     fleet_scale_cell_ms: f64,
@@ -293,19 +261,13 @@ struct Snapshot {
 
 impl Snapshot {
     /// Per-metric best of two measurement passes: min for wall-clock
-    /// metrics, max for throughputs, ratios recomputed from the merged
-    /// components. Repeated measurement converges on the undisturbed
+    /// metrics, max for throughputs. Repeated measurement converges on the undisturbed
     /// cost even when single passes wobble far beyond the gate
     /// tolerance under noisy neighbors.
     fn merge_best(self, other: Self) -> Self {
-        let fleet_shard1_ms = self.fleet_shard1_ms.min(other.fleet_shard1_ms);
-        let fleet_shard4_ms = self.fleet_shard4_ms.min(other.fleet_shard4_ms);
         Snapshot {
             host_cores: self.host_cores,
             event_queue_mops: self.event_queue_mops.max(other.event_queue_mops),
-            fleet_shard1_ms,
-            fleet_shard4_ms,
-            speedup: fleet_shard1_ms / fleet_shard4_ms,
             qos_tick_arena_8_ns: self.qos_tick_arena_8_ns.min(other.qos_tick_arena_8_ns),
             qos_tick_arena_1024_ns: self
                 .qos_tick_arena_1024_ns
@@ -321,19 +283,9 @@ impl Snapshot {
     fn measure() -> Self {
         let host_cores =
             std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        let mops = event_queue_mops();
-        let (s1, fp1) = fleet_run(1);
-        let (s4, fp4) = fleet_run(4);
-        assert_eq!(
-            fp1, fp4,
-            "sharded fleet report diverged from the sequential report"
-        );
         Snapshot {
             host_cores,
-            event_queue_mops: mops,
-            fleet_shard1_ms: s1 * 1e3,
-            fleet_shard4_ms: s4 * 1e3,
-            speedup: s1 / s4,
+            event_queue_mops: event_queue_mops(),
             qos_tick_arena_8_ns: qos_tick_ns(8),
             qos_tick_arena_1024_ns: qos_tick_ns(1024),
             fleet_scale_cell_ms: fleet_scale_cell_ms(),
@@ -347,17 +299,12 @@ impl Snapshot {
             .map_or("null".to_owned(), |v| format!("{v:.2}"));
         format!(
             "{{\n  \"host_cores\": {},\n  \"event_queue_mops\": {:.2},\n  \
-             \"fleet_shard1_ms\": {:.2},\n  \"fleet_shard4_ms\": {:.2},\n  \
-             \"fleet_speedup_4shards\": {:.3},\n  \
              \"qos_tick_arena_8_ns\": {:.1},\n  \
              \"qos_tick_arena_1024_ns\": {:.1},\n  \
              \"fleet_scale_cell_ms\": {:.2},\n  \"fleet_scale_cells_per_sec\": {:.2},\n  \
              \"cells_per_sec\": {cells}\n}}\n",
             self.host_cores,
             self.event_queue_mops,
-            self.fleet_shard1_ms,
-            self.fleet_shard4_ms,
-            self.speedup,
             self.qos_tick_arena_8_ns,
             self.qos_tick_arena_1024_ns,
             self.fleet_scale_cell_ms,
@@ -390,8 +337,6 @@ fn check(current: Snapshot, baseline: &str) -> Result<(), String> {
     }
     // Latency metrics: fail when current rises >10 % above baseline.
     for (key, cur) in [
-        ("fleet_shard1_ms", current.fleet_shard1_ms),
-        ("fleet_shard4_ms", current.fleet_shard4_ms),
         ("qos_tick_arena_8_ns", current.qos_tick_arena_8_ns),
         ("qos_tick_arena_1024_ns", current.qos_tick_arena_1024_ns),
         ("fleet_scale_cell_ms", current.fleet_scale_cell_ms),
@@ -410,14 +355,6 @@ fn check(current: Snapshot, baseline: &str) -> Result<(), String> {
                 "cells_per_sec regressed: {cur:.2} vs baseline {base:.2}"
             ));
         }
-    }
-    // The acceptance gate: ≥ 2.5× at 4 shards, only meaningful with the
-    // cores to run them.
-    if current.host_cores >= SPEEDUP_CORES && current.speedup < SPEEDUP_FLOOR {
-        failures.push(format!(
-            "fleet speedup at 4 shards is {:.2}x on a {}-core host (floor {SPEEDUP_FLOOR}x)",
-            current.speedup, current.host_cores
-        ));
     }
     if failures.is_empty() {
         Ok(())
@@ -546,12 +483,9 @@ fn main() -> ExitCode {
     let mode = std::env::args().nth(1);
     let current = Snapshot::measure();
     println!(
-        "perfsnap: {} core(s), event_queue {:.2} Mops/s, fleet {:.2} ms @1 shard / {:.2} ms @4 shards ({:.2}x), cells/s {}",
+        "perfsnap: {} core(s), event_queue {:.2} Mops/s, cells/s {}",
         current.host_cores,
         current.event_queue_mops,
-        current.fleet_shard1_ms,
-        current.fleet_shard4_ms,
-        current.speedup,
         current
             .cells_per_sec
             .map_or("n/a".to_owned(), |v| format!("{v:.2}")),

@@ -22,11 +22,11 @@ pub mod fixtures;
 /// The directory experiment CSVs are written into.
 pub const OUTPUT_DIR: &str = "target/isol-bench";
 
-/// Parses the value of a count flag (`--jobs`, `--shards`): a positive
-/// count, or `auto`/`0` for "auto-detect".
+/// Parses the value of a count flag (`--jobs`): a positive count, or
+/// `auto`/`0` for "auto-detect".
 ///
-/// Returns the value to pass to `isol_bench::runner::set_jobs` or
-/// `set_shards` (where 0 means auto-detect).
+/// Returns the value to pass to `isol_bench::runner::set_jobs` (where 0
+/// means auto-detect).
 ///
 /// # Errors
 ///
@@ -57,14 +57,13 @@ pub struct CellTiming {
 
 /// Per-experiment wall-clock timings, serialized as machine-readable
 /// JSON (hand-rolled: the workspace is offline and carries no JSON
-/// dependency). Also carries the per-cell breakdown, the cache traffic
-/// summary, and the run's shard count.
+/// dependency). Also carries the per-cell breakdown and the cache
+/// traffic summary.
 #[derive(Debug)]
 pub struct Timings {
     fidelity: String,
     jobs: usize,
     entries: Vec<(String, Duration)>,
-    shards: usize,
     cache: (usize, usize, usize, usize, usize),
     resilience: ResilienceSummary,
     cells: Vec<CellTiming>,
@@ -96,7 +95,6 @@ impl Timings {
             fidelity: fidelity.to_owned(),
             jobs,
             entries: Vec::new(),
-            shards: 1,
             cache: (0, 0, 0, 0, 0),
             resilience: ResilienceSummary::default(),
             cells: Vec::new(),
@@ -106,12 +104,6 @@ impl Timings {
     /// Records one experiment's wall-clock duration.
     pub fn record(&mut self, name: &str, elapsed: Duration) {
         self.entries.push((name.to_owned(), elapsed));
-    }
-
-    /// Records the resolved per-scenario shard count the run used (the
-    /// engine's intra-scenario parallelism; results are shard-invariant).
-    pub fn set_shards(&mut self, shards: usize) {
-        self.shards = shards;
     }
 
     /// Records the run's cache traffic counters. `corrupt` counts
@@ -164,12 +156,6 @@ impl Timings {
             ));
         }
         s.push_str("  ],\n");
-        // Every run uses the cross-experiment batch scheduler; the
-        // `kind` key keeps the file's shape stable for its readers.
-        s.push_str(&format!(
-            "  \"scheduler\": {{\"kind\": \"global\", \"shards\": {}}},\n",
-            self.shards
-        ));
         let (hits, misses, stored, bypassed, corrupt) = self.cache;
         s.push_str(&format!(
             "  \"cache\": {{\"hits\": {hits}, \"misses\": {misses}, \"stored\": {stored}, \"bypassed\": {bypassed}, \"corrupt\": {corrupt}}},\n",
@@ -462,13 +448,11 @@ mod tests {
             ("four", None),
             ("-1", None),
         ];
-        for flag in ["--jobs", "--shards"] {
-            for (value, want) in table {
-                match (parse_count(flag, value), want) {
-                    (Ok(n), Some(w)) => assert_eq!(n, w, "{flag} {value}"),
-                    (Err(e), None) => assert!(e.contains(flag) && e.contains(value), "{e}"),
-                    (got, _) => panic!("{flag} {value}: unexpected {got:?}"),
-                }
+        for (value, want) in table {
+            match (parse_count("--jobs", value), want) {
+                (Ok(n), Some(w)) => assert_eq!(n, w, "--jobs {value}"),
+                (Err(e), None) => assert!(e.contains("--jobs") && e.contains(value), "{e}"),
+                (got, _) => panic!("--jobs {value}: unexpected {got:?}"),
             }
         }
     }
@@ -490,7 +474,7 @@ mod tests {
     }
 
     #[test]
-    fn timings_json_carries_scheduler_cache_and_cells() {
+    fn timings_json_carries_cache_resilience_and_cells() {
         let mut t = Timings::new("smoke", 4);
         t.record("fig4", Duration::from_millis(100));
         t.set_cache_summary(10, 2, 2, 1, 1);
@@ -515,9 +499,8 @@ mod tests {
                 outcome: "hit".into(),
             },
         ]);
-        t.set_shards(4);
         let json = t.to_json(Duration::from_millis(100));
-        assert!(json.contains("\"scheduler\": {\"kind\": \"global\", \"shards\": 4}"));
+        assert!(!json.contains("\"scheduler\""));
         assert!(json.contains(
             "\"cache\": {\"hits\": 10, \"misses\": 2, \"stored\": 2, \"bypassed\": 1, \"corrupt\": 1}"
         ));

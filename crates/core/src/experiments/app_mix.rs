@@ -79,7 +79,7 @@ fn probe_cell(knob: Knob, fidelity: Fidelity) -> Cell {
     s.set_warmup(fidelity.warmup().min(quarter));
     let prio = s.add_cgroup("prio");
     let be = s.add_cgroup("be");
-    crate::knob::configure_fleet_priority(knob, &mut s, prio, be, 0);
+    crate::knob::configure_priority(knob, &mut s, prio, be, Knob::fairness_qos());
     let kv = AppModelSpec::Kv(KvConfig::default());
     s.add_app_model_on(
         prio,

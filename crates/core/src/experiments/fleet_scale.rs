@@ -12,8 +12,7 @@
 //! pattern and a diurnal duty cycle — every tenant bursts 10 % of the
 //! time, with start phases staggered uniformly across the period so
 //! roughly a tenth of the fleet is on at any instant. Tenants are
-//! pinned round-robin to a small SSD fleet, so the machine decouples
-//! per device and the sharded engine from the fleet experiment applies.
+//! pinned round-robin to a small SSD fleet and share its cores.
 //!
 //! Controller CPU cost shows up in the *core busy fraction*: each QoS
 //! stage charges `submit_cpu_overhead` per I/O on the submitting core,
@@ -21,7 +20,7 @@
 //! more expensive per I/O as the fleet grows — exactly the effect the
 //! arena/active-set fast path bounds. All reported metrics are pure
 //! simulation outputs (no wall-clock), so cells stay byte-identical
-//! across `--jobs` and `--shards`.
+//! across `--jobs`.
 
 use std::io;
 

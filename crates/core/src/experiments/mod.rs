@@ -10,7 +10,6 @@ pub mod fig4;
 pub mod fig5;
 pub mod fig6;
 pub mod fig7;
-pub mod fleet;
 pub mod fleet_scale;
 pub mod optane;
 pub mod q10;

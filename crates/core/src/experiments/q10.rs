@@ -11,8 +11,7 @@
 
 use std::io;
 
-use blkio::PrioClass;
-use cgroup_sim::{DevNode, IoCostQos, IoLatency, IoMax, IoWeight, Knob as KnobWrite};
+use cgroup_sim::IoCostQos;
 use iostats::Table;
 use simcore::{SimDuration, SimTime};
 use workload::JobSpec;
@@ -79,84 +78,18 @@ impl Q10Result {
     }
 }
 
-/// Applies each knob's priority configuration (priority app favored over
-/// the BE cgroup).
-fn configure_priority(knob: Knob, s: &mut Scenario, prio: blkio::GroupId, be: blkio::GroupId) {
-    let dev = DevNode::nvme(0);
-    match knob {
-        Knob::None => {}
-        Knob::MqDlPrio => {
-            let h = s.hierarchy_mut();
-            h.apply(prio, KnobWrite::PrioClass(PrioClass::Realtime))
-                .expect("prio");
-            h.apply(be, KnobWrite::PrioClass(PrioClass::Idle))
-                .expect("prio");
-        }
-        Knob::BfqWeight => {
-            let h = s.hierarchy_mut();
-            let pw = IoWeight {
-                default: 1000,
-                ..IoWeight::default()
-            };
-            h.apply(prio, KnobWrite::BfqWeight(cgroup_sim::BfqWeight(pw)))
-                .expect("bfq");
-            let bw = IoWeight {
-                default: 100,
-                ..IoWeight::default()
-            };
-            h.apply(be, KnobWrite::BfqWeight(cgroup_sim::BfqWeight(bw)))
-                .expect("bfq");
-        }
-        Knob::IoMax => {
-            // Cap the BE side at ~30 % of the device.
-            let cap = (0.9 * 1024.0 * 1024.0 * 1024.0) as u64;
-            let m = IoMax {
-                rbps: Some(cap),
-                wbps: Some(cap),
-                ..IoMax::default()
-            };
-            s.hierarchy_mut()
-                .apply(be, KnobWrite::Max(dev, m))
-                .expect("io.max");
-        }
-        Knob::IoLatency => {
-            s.hierarchy_mut()
-                .apply(prio, KnobWrite::Latency(dev, IoLatency { target_us: 200 }))
-                .expect("io.latency");
-        }
-        Knob::IoCost => {
-            let model = Knob::generated_model(&s.devices_mut()[0].profile.clone());
-            let qos = IoCostQos {
-                enable: true,
-                ctrl: cgroup_sim::CostCtrl::User,
-                rpct: 99.0,
-                rlat_us: 500,
-                wpct: 0.0,
-                wlat_us: 0,
-                min_pct: 50.0,
-                max_pct: 100.0,
-            };
-            let h = s.hierarchy_mut();
-            h.apply(
-                cgroup_sim::Hierarchy::ROOT,
-                KnobWrite::CostModel(dev, model),
-            )
-            .expect("model");
-            h.apply(cgroup_sim::Hierarchy::ROOT, KnobWrite::CostQos(dev, qos))
-                .expect("qos");
-            let pw = IoWeight {
-                default: 10_000,
-                ..IoWeight::default()
-            };
-            h.apply(prio, KnobWrite::Weight(pw)).expect("weight");
-            let bw = IoWeight {
-                default: 100,
-                ..IoWeight::default()
-            };
-            h.apply(be, KnobWrite::Weight(bw)).expect("weight");
-        }
-    }
-}
+/// io.cost QoS for the burst study: a P99 read target of 500 µs, vrate
+/// between 50 % and 100 %.
+const BURST_QOS: IoCostQos = IoCostQos {
+    enable: true,
+    ctrl: cgroup_sim::CostCtrl::User,
+    rpct: 99.0,
+    rlat_us: 500,
+    wpct: 0.0,
+    wlat_us: 0,
+    min_pct: 50.0,
+    max_pct: 100.0,
+};
 
 /// Builds the cell for one (knob, burst-app) measurement. Cell rows:
 /// `[[response_ms, steady_mib_s]]` (`response_ms` may be `INFINITY`,
@@ -188,7 +121,7 @@ fn burst_cell(knob: Knob, app: BurstApp, fidelity: Fidelity) -> Cell {
     for j in 0..BE_APPS {
         s.add_app(be, JobSpec::batch_app(&format!("be-{j}")));
     }
-    configure_priority(knob, &mut s, prio, be);
+    crate::knob::configure_priority(knob, &mut s, prio, be, BURST_QOS);
     Cell::scenario("q10", fidelity, s, until, move |report| {
         let series = &report.apps[0].series;
         // Steady state: the last 40 % of the run.

@@ -290,18 +290,19 @@ impl Knob {
     }
 }
 
-/// Configures `knob` to favor cgroup `prio` over `be` on device `dev`
-/// only — the fleet scenario's per-SSD tenant wiring (one prioritized
-/// app vs a best-effort pack, same intent as the Q10 burst study but
-/// replicated per device).
-pub(crate) fn configure_fleet_priority(
+/// Configures `knob` to favor cgroup `prio` over `be` on the scenario's
+/// first device, in each knob's own vocabulary: `rt` over `idle`
+/// classes, BFQ weights 1000:100, an `io.max` cap on `be`, an
+/// `io.latency` target on `prio`, or `io.cost` weights 10000:100 under
+/// `qos`. The Q10 burst study and the app_mix probe share this wiring.
+pub(crate) fn configure_priority(
     knob: Knob,
     s: &mut Scenario,
     prio: GroupId,
     be: GroupId,
-    dev_index: usize,
+    qos: IoCostQos,
 ) {
-    let dev = DevNode::nvme(dev_index as u32);
+    let dev = DevNode::nvme(0);
     match knob {
         Knob::None => {}
         Knob::MqDlPrio => {
@@ -343,8 +344,7 @@ pub(crate) fn configure_fleet_priority(
                 .expect("io.latency write");
         }
         Knob::IoCost => {
-            let model = Knob::generated_model(&s.devices_mut()[dev_index].profile.clone());
-            let qos = Knob::fairness_qos();
+            let model = Knob::generated_model(&s.devices_mut()[0].profile.clone());
             let h = s.hierarchy_mut();
             Knob::write_iocost(h, dev, model, qos);
             let pw = IoWeight {

@@ -70,10 +70,6 @@ use simcore::cancel::{CancelReason, CancelToken, InstallGuard};
 /// Process-wide worker count; 0 means "auto" (available parallelism).
 static JOBS: AtomicUsize = AtomicUsize::new(0);
 
-/// Process-wide shard count per scenario; 0 means "auto" (whatever core
-/// budget is left after the cell-level `--jobs` fan-out).
-static SHARDS: AtomicUsize = AtomicUsize::new(0);
-
 /// Process-global registry of cells that panicked (drained by
 /// [`take_failures`]).
 static FAILURES: Mutex<Vec<CellFailure>> = Mutex::new(Vec::new());
@@ -134,8 +130,8 @@ pub enum FailureClass {
     Cancelled,
     /// The failure implicates on-disk cache/journal bytes.
     CacheCorrupt,
-    /// The failure message names a broken engine invariant (shard
-    /// divergence, determinism or invariant check).
+    /// The failure message names a broken engine invariant (divergence,
+    /// determinism or invariant check).
     InvariantViolation,
 }
 
@@ -211,32 +207,6 @@ pub fn jobs() -> usize {
         0 => thread::available_parallelism()
             .map(NonZeroUsize::get)
             .unwrap_or(1),
-        n => n,
-    }
-}
-
-/// Sets the process-wide per-scenario shard count used by
-/// [`crate::Scenario::run`].
-///
-/// `0` restores the default: the cores left over after the `--jobs`
-/// fan-out (`available_parallelism / jobs`, floored at 1). Sharding is
-/// bit-exact for any count, so this only ever changes wall-clock time.
-/// Traced runs ignore it and execute at one shard (see
-/// [`host_sim::HostSim::run_sharded`]).
-pub fn set_shards(n: usize) {
-    SHARDS.store(n, Ordering::Relaxed);
-}
-
-/// The resolved per-scenario shard count (always ≥ 1).
-#[must_use]
-pub fn shards() -> usize {
-    match SHARDS.load(Ordering::Relaxed) {
-        0 => {
-            let cores = thread::available_parallelism()
-                .map(NonZeroUsize::get)
-                .unwrap_or(1);
-            (cores / jobs()).max(1)
-        }
         n => n,
     }
 }

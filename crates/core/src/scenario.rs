@@ -228,9 +228,7 @@ impl Scenario {
     }
 
     /// Builds the host machine for a run ending at `until` (every app is
-    /// stopped at `until` at the latest) without running it — callers
-    /// that pick their own shard count (benches, the shards-axis
-    /// determinism tests) drive [`HostSim::run_sharded`] themselves.
+    /// stopped at `until` at the latest) without running it.
     #[must_use]
     pub fn build_host(self, until: SimTime) -> HostSim {
         let config = HostConfig {
@@ -257,16 +255,9 @@ impl Scenario {
     }
 
     /// Runs the scenario until `until` and returns the report.
-    ///
-    /// Scenarios whose devices decouple into independent components run
-    /// on up to [`crate::runner::shards`] parallel workers; results are
-    /// bit-exact for any shard count (`--shards 1` is the reference).
-    /// With a trace recorder installed the run executes at one shard, so
-    /// the trace is the sequential one.
     #[must_use]
     pub fn run(self, until: SimTime) -> RunReport {
-        self.build_host(until)
-            .run_sharded(until, crate::runner::shards())
+        self.build_host(until).run(until)
     }
 
     /// Runs the scenario with the request-lifecycle trace recorder

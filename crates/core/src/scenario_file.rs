@@ -41,8 +41,16 @@
 //! `checkpoint_size`, `checkpoint_writes`.
 //!
 //! Every malformed construct — unknown key, unknown knob, dangling
-//! cgroup parent, zero devices — fails with a line-numbered
-//! [`DslError`], never a panic, and [`ScenarioSpec::to_toml`]
+//! cgroup parent, zero devices, a value out of range — fails with a
+//! line-numbered [`DslError`], never a panic. The ranges: `cores`,
+//! `iodepth`, `window`, `files` and `reads_per_txn` lie in
+//! `1..=`[`MAX_COUNT`] (65 536), so a file cannot queue unbounded work;
+//! `duration_ms` lies in `1..=`[`MAX_DURATION_MS`] (one simulated day)
+//! and `warmup_ms` below it; `think_us` is at most one day too; byte
+//! sizes and weights are positive; `rate_mib_s` lies in
+//! `0.001..=1e9`; `read_frac` and `read_fraction` in `0..=1`; `theta`
+//! in `0..=10`, and neither 0 nor 1 for `zipfread`; and scenario and cgroup
+//! names are non-empty and contain no `/`. [`ScenarioSpec::to_toml`]
 //! re-serializes a parsed spec such that re-parsing yields an equal
 //! spec (the round-trip conformance tests pin both properties).
 
@@ -61,6 +69,15 @@ use workload::{
 };
 
 use crate::{Knob, OutputSink, Scenario};
+
+/// Upper bound on `cores`, `iodepth`, `window`, `files` and
+/// `reads_per_txn`: each sizes per-run state or queued work, so an
+/// unbounded value could exhaust memory before the run starts.
+pub const MAX_COUNT: u32 = 65_536;
+
+/// Upper bound on `duration_ms` (one simulated day), which keeps every
+/// simulated instant far from `u64` nanosecond overflow.
+pub const MAX_DURATION_MS: u64 = 86_400_000;
 
 /// Device profile vocabulary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -206,22 +223,68 @@ fn require<'a>(table: &'a DslTable, key: &str, what: &str) -> Result<&'a Entry, 
     })
 }
 
-fn get_u32(table: &DslTable, key: &str, default: u32) -> Result<u32, DslError> {
+/// Reads `e` as an integer in `lo..=hi`.
+fn int_in(e: &Entry, lo: u64, hi: u64) -> Result<u64, DslError> {
+    let v = e.as_u64()?;
+    if (lo..=hi).contains(&v) {
+        Ok(v)
+    } else {
+        Err(DslError::at(
+            e.line,
+            format!("'{}' must be in {lo}..={hi} (got {v})", e.key),
+        ))
+    }
+}
+
+/// An optional integer key in `lo..=hi`; `default` when absent.
+fn get_u32(table: &DslTable, key: &str, default: u32, lo: u32, hi: u32) -> Result<u32, DslError> {
     match table.get(key) {
-        Some(e) => {
-            let v = e.as_u64()?;
-            u32::try_from(v)
-                .map_err(|_| DslError::at(e.line, format!("'{key}' is too large ({v})")))
-        }
+        Some(e) => Ok(int_in(e, lo.into(), hi.into())? as u32),
         None => Ok(default),
     }
 }
 
-fn get_f64(table: &DslTable, key: &str, default: f64) -> Result<f64, DslError> {
-    match table.get(key) {
-        Some(e) => e.as_f64(),
-        None => Ok(default),
+/// A count key (queue depth, window, population) in `1..=MAX_COUNT`.
+fn get_count(table: &DslTable, key: &str, default: u32) -> Result<u32, DslError> {
+    get_u32(table, key, default, 1, MAX_COUNT)
+}
+
+/// A byte-size key: any positive `u32`.
+fn get_size(table: &DslTable, key: &str, default: u32) -> Result<u32, DslError> {
+    get_u32(table, key, default, 1, u32::MAX)
+}
+
+/// An optional number key in `lo..=hi` (NaN is out of every range);
+/// `default` when absent.
+fn get_f64(table: &DslTable, key: &str, default: f64, lo: f64, hi: f64) -> Result<f64, DslError> {
+    let Some(e) = table.get(key) else {
+        return Ok(default);
+    };
+    let v = e.as_f64()?;
+    if (lo..=hi).contains(&v) {
+        Ok(v)
+    } else {
+        Err(DslError::at(
+            e.line,
+            format!("'{key}' must be in {lo}..={hi} (got {v:?})"),
+        ))
     }
+}
+
+/// A `name` entry usable as a cgroup or output-file name: non-empty,
+/// with no `/` or NUL.
+fn get_name(e: &Entry) -> Result<String, DslError> {
+    let name = e.as_str()?;
+    if name.is_empty() || name.contains(['/', '\0']) {
+        return Err(DslError::at(
+            e.line,
+            format!(
+                "'{}' must be non-empty and contain no '/' (got {name:?})",
+                e.key
+            ),
+        ));
+    }
+    Ok(name.to_owned())
 }
 
 fn parse_workload(t: &DslTable, common: &[&str]) -> Result<WorkloadSpec, DslError> {
@@ -256,11 +319,19 @@ fn parse_workload(t: &DslTable, common: &[&str]) -> Result<WorkloadSpec, DslErro
                 "randwrite" => RwKind::RandWrite,
                 "write" | "seqwrite" => RwKind::SeqWrite,
                 "randrw" => RwKind::RandRw {
-                    read_frac: get_f64(t, "read_frac", 0.5)?,
+                    read_frac: get_f64(t, "read_frac", 0.5, 0.0, 1.0)?,
                 },
-                "zipfread" => RwKind::ZipfRead {
-                    theta: get_f64(t, "theta", 1.1)?,
-                },
+                "zipfread" => {
+                    let theta = get_f64(t, "theta", 1.1, 0.0, 10.0)?;
+                    if theta == 0.0 || theta == 1.0 {
+                        let line = t.get("theta").map_or(rw_entry.line, |e| e.line);
+                        return Err(DslError::at(
+                            line,
+                            format!("'theta' must not be {theta} for zipfread"),
+                        ));
+                    }
+                    RwKind::ZipfRead { theta }
+                }
                 other => {
                     return Err(DslError::at(
                         rw_entry.line,
@@ -269,13 +340,13 @@ fn parse_workload(t: &DslTable, common: &[&str]) -> Result<WorkloadSpec, DslErro
                 }
             };
             let rate = match t.get("rate_mib_s") {
-                Some(e) => Some(e.as_f64()?),
+                Some(_) => Some(get_f64(t, "rate_mib_s", 0.0, 1e-3, 1e9)?),
                 None => None,
             };
             Ok(WorkloadSpec::Fio {
                 rw,
-                block_size: get_u32(t, "block_size", 4096)?,
-                iodepth: get_u32(t, "iodepth", 16)?,
+                block_size: get_size(t, "block_size", 4096)?,
+                iodepth: get_count(t, "iodepth", 16)?,
                 rate_mib_s: rate,
             })
         }
@@ -289,10 +360,10 @@ fn parse_workload(t: &DslTable, common: &[&str]) -> Result<WorkloadSpec, DslErro
             )?;
             let d = KvConfig::default();
             Ok(WorkloadSpec::App(AppModelSpec::Kv(KvConfig {
-                window: get_u32(t, "window", d.window)?,
-                read_fraction: get_f64(t, "read_fraction", d.read_fraction)?,
-                theta: get_f64(t, "theta", d.theta)?,
-                value_size: get_u32(t, "value_size", d.value_size)?,
+                window: get_count(t, "window", d.window)?,
+                read_fraction: get_f64(t, "read_fraction", d.read_fraction, 0.0, 1.0)?,
+                theta: get_f64(t, "theta", d.theta, 0.0, 10.0)?,
+                value_size: get_size(t, "value_size", d.value_size)?,
                 think: think_us(t, d.think)?,
             })))
         }
@@ -312,10 +383,10 @@ fn parse_workload(t: &DslTable, common: &[&str]) -> Result<WorkloadSpec, DslErro
             )?;
             let d = OltpConfig::default();
             Ok(WorkloadSpec::App(AppModelSpec::Oltp(OltpConfig {
-                window: get_u32(t, "window", d.window)?,
-                reads_per_txn: get_u32(t, "reads_per_txn", d.reads_per_txn)?,
-                read_size: get_u32(t, "read_size", d.read_size)?,
-                log_write_size: get_u32(t, "log_write_size", d.log_write_size)?,
+                window: get_count(t, "window", d.window)?,
+                reads_per_txn: get_count(t, "reads_per_txn", d.reads_per_txn)?,
+                read_size: get_size(t, "read_size", d.read_size)?,
+                log_write_size: get_size(t, "log_write_size", d.log_write_size)?,
                 think: think_us(t, d.think)?,
             })))
         }
@@ -327,9 +398,9 @@ fn parse_workload(t: &DslTable, common: &[&str]) -> Result<WorkloadSpec, DslErro
             let d = FileServerConfig::default();
             Ok(WorkloadSpec::App(AppModelSpec::FileServer(
                 FileServerConfig {
-                    window: get_u32(t, "window", d.window)?,
-                    files: get_u32(t, "files", d.files)?,
-                    append_size: get_u32(t, "append_size", d.append_size)?,
+                    window: get_count(t, "window", d.window)?,
+                    files: get_count(t, "files", d.files)?,
+                    append_size: get_size(t, "append_size", d.append_size)?,
                     think: think_us(t, d.think)?,
                 },
             )))
@@ -350,11 +421,17 @@ fn parse_workload(t: &DslTable, common: &[&str]) -> Result<WorkloadSpec, DslErro
             )?;
             let d = MlIngestConfig::default();
             Ok(WorkloadSpec::App(AppModelSpec::MlIngest(MlIngestConfig {
-                window: get_u32(t, "window", d.window)?,
-                read_size: get_u32(t, "read_size", d.read_size)?,
-                checkpoint_every: get_u32(t, "checkpoint_every", d.checkpoint_every)?,
-                checkpoint_size: get_u32(t, "checkpoint_size", d.checkpoint_size)?,
-                checkpoint_writes: get_u32(t, "checkpoint_writes", d.checkpoint_writes)?,
+                window: get_count(t, "window", d.window)?,
+                read_size: get_size(t, "read_size", d.read_size)?,
+                checkpoint_every: get_u32(t, "checkpoint_every", d.checkpoint_every, 0, u32::MAX)?,
+                checkpoint_size: get_size(t, "checkpoint_size", d.checkpoint_size)?,
+                checkpoint_writes: get_u32(
+                    t,
+                    "checkpoint_writes",
+                    d.checkpoint_writes,
+                    0,
+                    u32::MAX,
+                )?,
             })))
         }
         other => Err(DslError::at(
@@ -366,7 +443,11 @@ fn parse_workload(t: &DslTable, common: &[&str]) -> Result<WorkloadSpec, DslErro
 
 fn think_us(t: &DslTable, default: SimDuration) -> Result<SimDuration, DslError> {
     match t.get("think_us") {
-        Some(e) => Ok(SimDuration::from_micros(e.as_u64()?)),
+        Some(e) => Ok(SimDuration::from_micros(int_in(
+            e,
+            0,
+            MAX_DURATION_MS * 1_000,
+        )?)),
         None => Ok(default),
     }
 }
@@ -398,24 +479,18 @@ impl ScenarioSpec {
             root,
             &["name", "seed", "cores", "duration_ms", "warmup_ms", "knob"],
         )?;
-        let name = require(root, "name", "scenario")?.as_str()?.to_owned();
+        let name = get_name(require(root, "name", "scenario")?)?;
         let knob_entry = require(root, "knob", "scenario")?;
         let knob = parse_knob(knob_entry.as_str()?, knob_entry.line)?;
-        let cores_entry = require(root, "cores", "scenario")?;
-        let cores = cores_entry.as_u64()? as usize;
-        if cores == 0 {
-            return Err(DslError::at(cores_entry.line, "cores must be positive"));
-        }
-        let duration_entry = require(root, "duration_ms", "scenario")?;
-        let duration = SimTime::from_millis(duration_entry.as_u64()?);
-        if duration == SimTime::ZERO {
-            return Err(DslError::at(
-                duration_entry.line,
-                "duration_ms must be positive",
-            ));
-        }
+        let cores = int_in(require(root, "cores", "scenario")?, 1, MAX_COUNT.into())? as usize;
+        let duration_ms = int_in(
+            require(root, "duration_ms", "scenario")?,
+            1,
+            MAX_DURATION_MS,
+        )?;
+        let duration = SimTime::from_millis(duration_ms);
         let warmup = match root.get("warmup_ms") {
-            Some(e) => SimTime::from_millis(e.as_u64()?),
+            Some(e) => SimTime::from_millis(int_in(e, 0, duration_ms - 1)?),
             None => SimTime::ZERO,
         };
         let seed = match root.get("seed") {
@@ -448,7 +523,7 @@ impl ScenarioSpec {
             }
             check_keys(t, &["name", "parent", "weight"])?;
             let name_entry = require(t, "name", "[[cgroup]]")?;
-            let cg_name = name_entry.as_str()?.to_owned();
+            let cg_name = get_name(name_entry)?;
             if cgroups.iter().any(|c| c.name == cg_name) {
                 return Err(DslError::at(
                     name_entry.line,
@@ -470,14 +545,7 @@ impl ScenarioSpec {
                 }
                 None => None,
             };
-            let weight_entry = t.get("weight");
-            let weight = get_u32(t, "weight", 100)?;
-            if weight == 0 {
-                return Err(DslError::at(
-                    weight_entry.map_or(t.line, |e| e.line),
-                    "weight must be positive",
-                ));
-            }
+            let weight = get_u32(t, "weight", 100, 1, u32::MAX)?;
             cgroups.push(CgroupSpec {
                 name: cg_name,
                 parent,
@@ -875,8 +943,7 @@ pub fn load(path: &Path) -> Result<ScenarioSpec, ScenarioFileError> {
 }
 
 /// Runs a parsed scenario and emits one per-tenant result table named
-/// `scenario_<name>` (deterministic: byte-identical across `--jobs` and
-/// `--shards`).
+/// `scenario_<name>` (deterministic: the same bytes on every run).
 ///
 /// # Errors
 ///

@@ -1,15 +1,13 @@
 //! Determinism and trace-invariant suite for the closed-loop `app_mix`
 //! experiment and the committed scenario files that drive it:
 //!
-//! * the app_mix grid is byte-identical across worker counts and shard
-//!   counts,
+//! * the app_mix grid is byte-identical across worker counts,
 //! * it matches the committed golden CSV, pinning the closed-loop
 //!   feedback path (engine → host → completions → engine) against any
 //!   future change,
-//! * the committed `scenarios/app_mix_smoke.toml` run is bit-exact for
-//!   every shard count,
-//! * a traced app-mix run satisfies every traceck invariant and the
-//!   trace agrees with the report it shipped with.
+//! * a traced run of the committed `scenarios/app_mix_smoke.toml`
+//!   satisfies every traceck invariant and the trace agrees with the
+//!   report it shipped with.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -19,8 +17,8 @@ use std::sync::Mutex;
 use isol_bench::experiments::app_mix;
 use isol_bench::scenario_file::ScenarioSpec;
 use isol_bench::{runner, traceck, Fidelity, OutputSink};
-/// Worker and shard counts are process-global; serialize tests that
-/// touch either.
+
+/// The worker count is process-global; serialize tests that touch it.
 static GLOBAL_CONFIG: Mutex<()> = Mutex::new(());
 
 fn app_mix_csvs(jobs: usize, tag: &str) -> BTreeMap<String, Vec<u8>> {
@@ -60,18 +58,6 @@ fn app_mix_grid_is_byte_identical_across_worker_counts() {
 }
 
 #[test]
-fn app_mix_grid_is_byte_identical_across_shard_counts() {
-    let _guard = GLOBAL_CONFIG.lock().unwrap_or_else(|e| e.into_inner());
-    runner::set_shards(1);
-    let one = app_mix_csvs(2, "shards1");
-    runner::set_shards(4);
-    let four = app_mix_csvs(2, "shards4");
-    runner::set_shards(0);
-    runner::set_jobs(0);
-    assert_same_csvs(&one, &four, "shards=1 and shards=4");
-}
-
-#[test]
 fn app_mix_smoke_output_matches_committed_golden() {
     let _guard = GLOBAL_CONFIG.lock().unwrap_or_else(|e| e.into_inner());
     let current = app_mix_csvs(2, "golden");
@@ -91,38 +77,12 @@ fn app_mix_smoke_output_matches_committed_golden() {
     assert!(checked >= 1, "expected the app_mix CSV");
 }
 
-// ===== Scenario-file determinism =====
-//
-// The committed smoke scenario runs all four engines; its full
-// `RunReport` Debug rendering (injective via shortest-roundtrip float
-// formatting) is the comparison key across shard counts.
+// ===== Scenario files =====
 
 fn smoke_spec() -> ScenarioSpec {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../scenarios/app_mix_smoke.toml");
     let src = fs::read_to_string(&path).expect("committed smoke scenario");
     ScenarioSpec::parse(&src).expect("smoke scenario parses")
-}
-
-fn smoke_report(shards: usize) -> String {
-    let spec = smoke_spec();
-    let until = spec.duration;
-    format!(
-        "{:?}",
-        spec.build().build_host(until).run_sharded(until, shards)
-    )
-}
-
-#[test]
-fn scenario_file_run_is_identical_across_shard_counts() {
-    let _guard = GLOBAL_CONFIG.lock().unwrap_or_else(|e| e.into_inner());
-    let reference = smoke_report(1);
-    for shards in [2, 4] {
-        assert_eq!(
-            reference,
-            smoke_report(shards),
-            "scenario report differs between shards=1 and shards={shards}"
-        );
-    }
 }
 
 // ===== Trace invariants =====

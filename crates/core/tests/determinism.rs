@@ -14,12 +14,11 @@ use std::fs;
 use std::path::PathBuf;
 use std::sync::Mutex;
 
-use isol_bench::experiments::{fig4, fleet, q_faults};
-use isol_bench::{cache, runner, Fidelity, Knob, OutputSink};
-use simcore::SimTime;
+use isol_bench::experiments::{fig4, q_faults};
+use isol_bench::{cache, runner, Fidelity, OutputSink};
 
-/// The worker and shard counts are process-global, so tests that set
-/// either must not interleave.
+/// The worker count is process-global, so tests that set it must not
+/// interleave.
 static GLOBAL_CONFIG: Mutex<()> = Mutex::new(());
 
 /// Runs one experiment's smoke grid with `jobs` workers, returning
@@ -153,68 +152,4 @@ fn q_faults_smoke_output_matches_committed_golden() {
     let current = q_faults_csvs(2, "golden");
     runner::set_jobs(0);
     assert_matches_goldens(&current, 1, "the q_faults CSV");
-}
-
-// ===== The shards axis =====
-//
-// `HostSim::run_sharded` must be bit-exact for every shard count; the
-// fleet scenario (per-SSD tenants, one component per device) is the
-// canonical multi-component machine. The full `RunReport` Debug
-// rendering is the comparison key — Rust's shortest-roundtrip float
-// formatting makes it injective, so equal strings mean equal bits in
-// every histogram percentile, bandwidth series, and counter.
-
-/// Renders one fleet run at an explicit shard count.
-fn fleet_report(knob: Knob, faulted: bool, shards: usize) -> String {
-    let until = SimTime::from_millis(15);
-    let s = if faulted {
-        fleet::fleet_scenario_faulted(knob, 3)
-    } else {
-        fleet::fleet_scenario(knob, 3)
-    };
-    format!("{:?}", s.build_host(until).run_sharded(until, shards))
-}
-
-#[test]
-fn fleet_reports_are_identical_across_shard_counts_for_every_knob() {
-    for knob in Knob::ALL {
-        let reference = fleet_report(knob, false, 1);
-        for shards in [2, 3, 5] {
-            assert_eq!(
-                reference,
-                fleet_report(knob, false, shards),
-                "{knob} fleet report differs between shards=1 and shards={shards}"
-            );
-        }
-    }
-}
-
-#[test]
-fn faulted_fleet_reports_are_identical_across_shard_counts() {
-    // Controller resets + latency spikes + the host recovery path, all
-    // replayed per component: the adversarial case for shard splitting.
-    let reference = fleet_report(Knob::None, true, 1);
-    for shards in [2, 3] {
-        assert_eq!(
-            reference,
-            fleet_report(Knob::None, true, shards),
-            "faulted fleet report differs between shards=1 and shards={shards}"
-        );
-    }
-}
-
-#[test]
-fn fig4_grid_is_byte_identical_across_shard_counts() {
-    // End-to-end through `Scenario::run` and the process-global
-    // `--shards` knob (fig4 cells are single-component, so this also
-    // pins the sharded path's fallback behavior).
-    let _guard = GLOBAL_CONFIG.lock().unwrap_or_else(|e| e.into_inner());
-    runner::set_shards(1);
-    let one = fig4_csvs(2, "shards1");
-    runner::set_shards(4);
-    let four = fig4_csvs(2, "shards4");
-    runner::set_shards(0);
-    runner::set_jobs(0);
-    assert_same_csvs(&one, &four, "shards=1 and shards=4");
-    assert_matches_goldens(&four, 2, "the two fig4 CSVs (shards=4)");
 }

@@ -1,11 +1,8 @@
 //! Determinism guarantees for the `fleet_scale` scalability study: the
-//! emitted CSV must be byte-identical however the grid is parallelized
-//! — across `--jobs` worker counts and across `--shards` counts. At 256
-//! tenants over 4 devices the scenario decomposes into 4 components, so
-//! the shards axis genuinely exercises parallel intra-scenario
-//! execution (not the single-component fallback). The sequential run
-//! must also match the committed golden CSV, which pins the nested-group
-//! io.cost output (and every other knob's) at smoke fidelity.
+//! emitted CSV must be byte-identical across `--jobs` worker counts,
+//! and the sequential run must match the committed golden CSV, which
+//! pins the nested-group io.cost output (and every other knob's) at
+//! smoke fidelity.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -15,8 +12,8 @@ use std::sync::Mutex;
 use isol_bench::experiments::fleet_scale;
 use isol_bench::{runner, Fidelity, OutputSink};
 
-/// Worker and shard counts are process-global; tests that set them must
-/// not interleave.
+/// The worker count is process-global; tests that set it must not
+/// interleave.
 static GLOBAL_CONFIG: Mutex<()> = Mutex::new(());
 
 /// Runs the smoke fleet_scale grid, returning every emitted CSV as
@@ -74,15 +71,4 @@ fn fleet_scale_grid_is_byte_identical_across_worker_counts() {
     runner::set_jobs(0);
     assert_same_csvs(&sequential, &parallel, "jobs=1 and jobs=4");
     assert_matches_golden(&sequential);
-}
-
-#[test]
-fn fleet_scale_grid_is_byte_identical_across_shard_counts() {
-    let _guard = GLOBAL_CONFIG.lock().unwrap_or_else(|e| e.into_inner());
-    runner::set_shards(1);
-    let one = fleet_scale_csvs("shards1");
-    runner::set_shards(4);
-    let four = fleet_scale_csvs("shards4");
-    runner::set_shards(0);
-    assert_same_csvs(&one, &four, "shards=1 and shards=4");
 }

@@ -7,6 +7,7 @@ use std::fs;
 use std::path::PathBuf;
 
 use isol_bench::scenario_file::ScenarioSpec;
+use proptest::prelude::*;
 
 /// The committed scenario directory at the repository root.
 fn scenarios_dir() -> PathBuf {
@@ -217,4 +218,222 @@ fn missing_required_key_is_rejected() {
         .collect::<Vec<_>>()
         .join("\n");
     assert_rejected(&src, "missing required key 'knob'");
+}
+
+// ===== Rejection: out-of-range values =====
+
+/// [`BASE`] with its tenant switched to a fio workload plus `extra`
+/// lines (the tenant table is last, so they land in it).
+fn fio(extra: &str) -> String {
+    BASE.replace(
+        "workload = \"kv\"",
+        &format!("workload = \"fio\"\nrw = \"randread\"\n{extra}"),
+    )
+}
+
+#[test]
+fn zero_iodepth_is_rejected() {
+    assert_rejected(
+        &fio("iodepth = 0"),
+        "'iodepth' must be in 1..=65536 (got 0)",
+    );
+}
+
+#[test]
+fn iodepth_past_the_cap_is_rejected() {
+    assert_rejected(&fio("iodepth = 65537"), "'iodepth' must be in 1..=65536");
+    assert_rejected(
+        &fio("iodepth = 4294967295"),
+        "'iodepth' must be in 1..=65536",
+    );
+    let spec = ScenarioSpec::parse(&fio("iodepth = 65536")).expect("the cap itself is allowed");
+    drop(spec.build().build_host(spec.duration));
+}
+
+#[test]
+fn zero_window_is_rejected_for_every_app_kind() {
+    for kind in ["kv", "oltp", "fileserver", "mlscan"] {
+        let src = BASE.replace(
+            "workload = \"kv\"",
+            &format!("workload = \"{kind}\"\nwindow = 0"),
+        );
+        assert_rejected(&src, "'window' must be in 1..=65536 (got 0)");
+    }
+}
+
+#[test]
+fn zero_block_size_is_rejected() {
+    assert_rejected(&fio("block_size = 0"), "'block_size' must be in 1..=");
+}
+
+#[test]
+fn non_positive_rate_is_rejected() {
+    for rate in ["0", "0.0", "-5.0"] {
+        assert_rejected(
+            &fio(&format!("rate_mib_s = {rate}")),
+            "'rate_mib_s' must be in",
+        );
+    }
+}
+
+#[test]
+fn degenerate_zipf_theta_is_rejected() {
+    let zipf = |theta: &str| {
+        fio(&format!("theta = {theta}")).replace("rw = \"randread\"", "rw = \"zipfread\"")
+    };
+    assert_rejected(&zipf("0.0"), "'theta' must not be 0");
+    assert_rejected(&zipf("-1.5"), "'theta' must be in 0..=10");
+    assert_rejected(&zipf("1"), "'theta' must not be 1");
+    assert!(ScenarioSpec::parse(&zipf("0.99")).is_ok());
+}
+
+#[test]
+fn overflowing_durations_are_rejected() {
+    assert_rejected(
+        &BASE.replace("duration_ms = 20", "duration_ms = 18446744073709551"),
+        "'duration_ms' must be in 1..=86400000",
+    );
+    assert_rejected(
+        &BASE.replace("duration_ms = 20", "duration_ms = 20\nwarmup_ms = 20"),
+        "'warmup_ms' must be in 0..=19",
+    );
+    assert_rejected(
+        &format!("{BASE}think_us = 18446744073709551"),
+        "'think_us' must be in",
+    );
+}
+
+#[test]
+fn too_many_cores_is_rejected() {
+    assert_rejected(
+        &BASE.replace("cores = 2", "cores = 4294967295"),
+        "'cores' must be in 1..=65536",
+    );
+}
+
+#[test]
+fn cgroup_names_that_cannot_be_created_are_rejected() {
+    for bad in ["", "a/b"] {
+        let src = BASE
+            .replace("name = \"g\"", &format!("name = \"{bad}\""))
+            .replace("cgroup = \"g\"", &format!("cgroup = \"{bad}\""));
+        assert_rejected(&src, "'name' must be non-empty and contain no '/'");
+    }
+}
+
+// ===== Mutation fuzzing: untrusted files never panic =====
+
+/// Replacement values for one `key = value` line: zeros and ones,
+/// negative numbers, the caps and one past them, integer extremes,
+/// non-finite and fractional floats, awkward strings, and wrong types.
+const TOKENS: &[&str] = &[
+    "0",
+    "1",
+    "-1",
+    "65536",
+    "65537",
+    "4294967295",
+    "9223372036854775807",
+    "1.0",
+    "0.0",
+    "-0.5",
+    "0.5",
+    "1e308",
+    "1e-300",
+    "\"\"",
+    "\"a/b\"",
+    "\"x\"",
+    "\"randrw\"",
+    "\"zipfread\"",
+    "\"io.cost\"",
+    "true",
+    "[]",
+    "[0, 1]",
+];
+
+/// Characters a byte-level edit writes: TOML syntax, digits, letters,
+/// whitespace, and multi-byte UTF-8.
+const CHARS: &[char] = &[
+    '"',
+    '=',
+    '[',
+    ']',
+    '#',
+    ',',
+    '.',
+    '-',
+    '_',
+    '\\',
+    '/',
+    ' ',
+    '\n',
+    '0',
+    '1',
+    '9',
+    'e',
+    'x',
+    'é',
+    '\u{1F600}',
+];
+
+/// Applies one edit, decoded from `word`, to `src`. The low three bits
+/// pick the kind: a token swap on one `key = value` line (half of the
+/// edits), or a single-character overwrite, insertion or deletion.
+fn mutate(src: &str, word: u64) -> String {
+    let at = (word >> 16) as usize;
+    let pick = (word >> 3) as usize;
+    let mut chars: Vec<char> = src.chars().collect();
+    let n = chars.len();
+    let ch = CHARS[pick % CHARS.len()];
+    match word % 8 {
+        0..=3 => {
+            let lines: Vec<&str> = src.lines().collect();
+            let kv: Vec<usize> = (0..lines.len())
+                .filter(|&i| lines[i].contains(" = ") && !lines[i].starts_with('#'))
+                .collect();
+            if kv.is_empty() {
+                return src.to_owned();
+            }
+            let target = kv[at % kv.len()];
+            let mut out: Vec<String> = lines.iter().map(|l| (*l).to_owned()).collect();
+            let key = lines[target].split(" = ").next().unwrap_or_default();
+            out[target] = format!("{key} = {}", TOKENS[pick % TOKENS.len()]);
+            return out.join("\n");
+        }
+        4 | 5 if n > 0 => chars[at % n] = ch,
+        6 => chars.insert(at % (n + 1), ch),
+        _ if n > 0 => {
+            chars.remove(at % n);
+        }
+        _ => {}
+    }
+    chars.into_iter().collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// Parse → build → `build_host` on a mutated committed scenario
+    /// either succeeds or returns a line-numbered error; it never panics.
+    #[test]
+    fn mutated_scenarios_error_instead_of_panicking(
+        file in 0usize..64,
+        edits in proptest::collection::vec(0u64..=u64::MAX, 1..4),
+    ) {
+        let scenarios = committed_scenarios();
+        let (path, original) = &scenarios[file % scenarios.len()];
+        let src = edits.iter().fold(original.clone(), |s, &w| mutate(&s, w));
+        let outcome = std::panic::catch_unwind(|| match ScenarioSpec::parse(&src) {
+            Ok(spec) => {
+                drop(spec.build().build_host(spec.duration));
+                None
+            }
+            Err(e) => Some(e),
+        });
+        match outcome {
+            Err(_) => prop_assert!(false, "{} panicked after edits {edits:?}:\n{src}", path.display()),
+            Ok(Some(e)) => prop_assert!(e.line > 0, "error without a line: {e}"),
+            Ok(None) => {}
+        }
+    }
 }

@@ -14,13 +14,13 @@ use std::fs;
 use std::path::PathBuf;
 use std::sync::Mutex;
 
-use isol_bench::experiments::{fig4, fleet};
+use isol_bench::experiments::{fig4, fleet_scale};
 use isol_bench::{runner, traceck, tracing, Fidelity, Knob, OutputSink, Scenario};
 use simcore::SimTime;
 use workload::JobSpec;
 
-/// Worker count, shard count, and trace capture are process-global,
-/// so these tests must not interleave.
+/// Worker count and trace capture are process-global, so these tests
+/// must not interleave.
 static GLOBAL_CONFIG: Mutex<()> = Mutex::new(());
 
 /// Runs the fig4 smoke grid with `jobs` workers and tracing on,
@@ -67,7 +67,7 @@ fn traced_fig4_grid_is_byte_identical_across_worker_counts() {
     }
 }
 
-/// The fixed cell for the golden and the shards check: the paper's
+/// The fixed cell for the golden: the paper's
 /// two-tenant prioritization shape on mq-deadline, short enough that
 /// the golden stays a small fixture yet touches submit, QoS, scheduler,
 /// device, and completion events.
@@ -109,51 +109,25 @@ fn trace_matches_committed_golden() {
     );
 }
 
-// ===== The shards axis =====
-
-/// One traced fleet run at an explicit shard count. Traced runs execute
-/// at one shard, so the JSONL bytes must match the sequential trace.
-fn fleet_trace_jsonl(shards: usize) -> String {
-    let until = SimTime::from_millis(5);
-    simcore::trace::install(1 << 18);
-    let sim = fleet::fleet_scenario(Knob::MqDlPrio, 3).build_host(until);
-    let report = sim.run_sharded(until, shards);
-    let trace = simcore::trace::take().expect("recorder installed");
+/// A traced multi-device run: four SSDs, mq-deadline with priority
+/// classes, 32 tenants over shared cores. The single-device cells
+/// above never interleave several devices' events in one trace. The
+/// run spans one full burst period, so every tenant starts before it
+/// ends.
+#[test]
+fn multi_device_fleet_trace_passes_traceck() {
+    let _guard = GLOBAL_CONFIG.lock().unwrap_or_else(|e| e.into_inner());
+    let until = SimTime::from_millis(25);
+    let (s, _, _) = fleet_scale::fleet_scale_scenario(Knob::MqDlPrio, 32);
+    let (report, trace) = s.run_traced(until, 1 << 20);
+    assert!(trace.is_lossless(), "fleet trace overflowed its ring");
     assert!(trace.is_complete(), "fleet trace missing run_end");
+    let busy = report.devices.iter().filter(|d| d.served_ios > 0).count();
+    assert!(busy > 1, "only {busy} device(s) served I/O");
     let mut violations = traceck::check(&trace).violations;
     violations.extend(traceck::check_against_report(&trace, &report));
     assert!(
         violations.is_empty(),
-        "fleet trace (shards={shards}) violates invariants: {violations:?}"
-    );
-    trace.to_jsonl()
-}
-
-#[test]
-fn sharded_fleet_trace_is_byte_identical_and_passes_traceck() {
-    let _guard = GLOBAL_CONFIG.lock().unwrap_or_else(|e| e.into_inner());
-    let reference = fleet_trace_jsonl(1);
-    for shards in [2, 3] {
-        assert_eq!(
-            reference,
-            fleet_trace_jsonl(shards),
-            "fleet trace bytes differ between shards=1 and shards={shards}"
-        );
-    }
-}
-
-#[test]
-fn golden_trace_is_byte_stable_under_a_shards_setting() {
-    // The golden cell is single-component, so any `--shards` value must
-    // leave its bytes untouched (the sharded path falls back to the
-    // sequential engine).
-    let _guard = GLOBAL_CONFIG.lock().unwrap_or_else(|e| e.into_inner());
-    let reference = golden_jsonl();
-    runner::set_shards(4);
-    let sharded = golden_jsonl();
-    runner::set_shards(0);
-    assert_eq!(
-        reference, sharded,
-        "golden trace bytes changed under --shards 4"
+        "fleet trace violates invariants: {violations:?}"
     );
 }

@@ -80,7 +80,7 @@ fn submit_event(req: &IoRequest, now: SimTime) -> TraceEvent {
 }
 
 #[derive(Debug)]
-pub(crate) enum Event {
+enum Event {
     AppWake(AppId),
     CpuDone(CoreId),
     SchedDispatchDone(DeviceId),
@@ -113,57 +113,57 @@ pub(crate) enum Event {
 /// crate docs for an end-to-end example.
 #[derive(Debug)]
 pub struct HostSim {
-    pub(crate) config: HostConfig,
-    pub(crate) now: SimTime,
-    pub(crate) queue: EventQueue<Event>,
-    pub(crate) apps: Vec<AppRuntime>,
-    pub(crate) cores: Vec<Core>,
-    pub(crate) devs: Vec<DeviceHost>,
-    pub(crate) next_req_id: ReqId,
+    config: HostConfig,
+    now: SimTime,
+    queue: EventQueue<Event>,
+    apps: Vec<AppRuntime>,
+    cores: Vec<Core>,
+    devs: Vec<DeviceHost>,
+    next_req_id: ReqId,
     /// Reused scratch for QoS-released requests (kept empty between
     /// [`HostSim::pump_device`] calls).
-    pub(crate) qos_scratch: Vec<IoRequest>,
+    qos_scratch: Vec<IoRequest>,
     /// Reused scratch for device service starts (kept empty between
     /// [`HostSim::pump_device`] calls).
-    pub(crate) start_scratch: Vec<StartedCmd>,
+    start_scratch: Vec<StartedCmd>,
     /// Merge of per-app *near-term* wake frontiers; see [`NEAR_WAKE`]
     /// for the near/far split. Leaves are dynamic slots handed out by
     /// `wake_leaf` and recycled when an app's last tree wake pops, so
     /// the tree is sized to the active-set high-water mark — a 64k
     /// fleet with a few hundred active tenants replays over a few
     /// hundred cache-resident leaves, not 64k mostly-idle ones.
-    pub(crate) wake_tree: Tourney,
+    wake_tree: Tourney,
     /// Leaf slot in `wake_tree` per app; `LEAF_NONE` when the app holds
     /// no tree-routed wake.
-    pub(crate) app_leaf: Vec<u32>,
+    app_leaf: Vec<u32>,
     /// Owning app per leaf slot (stale for freed slots; only read while
     /// the slot holds a live key).
-    pub(crate) leaf_app: Vec<u32>,
+    leaf_app: Vec<u32>,
     /// Recycled `wake_tree` leaf slots.
-    pub(crate) free_leaves: Vec<u32>,
+    free_leaves: Vec<u32>,
     /// Same-instant wakes (`at == now` at insert), in order: both `now`
     /// and the seq counter are monotone, so pushes arrive pre-sorted
     /// and the front is the class minimum with zero ordering work. This
     /// carries the completion-driven refill wakes — the bulk of all
     /// wake traffic.
-    pub(crate) wake_fifo: VecDeque<(SimTime, u64, u32)>,
+    wake_fifo: VecDeque<(SimTime, u64, u32)>,
     /// Merge of per-core `CpuDone` slots (≤ 1 outstanding per core).
-    pub(crate) cpu_tree: Tourney,
+    cpu_tree: Tourney,
     /// Merge of per-device `SchedDispatchDone` slots (≤ 1 per device).
-    pub(crate) disp_tree: Tourney,
+    disp_tree: Tourney,
     /// Cached earliest `(time, seq)` in `queue`; `None` after a queue
     /// pop (stale). Inserts min-update it in place, so the wheel is
     /// only re-peeked once per queue pop instead of once per event.
-    pub(crate) qfront: Option<(SimTime, u64)>,
+    qfront: Option<(SimTime, u64)>,
     /// Events currently held by the trees/FIFO rather than the queue
     /// (so peak-pending accounting spans both containers).
-    pub(crate) tree_pending: usize,
+    tree_pending: usize,
     /// Apps with at least one near-term wake pending — the engine's
     /// active set. Far-only (sleeping) apps are suppressed: they hold
     /// no tournament leaf and cost nothing per event.
-    pub(crate) active_leaves: usize,
+    active_leaves: usize,
     /// High-water mark of `active_leaves` over the run.
-    pub(crate) active_hwm: usize,
+    active_hwm: usize,
 }
 
 impl HostSim {
@@ -438,7 +438,12 @@ impl HostSim {
         // and SchedDispatchDone wait in the merge frontiers below), so
         // the bound is generous; aborts and resets can leave extra stale
         // DeviceDone events, and the queue then grows.
-        let event_capacity = Self::event_capacity(&apps, &cores, &devs);
+        let event_capacity = apps.len() * 2
+            + cores.len()
+            + devs
+                .iter()
+                .map(|d| 7 + d.device.profile().max_qd as usize)
+                .sum::<usize>();
 
         // The wake tree starts small and grows with the active set; the
         // per-core / per-device trees are provisioned in full (their
@@ -472,7 +477,7 @@ impl HostSim {
     }
 
     /// Sentinel in `app_leaf` for "no tree leaf held".
-    pub(crate) const LEAF_NONE: u32 = u32::MAX;
+    const LEAF_NONE: u32 = u32::MAX;
 
     /// The app's `wake_tree` leaf slot, allocating (and growing the
     /// tree if every slot is taken) on first use.
@@ -495,21 +500,6 @@ impl HostSim {
         self.app_leaf[i] = leaf;
         self.leaf_app[leaf as usize] = i as u32;
         leaf as usize
-    }
-
-    /// Pre-sized event-queue capacity for the given machine slices (see
-    /// the bound derivation at the `build` call site).
-    pub(crate) fn event_capacity(
-        apps: &[AppRuntime],
-        cores: &[Core],
-        devs: &[DeviceHost],
-    ) -> usize {
-        apps.len() * 2
-            + cores.len()
-            + devs
-                .iter()
-                .map(|d| 7 + d.device.profile().max_qd as usize)
-                .sum::<usize>()
     }
 
     /// Schedules `ev`, min-updating the cached queue front key. A
@@ -656,7 +646,7 @@ impl HostSim {
     /// Seeds the initial event population: one `AppWake` per app (in app
     /// order), then per device (in device order) the QoS pump and the
     /// first injected reset.
-    pub(crate) fn seed_initial_events(&mut self) {
+    fn seed_initial_events(&mut self) {
         for i in 0..self.apps.len() {
             let at = self.apps[i].spec.start_at();
             self.insert_wake(AppId(i), at);
@@ -743,7 +733,7 @@ impl HostSim {
 
     /// Drains the pending events up to `until`, returning `(events
     /// popped, peak pending)`. The first event past `until` is consumed
-    /// but not processed, exactly as before the shard split.
+    /// but not processed.
     ///
     /// Cooperative cancellation: every [`Self::CANCEL_POLL_INTERVAL`]
     /// pops the loop charges the thread-local [`simcore::cancel`] token
@@ -751,7 +741,7 @@ impl HostSim {
     /// normally with partial statistics (and the cell runner discards
     /// them; a cancelled run never contributes rows to any output, so
     /// determinism is unaffected).
-    pub(crate) fn run_loop(&mut self, until: SimTime) -> (u64, u64) {
+    fn run_loop(&mut self, until: SimTime) -> (u64, u64) {
         let mut popped = 0u64;
         let mut peak = (self.queue.len() + self.tree_pending) as u64;
         while let Some((t, ev)) = self.pop_next() {
@@ -1465,7 +1455,7 @@ impl HostSim {
         }
     }
 
-    pub(crate) fn finish(mut self, until: SimTime) -> RunReport {
+    fn finish(mut self, until: SimTime) -> RunReport {
         let measure_from = self.config.measure_from;
         let window = until.saturating_since(measure_from);
         let apps = self

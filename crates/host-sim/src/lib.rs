@@ -56,7 +56,6 @@ mod devhost;
 mod engine;
 mod report;
 mod setup;
-mod shard;
 pub mod stats;
 mod tourney;
 

@@ -147,26 +147,6 @@ impl QosChain {
         self.stages.is_empty()
     }
 
-    /// Requests currently parked inside the chain: held at any stage or
-    /// released but not yet drained. 0 means the chain is quiescent and
-    /// owns no request state — the invariant the sharded engine asserts
-    /// when it moves a device's QoS chain onto a shard (vtime and all
-    /// other controller state are per-device, so a quiescent chain
-    /// migrates without cross-shard coupling).
-    #[must_use]
-    pub fn held_requests(&self) -> usize {
-        let held: usize = self
-            .stages
-            .iter()
-            .map(|s| match s {
-                Stage::Max(c) => c.held_count(),
-                Stage::Cost(c) => c.held_count(),
-                Stage::Latency(c) => c.held_count(),
-            })
-            .sum();
-        held + self.released.len()
-    }
-
     fn feed_from(&mut self, mut req: IoRequest, now: SimTime) -> Option<IoRequest> {
         let start = usize::from(req.qos_stage);
         for i in start..self.stages.len() {

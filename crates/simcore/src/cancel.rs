@@ -11,9 +11,7 @@
 //!
 //! Cancellation is *cooperative*: nothing is interrupted. The engine's
 //! event loop polls the current token every few thousand pops (see
-//! `host_sim`), sharded workers inherit the token of the thread that
-//! launched them, and the shard coordinator polls it while waiting on
-//! epoch barriers — so a runaway or hung scenario unwinds back to its
+//! `host_sim`), so a runaway or hung scenario unwinds back to its
 //! caller with partial statistics instead of blocking a worker forever.
 //!
 //! The flag only ever goes one way (not-cancelled → cancelled) and the
@@ -27,9 +25,7 @@
 //! Deep call stacks (cell task → cache → scenario → engine) would need
 //! the token threaded through every signature; instead the runner
 //! [`install`]s it in the worker's thread-local slot and the engine
-//! reads it back with [`cancelled`] / [`charge_current`]. Sharded runs
-//! copy the current token into each worker thread explicitly (a
-//! thread-local does not cross `thread::scope`). With no token
+//! reads it back with [`cancelled`] / [`charge_current`]. With no token
 //! installed every poll is a single TLS read returning `false`, so
 //! healthy runs pay essentially nothing and results stay byte-identical
 //! by construction — cancellation never alters a run that completes.
@@ -215,7 +211,7 @@ pub fn clear() {
 }
 
 /// This thread's current token, if one is installed (cloning is an
-/// `Arc` bump — workers hand the clone to threads they spawn).
+/// `Arc` bump).
 #[must_use]
 pub fn current() -> Option<CancelToken> {
     CURRENT.with(|c| c.borrow().clone())

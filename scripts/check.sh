@@ -57,6 +57,33 @@ if ./target/release/figures --scenario scenarios/does_not_exist.toml > /dev/null
     echo "FAIL: a missing scenario file must fail the run"; exit 1
 fi
 
+echo "==> scenario rejection (iodepth = 0 must exit 1 with a line-numbered error, not a panic)"
+bad_scenario=$(mktemp --suffix .toml)
+cat > "$bad_scenario" <<'TOML'
+name = "bad_iodepth"
+cores = 1
+duration_ms = 10
+knob = "none"
+
+[[device]]
+profile = "flash"
+
+[[cgroup]]
+name = "g"
+
+[[tenant]]
+name = "a"
+cgroup = "g"
+workload = "fio"
+rw = "randread"
+iodepth = 0
+TOML
+status=0
+err=$(./target/release/figures --scenario "$bad_scenario" 2>&1 > /dev/null) || status=$?
+rm -f "$bad_scenario"
+[[ "$status" -eq 1 && "$err" == *"line 17: 'iodepth' must be in"* ]] \
+    || { echo "FAIL: iodepth = 0 exited $status: $err"; exit 1; }
+
 echo "==> fault suite (recovery properties + faulted-grid determinism)"
 cargo test -q --test fault_recovery
 cargo test -q -p isol-bench --test determinism q_faults
@@ -90,31 +117,21 @@ hits=$(grep -o '"hits": [0-9]*' target/isol-bench/timings.json | head -1 | grep 
     || { echo "FAIL: warm run reported zero cache hits"; exit 1; }
 rm -rf "$cold_dir"
 
-echo "==> trace check (traced smoke run must satisfy every trace invariant; --shards 4 is ignored because traced runs never shard)"
+echo "==> trace check (traced smoke run must satisfy every trace invariant)"
 rm -rf target/isol-bench/traces
-./target/release/figures --smoke --no-cache --trace --shards 4 fig4 > /dev/null
+./target/release/figures --smoke --no-cache --trace fig4 > /dev/null
 ./target/release/traceck
 
-echo "==> fleet_scale check (256-tenant smoke grid matches the golden, byte-identical across --jobs/--shards)"
+echo "==> fleet_scale check (256-tenant smoke grid matches the golden, byte-identical across --jobs)"
 fleet_dir=$(mktemp -d)
-./target/release/figures --smoke --no-cache --jobs 1 --shards 1 fleet_scale > /dev/null
+./target/release/figures --smoke --no-cache --jobs 1 fleet_scale > /dev/null
 cmp -s target/isol-bench/fleet_scale.csv crates/core/tests/golden/fleet_scale.csv \
     || { echo "FAIL: fleet_scale.csv differs from crates/core/tests/golden/fleet_scale.csv"; exit 1; }
 cp target/isol-bench/fleet_scale.csv "$fleet_dir"/
-./target/release/figures --smoke --no-cache --jobs 4 --shards 4 fleet_scale > /dev/null
+./target/release/figures --smoke --no-cache --jobs 4 fleet_scale > /dev/null
 cmp -s "$fleet_dir/fleet_scale.csv" target/isol-bench/fleet_scale.csv \
-    || { echo "FAIL: fleet_scale.csv differs between sequential and parallel runs"; exit 1; }
+    || { echo "FAIL: fleet_scale.csv differs between --jobs 1 and --jobs 4"; exit 1; }
 rm -rf "$fleet_dir"
-
-echo "==> sharded-run check (a sharded smoke run must be byte-identical to the cached sequential one)"
-shard_dir=$(mktemp -d)
-cp target/isol-bench/fig4*.csv "$shard_dir"/
-./target/release/figures --smoke --no-cache --shards 4 fig4 > /dev/null
-for f in "$shard_dir"/*.csv; do
-    cmp -s "$f" "target/isol-bench/$(basename "$f")" \
-        || { echo "FAIL: $(basename "$f") differs between sequential and --shards 4 runs"; exit 1; }
-done
-rm -rf "$shard_dir"
 
 # Note: perfsnap's cells_per_sec and the PR 9 fig4/q10 per-cell gates
 # read timings.json from the most recent figures run, so the fig4+q10
