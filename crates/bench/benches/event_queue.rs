@@ -1,9 +1,9 @@
 //! Event-queue and request-tracking micro-benchmarks:
 //!
 //! * pre-sizing (`EventQueue::with_capacity`) vs growing from empty,
-//! * the timing wheel under the engine's three characteristic schedule
+//! * the timing wheel under the engine's characteristic schedule
 //!   shapes (uniform churn, bursty arrivals with long quiet gaps,
-//!   same-instant ties),
+//!   same-instant ties, one far timer beside a near churn),
 //! * slab/free-list in-service tracking vs a `HashMap` keyed by request
 //!   id (the structure `NvmeDevice` replaced).
 
@@ -131,6 +131,51 @@ fn ties_workload(mut q: EventQueue<u64>) -> u64 {
     sum
 }
 
+/// One far timer plus ~300 pending near events, churned the way the
+/// engine merges the queue with its other event sources: before each
+/// pop it peeks the queue front, and another source's event sits just
+/// past the clock. This is the shape of a 7-SSD cell (a sleeping
+/// tenant's far wake beside every device's completions). The engine
+/// first peeks while only the far timer is queued, as at start-up.
+///
+/// `bounded` peeks up to the other source's time
+/// (`peek_key_within`); otherwise the unbounded `peek_key` runs, which
+/// jumps the cursor to the far timer, after which every near schedule
+/// is a sorted insert into the drain bucket.
+fn far_timer_near_churn(mut q: EventQueue<u64>, bounded: bool) -> u64 {
+    let peek = |q: &mut EventQueue<u64>, limit: SimTime| {
+        if bounded {
+            q.peek_key_within(limit).ok()
+        } else {
+            q.peek_key()
+        }
+    };
+    let near = |i: u64| SimDuration::from_nanos(2_000 + (i * 7919) % 100_000);
+    q.schedule(SimTime::from_millis(50), u64::MAX);
+    let mut now = SimTime::ZERO;
+    peek(&mut q, now + SimDuration::from_micros(1));
+    for i in 0..300 {
+        q.schedule(now + near(i), i);
+    }
+    let mut sum = 0u64;
+    for next in 300..EVENTS {
+        let other = now + SimDuration::from_nanos(500);
+        match peek(&mut q, other) {
+            Some((at, _)) if at <= other => {
+                let (t, v) = q.pop().expect("peeked front exists");
+                sum = sum.wrapping_add(v);
+                now = t;
+            }
+            _ => now = other,
+        }
+        q.schedule(now + near(next), next);
+    }
+    while let Some((_, v)) = q.pop() {
+        sum = sum.wrapping_add(v);
+    }
+    sum
+}
+
 fn bench_queue_shapes(c: &mut Criterion) {
     let mut g = c.benchmark_group("event_queue_shapes");
     g.bench_function("uniform_10k", |b| {
@@ -142,6 +187,11 @@ fn bench_queue_shapes(c: &mut Criterion) {
     g.bench_function("ties_10k", |b| {
         b.iter(|| black_box(ties_workload(EventQueue::new())));
     });
+    for (name, bounded) in [("bounded_peek", true), ("unbounded_peek", false)] {
+        g.bench_function(BenchmarkId::new("far_timer_near_churn", name), |b| {
+            b.iter(|| black_box(far_timer_near_churn(EventQueue::new(), bounded)));
+        });
+    }
     g.finish();
 }
 

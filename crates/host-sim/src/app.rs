@@ -2,7 +2,7 @@
 
 use blkio::{CoreId, DeviceId, GroupId, PrioClass, ReqId};
 use iostats::{BandwidthSeries, LatencyHistogram};
-use simcore::{SimTime, TokenBucket};
+use simcore::{SimDuration, SimTime, TokenBucket};
 use workload::{AddressStream, AppModel, ArrivalBatch, JobSpec};
 
 /// Runtime state of one application.
@@ -33,6 +33,11 @@ pub(crate) struct AppRuntime {
     /// Multiplier on scheduler-lock contention cost, fixed per app
     /// (models NUMA/lock-position asymmetry under CPU saturation).
     pub lock_luck: f64,
+    /// Submit-path CPU cost of one I/O: the engine's submit cost scaled
+    /// by the queue-depth amortization, both fixed per app.
+    pub submit_cpu: SimDuration,
+    /// Completion-path CPU cost of one I/O, amortized the same way.
+    pub complete_cpu: SimDuration,
     /// Outstanding wakes, sorted ascending by `(time, seq)`: the
     /// engine's exact pending set for this app. Exact dedup only admits
     /// a wake strictly earlier than everything pending, so inserts

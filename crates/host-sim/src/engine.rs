@@ -107,6 +107,37 @@ enum Event {
     DeviceRestart(DeviceId),
 }
 
+/// What the engine knows about the timer wheel's front.
+#[derive(Debug, Clone, Copy)]
+enum QFront {
+    /// The exact earliest `(time, seq)` key in the queue.
+    Exact((SimTime, u64)),
+    /// Every queued event is at or after this instant.
+    AtOrAfter(SimTime),
+}
+
+impl QFront {
+    /// Min-updates the cache for a newly scheduled `(at, seq)`. In the
+    /// bound state an event before the bound is the new exact front,
+    /// since everything else queued lies at or after the bound.
+    #[inline]
+    fn scheduled(&mut self, at: SimTime, seq: u64) {
+        match *self {
+            QFront::Exact(f) if (at, seq) < f => *self = QFront::Exact((at, seq)),
+            QFront::AtOrAfter(t) if at < t => *self = QFront::Exact((at, seq)),
+            _ => {}
+        }
+    }
+
+    /// `true` if no queued event can be at or before `now`.
+    #[inline]
+    fn after(self, now: SimTime) -> bool {
+        match self {
+            QFront::Exact((at, _)) | QFront::AtOrAfter(at) => at > now,
+        }
+    }
+}
+
 /// The simulated host, ready to run.
 ///
 /// Build with [`HostSim::build`], then call [`HostSim::run`]. See the
@@ -151,10 +182,12 @@ pub struct HostSim {
     cpu_tree: Tourney,
     /// Merge of per-device `SchedDispatchDone` slots (≤ 1 per device).
     disp_tree: Tourney,
-    /// Cached earliest `(time, seq)` in `queue`; `None` after a queue
-    /// pop (stale). Inserts min-update it in place, so the wheel is
-    /// only re-peeked once per queue pop instead of once per event.
-    qfront: Option<(SimTime, u64)>,
+    /// Cached knowledge of `queue`'s front: its exact key, or a bound
+    /// every queued event lies at or after (set by a queue pop and by a
+    /// bounded peek that found nothing before the other sources'
+    /// minimum). Inserts min-update it in either state, so the wheel is
+    /// only re-peeked when another source catches up with the bound.
+    qfront: QFront,
     /// Events currently held by the trees/FIFO rather than the queue
     /// (so peak-pending accounting spans both containers).
     tree_pending: usize,
@@ -399,10 +432,14 @@ impl HostSim {
                     tokens: Vec::new(),
                     measured_bytes: 0,
                 });
+                let amortization = Self::amortization(setup.spec.iodepth());
+                let engine = setup.spec.engine();
                 AppRuntime {
                     group,
                     prio,
                     lock_luck,
+                    submit_cpu: engine.submit_cost().mul_f64(amortization),
+                    complete_cpu: engine.complete_cost().mul_f64(amortization),
                     core: CoreId(i % config.cores),
                     devices: setup.devices,
                     next_dev: i, // stagger multi-device round-robins
@@ -469,7 +506,7 @@ impl HostSim {
             wake_fifo: VecDeque::new(),
             cpu_tree,
             disp_tree,
-            qfront: None,
+            qfront: QFront::AtOrAfter(SimTime::ZERO),
             tree_pending: 0,
             active_leaves: 0,
             active_hwm: 0,
@@ -507,25 +544,16 @@ impl HostSim {
     /// sites holding `&mut self.devs[..]` or `&mut self.apps[..]`
     /// borrows keep compiling.
     #[inline]
-    fn sched_event(
-        queue: &mut EventQueue<Event>,
-        qfront: &mut Option<(SimTime, u64)>,
-        at: SimTime,
-        ev: Event,
-    ) {
+    fn sched_event(queue: &mut EventQueue<Event>, qfront: &mut QFront, at: SimTime, ev: Event) {
         let seq = queue.schedule(at, ev);
-        if let Some(f) = qfront {
-            if (at, seq) < *f {
-                *f = (at, seq);
-            }
-        }
+        qfront.scheduled(at, seq);
     }
 
     /// Twin of [`Self::sched_event`] for single-slot sources (per-core
     /// `CpuDone`, per-device `SchedDispatchDone`): draws the shared
-    /// tie-break seq and arms the source's tournament leaf. The leaf
-    /// must be parked (the source invariantly has at most one
-    /// outstanding event).
+    /// tie-break seq and arms the source's tournament leaf in place.
+    /// The leaf is parked, or still holds the event being handled (the
+    /// source invariantly has at most one outstanding event).
     #[inline]
     fn slot_event(
         queue: &mut EventQueue<Event>,
@@ -564,11 +592,7 @@ impl HostSim {
             (seq, WakeRoute::Tree)
         } else {
             let seq = self.queue.schedule(at, Event::AppWake(a));
-            if let Some(f) = &mut self.qfront {
-                if (at, seq) < *f {
-                    *f = (at, seq);
-                }
-            }
+            self.qfront.scheduled(at, seq);
             (seq, WakeRoute::Wheel)
         };
         let newly_active = {
@@ -675,21 +699,20 @@ impl HostSim {
     /// same-instant wake FIFO, the app-wake tournament, the CPU-slot
     /// tournament, or the dispatch-slot tournament. Keys never collide
     /// across sources — every seq comes from the queue's one counter.
-    /// The queue front is cached in `qfront` and invalidated on queue
-    /// pops; inserts min-update the cache in place (handlers routinely
-    /// schedule events earlier than the previous front, so a stale
-    /// cache would replay out of order — the min-update keeps it
-    /// exact).
+    ///
+    /// The queue front is cached in `qfront` (exact key or lower bound;
+    /// inserts min-update it, so handlers scheduling events earlier than
+    /// the previous front keep it valid). The wheel is peeked only when
+    /// the other sources' minimum reaches the bound, and then only up to
+    /// that minimum ([`EventQueue::peek_key_within`]): a queue front
+    /// beyond it cannot pop next, and the wheel's cursor must not run
+    /// ahead of the clock.
+    ///
+    /// A popped CPU or dispatch leaf keeps its key here; its handler
+    /// re-arms or parks it (see [`Self::on_cpu_done`] and
+    /// [`Self::on_sched_dispatch_done`]).
     #[inline]
     fn pop_next(&mut self) -> Option<(SimTime, Event)> {
-        let qkey = match self.qfront {
-            Some(k) => k,
-            None => {
-                let k = self.queue.peek_key().unwrap_or(Tourney::INF);
-                self.qfront = Some(k);
-                k
-            }
-        };
         let fkey = self
             .wake_fifo
             .front()
@@ -697,18 +720,32 @@ impl HostSim {
         let (ckey, cleaf) = self.cpu_tree.min();
         let (wkey, wleaf) = self.wake_tree.min();
         let (dkey, dleaf) = self.disp_tree.min();
-        let min = qkey.min(fkey).min(ckey).min(wkey).min(dkey);
-        if min == Tourney::INF {
-            return None;
-        }
-        if min == qkey {
+        let min = fkey.min(ckey).min(wkey).min(dkey);
+        let queue_first = match self.qfront {
+            QFront::Exact(k) => k < min,
+            QFront::AtOrAfter(t) if min.0 < t => false,
+            QFront::AtOrAfter(_) => match self.queue.peek_key_within(min.0) {
+                Ok(k) => {
+                    self.qfront = QFront::Exact(k);
+                    k < min
+                }
+                Err(lb) => {
+                    self.qfront = QFront::AtOrAfter(lb);
+                    false
+                }
+            },
+        };
+        if queue_first {
             let (t, seq, ev) = self.queue.pop_keyed().expect("cached front exists");
-            self.qfront = None;
+            self.qfront = QFront::AtOrAfter(t);
             if let Event::AppWake(a) = ev {
                 // A far-routed wake: unwind the app's pending stack too.
                 self.wake_popped(a, (t, seq));
             }
             return Some((t, ev));
+        }
+        if min == Tourney::INF {
+            return None;
         }
         if min == fkey {
             let (t, seq, ai) = self.wake_fifo.pop_front().expect("front exists");
@@ -723,10 +760,8 @@ impl HostSim {
         }
         self.tree_pending -= 1;
         if min == ckey {
-            self.cpu_tree.set(cleaf, Tourney::INF);
             Some((min.0, Event::CpuDone(CoreId(cleaf))))
         } else {
-            self.disp_tree.set(dleaf, Tourney::INF);
             Some((min.0, Event::SchedDispatchDone(DeviceId(dleaf))))
         }
     }
@@ -876,14 +911,11 @@ impl HostSim {
             app.inflight += 1;
             app.issued += 1;
             trace::record_with(|| submit_event(&req, now));
-            let qd = app.spec.iodepth();
-            let engine = app.spec.engine();
+            let deep = app.spec.iodepth() >= DEEP_QD;
             let core = app.core;
-            let deep = qd >= DEEP_QD;
             let dh = &self.devs[dev.index()];
-            let mut dur = engine.submit_cost().mul_f64(Self::amortization(qd))
-                + dh.sched.submit_cpu_overhead()
-                + dh.qos.submit_cpu_overhead(deep);
+            let mut dur =
+                app.submit_cpu + dh.sched.submit_cpu_overhead() + dh.qos.submit_cpu_overhead(deep);
             if deep && dh.sched.kind() != SchedKind::None {
                 // Deep-queue submitters contend on the scheduler lock
                 // while the serialized dispatch path drains everyone's
@@ -954,15 +986,12 @@ impl HostSim {
                 .expect("closed-loop app")
                 .tokens
                 .push((id, aop.token));
-            let qd = app.spec.iodepth();
-            let engine = app.spec.engine();
+            let deep = app.spec.iodepth() >= DEEP_QD;
             let core = app.core;
             trace::record_with(|| submit_event(&req, now));
-            let deep = qd >= DEEP_QD;
             let dh = &self.devs[dev.index()];
-            let mut dur = engine.submit_cost().mul_f64(Self::amortization(qd))
-                + dh.sched.submit_cpu_overhead()
-                + dh.qos.submit_cpu_overhead(deep);
+            let mut dur =
+                app.submit_cpu + dh.sched.submit_cpu_overhead() + dh.qos.submit_cpu_overhead(deep);
             if deep && dh.sched.kind() != SchedKind::None {
                 // Same deep-queue scheduler-lock contention model as the
                 // open-loop path (Fig. 4c / O3).
@@ -993,14 +1022,17 @@ impl HostSim {
     fn on_cpu_done(&mut self, c: CoreId) {
         let measured = self.measured();
         let (work, next) = self.cores[c.index()].finish_current(self.now, measured);
-        if let Some(t) = next {
-            Self::slot_event(
+        // The core's leaf still holds the popped key: re-arm it in place
+        // with the next item, or park it.
+        match next {
+            Some(t) => Self::slot_event(
                 &mut self.queue,
                 &mut self.cpu_tree,
                 &mut self.tree_pending,
                 c.index(),
                 t,
-            );
+            ),
+            None => self.cpu_tree.set(c.index(), Tourney::INF),
         }
         match work {
             Work::Submit(mut req) => {
@@ -1056,7 +1088,7 @@ impl HostSim {
                     }
                 }
                 let a = req.app;
-                self.schedule_wake(a, self.now);
+                self.completion_wake(a);
             }
             Work::Fail(req) => {
                 // The app observes an error completion: the in-flight
@@ -1078,9 +1110,40 @@ impl HostSim {
                     }
                 }
                 let a = req.app;
-                self.schedule_wake(a, self.now);
+                self.completion_wake(a);
             }
         }
+    }
+
+    /// The wake a completion owes its app at `now`. Such a wake carries
+    /// the newest seq, so it pops right after every other event pending
+    /// at `now`. When there is none (the FIFO is empty and every tree
+    /// minimum and the queue front or its bound lies later), it would
+    /// be the very next pop, and it runs here instead of round-tripping
+    /// through the FIFO. It still draws its seq, so every later key is
+    /// unchanged, and counts toward the active-set high-water mark as
+    /// the queued wake would have. Inline wakes are not counted in
+    /// `host_sim::stats`' `events_popped`.
+    fn completion_wake(&mut self, a: AppId) {
+        let now = self.now;
+        let app = &self.apps[a.index()];
+        if app.wakes.first().is_some_and(|w| w.at <= now) {
+            return; // exact dedup, as in `schedule_wake`
+        }
+        let idle_now = self.wake_fifo.is_empty()
+            && self.cpu_tree.min().0 .0 > now
+            && self.wake_tree.min().0 .0 > now
+            && self.disp_tree.min().0 .0 > now
+            && self.qfront.after(now);
+        if !idle_now {
+            self.insert_wake(a, now);
+            return;
+        }
+        self.queue.alloc_seq();
+        if app.near_wakes == 0 {
+            self.active_hwm = self.active_hwm.max(self.active_leaves + 1);
+        }
+        self.on_app_wake(a);
     }
 
     fn pump_device(&mut self, dev: DeviceId) {
@@ -1159,6 +1222,11 @@ impl HostSim {
             dh.sched.insert(req, now);
         }
         self.pump_device(dev);
+        // The device's leaf still holds the popped key unless the pump
+        // started the next dispatch and re-armed it in place.
+        if self.devs[dev.index()].dispatching.is_none() {
+            self.disp_tree.set(dev.index(), Tourney::INF);
+        }
     }
 
     fn on_device_done(&mut self, dev: DeviceId, slot: ServiceSlot, gen: u64) {
@@ -1174,11 +1242,8 @@ impl HostSim {
                 req.device_done_at = now;
                 dh.qos.on_device_complete(&req, now);
                 dh.sched.on_complete(&req, now);
-                let app = req.app;
-                let engine = self.apps[app.index()].spec.engine();
-                let qd = self.apps[app.index()].spec.iodepth();
-                let core = self.apps[app.index()].core;
-                let dur = engine.complete_cost().mul_f64(Self::amortization(qd));
+                let app = &self.apps[req.app.index()];
+                let (core, dur) = (app.core, app.complete_cpu);
                 self.push_cpu_work(core, Work::Complete(req), dur);
             }
             CompletionStatus::MediaError => {
@@ -1224,11 +1289,8 @@ impl HostSim {
             req.device_done_at = now;
             // Final outcome: settle QoS accounting exactly once.
             dh.qos.on_device_complete(&req, now);
-            let app = req.app;
-            let engine = self.apps[app.index()].spec.engine();
-            let qd = self.apps[app.index()].spec.iodepth();
-            let core = self.apps[app.index()].core;
-            let dur = engine.complete_cost().mul_f64(Self::amortization(qd));
+            let app = &self.apps[req.app.index()];
+            let (core, dur) = (app.core, app.complete_cpu);
             self.push_cpu_work(core, Work::Fail(req), dur);
         }
     }

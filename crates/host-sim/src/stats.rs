@@ -22,6 +22,8 @@ static TOURNEY_LEAVES: AtomicU64 = AtomicU64::new(0);
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineStats {
     /// Events popped off simulation queues, over all finished runs.
+    /// Pops only: a completion wake the engine runs inline, without
+    /// queueing it, is not counted.
     pub events_popped: u64,
     /// Largest pending-event count seen in any single run since the
     /// last [`reset_peak`].

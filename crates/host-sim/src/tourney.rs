@@ -22,16 +22,44 @@ use simcore::SimTime;
 /// bounded by the run horizon, far below `SimTime::MAX`.
 const INF: (SimTime, u64) = (SimTime::MAX, u64::MAX);
 
+/// `(time, seq)` packed as `time << 64 | seq`, which orders exactly
+/// like the tuple. `INF` packs to `u128::MAX`.
+fn pack((at, seq): (SimTime, u64)) -> u128 {
+    (u128::from(at.as_nanos()) << 64) | u128::from(seq)
+}
+
+fn unpack(key: u128) -> (SimTime, u64) {
+    (SimTime::from_nanos((key >> 64) as u64), key as u64)
+}
+
+/// One tree node: the packed key of its subtree's winner and that
+/// winner's leaf index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Node {
+    key: u128,
+    leaf: u32,
+}
+
+impl Node {
+    /// The winner of two siblings; ties go to the left one.
+    #[inline]
+    fn winner(left: Node, right: Node) -> Node {
+        if right.key < left.key {
+            right
+        } else {
+            left
+        }
+    }
+}
+
 /// A fixed-arity tournament (winner) tree over `n` sources.
 #[derive(Debug)]
 pub(crate) struct Tourney {
     /// Leaf count padded to a power of two.
     size: usize,
-    /// Per-leaf frontier key; `INF` when idle.
-    key: Vec<(SimTime, u64)>,
-    /// `node[1]` is the root; `node[i]` holds the winning leaf index of
-    /// the subtree. Leaves live at `node[size..size + n]`.
-    node: Vec<u32>,
+    /// `node[1]` is the root; `node[i]` holds the winner of subtree `i`.
+    /// Leaf `l` lives at `node[size + l]` and holds its own key.
+    node: Vec<Node>,
 }
 
 impl Tourney {
@@ -40,56 +68,53 @@ impl Tourney {
 
     /// A tree over `n` sources, all initially idle.
     pub(crate) fn new(n: usize) -> Self {
-        let size = n.next_power_of_two().max(1);
-        let mut node = vec![0u32; 2 * size];
-        for (i, slot) in node[size..].iter_mut().enumerate() {
-            *slot = i as u32;
-        }
-        // All keys are INF, so any child is a valid initial winner.
-        for i in (1..size).rev() {
-            node[i] = node[2 * i];
-        }
-        Tourney {
-            size,
-            key: vec![INF; size],
-            node,
-        }
+        let mut tree = Tourney {
+            size: 0,
+            node: Vec::new(),
+        };
+        tree.grow_to(n);
+        tree
     }
 
     /// Sets source `leaf`'s frontier key and replays its path to the
-    /// root. `INF` parks the source (it leaves the tournament).
+    /// root. `INF` parks the source (it leaves the tournament); setting
+    /// an armed leaf re-arms it in place.
     ///
-    /// The replay stops early once a subtree's winner is an unchanged
-    /// *other* leaf: that subtree then presents the identical (leaf,
-    /// key) pair to its ancestors, so the rest of the path cannot
-    /// change. Updates that lose immediately — the common case when
-    /// parking or arming one of many sources — touch O(1) nodes.
+    /// Each level loads the sibling, picks the winner without a branch
+    /// on the keys, and stops early once the stored winner is already
+    /// that node: its ancestors then see an unchanged child, so the rest
+    /// of the path cannot change. Updates that lose immediately — the
+    /// common case when parking or arming one of many sources — touch
+    /// O(1) nodes.
     #[inline]
     pub(crate) fn set(&mut self, leaf: usize, key: (SimTime, u64)) {
-        self.key[leaf] = key;
-        let leaf = leaf as u32;
-        let mut i = (self.size + leaf as usize) >> 1;
-        while i >= 1 {
-            let l = self.node[2 * i];
-            let r = self.node[2 * i + 1];
-            let w = if self.key[l as usize] <= self.key[r as usize] {
-                l
+        let mut j = self.size + leaf;
+        let mut cur = Node {
+            key: pack(key),
+            leaf: leaf as u32,
+        };
+        self.node[j] = cur;
+        while j > 1 {
+            let sib = self.node[j ^ 1];
+            cur = if j & 1 == 0 {
+                Node::winner(cur, sib)
             } else {
-                r
+                Node::winner(sib, cur)
             };
-            if self.node[i] == w && w != leaf {
+            j >>= 1;
+            if self.node[j] == cur {
                 return;
             }
-            self.node[i] = w;
-            i >>= 1;
+            self.node[j] = cur;
         }
     }
 
     /// The minimum frontier and its source; `(INF, _)` when all idle.
+    /// Equal keys resolve to the leftmost leaf.
     #[inline]
     pub(crate) fn min(&self) -> ((SimTime, u64), usize) {
-        let leaf = self.node[1] as usize;
-        (self.key[leaf], leaf)
+        let root = self.node[1];
+        (unpack(root.key), root.leaf as usize)
     }
 
     /// Leaf slots currently addressable (power-of-two padded).
@@ -108,23 +133,19 @@ impl Tourney {
         if size <= self.size {
             return;
         }
-        let mut key = vec![INF; size];
-        key[..self.size].copy_from_slice(&self.key);
-        let mut node = vec![0u32; 2 * size];
-        for (i, slot) in node[size..].iter_mut().enumerate() {
-            *slot = i as u32;
+        let idle = Node {
+            key: u128::MAX,
+            leaf: 0,
+        };
+        let mut node = vec![idle; 2 * size];
+        for (l, slot) in node[size..].iter_mut().enumerate() {
+            slot.leaf = l as u32;
         }
+        node[size..size + self.size].copy_from_slice(&self.node[self.size..]);
         for i in (1..size).rev() {
-            let l = node[2 * i];
-            let r = node[2 * i + 1];
-            node[i] = if key[l as usize] <= key[r as usize] {
-                l
-            } else {
-                r
-            };
+            node[i] = Node::winner(node[2 * i], node[2 * i + 1]);
         }
         self.size = size;
-        self.key = key;
         self.node = node;
     }
 }
@@ -132,6 +153,7 @@ impl Tourney {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn t(n: u64) -> SimTime {
         SimTime::ZERO + simcore::SimDuration::from_nanos(n)
@@ -141,6 +163,16 @@ mod tests {
     fn empty_tree_reports_inf() {
         let tree = Tourney::new(5);
         assert_eq!(tree.min().0, Tourney::INF);
+    }
+
+    #[test]
+    fn packing_preserves_order_and_inf() {
+        assert_eq!(pack(Tourney::INF), u128::MAX);
+        let keys = [(t(0), 0), (t(0), 9), (t(1), 0), (t(1), u64::MAX), INF];
+        for w in keys.windows(2) {
+            assert!(pack(w[0]) < pack(w[1]));
+            assert_eq!(unpack(pack(w[0])), w[0]);
+        }
     }
 
     #[test]
@@ -160,43 +192,12 @@ mod tests {
     }
 
     #[test]
-    fn matches_a_naive_min_over_random_updates() {
-        let mut tree = Tourney::new(37);
-        let mut naive = vec![Tourney::INF; 37];
-        let mut state = 0x9E37_79B9u64;
-        for step in 0..2_000u64 {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let leaf = (state >> 33) as usize % 37;
-            let key = if state.is_multiple_of(5) {
-                Tourney::INF
-            } else {
-                (t(state % 1000), step)
-            };
-            tree.set(leaf, key);
-            naive[leaf] = key;
-            let want = naive
-                .iter()
-                .enumerate()
-                .min_by_key(|&(_, k)| k)
-                .map(|(i, k)| (*k, i))
-                .unwrap();
-            // Ties between leaves can't happen for finite keys (seqs are
-            // unique); INF ties may resolve to any parked leaf.
-            if want.0 != Tourney::INF {
-                assert_eq!(tree.min(), want, "step {step}");
-            } else {
-                assert_eq!(tree.min().0, Tourney::INF);
-            }
-        }
-    }
-
-    #[test]
     fn single_leaf_tree_works() {
         let mut tree = Tourney::new(1);
         tree.set(0, (t(9), 1));
         assert_eq!(tree.min(), ((t(9), 1), 0));
+        tree.set(0, Tourney::INF);
+        assert_eq!(tree.min(), (Tourney::INF, 0));
     }
 
     #[test]
@@ -216,5 +217,87 @@ mod tests {
         let cap = tree.capacity();
         tree.grow_to(2);
         assert_eq!(tree.capacity(), cap);
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        /// Arm (or re-arm) any leaf with a key drawn from this value.
+        Set(u64),
+        /// Park a leaf.
+        Park(u64),
+        /// Re-arm an already armed leaf in place with a new key.
+        Rearm(u64),
+        /// Grow the tree to at least this many leaves (a no-op when it
+        /// already has them).
+        Grow(u64),
+    }
+
+    /// Keys come from a small `(time, seq)` grid, so equal keys on
+    /// different leaves are common and exercise the tie rule.
+    fn key_of(v: u64) -> (SimTime, u64) {
+        (t(v % 16), (v >> 4) % 8)
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        (0u64..=u64::MAX).prop_map(|r| {
+            let v = r / 100;
+            match r % 100 {
+                0..=44 => Op::Set(v),
+                45..=69 => Op::Park(v),
+                70..=96 => Op::Rearm(v),
+                _ => Op::Grow(v % 100),
+            }
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// After every set, park, in-place re-arm or growth, the root
+        /// is the naive minimum over all leaves, and among equal keys
+        /// (parked `INF` leaves included) the leftmost leaf.
+        #[test]
+        fn matches_a_naive_min_over_random_updates(
+            n in 1usize..40,
+            ops in proptest::collection::vec(op(), 1..600),
+        ) {
+            let mut tree = Tourney::new(n);
+            let mut naive = vec![Tourney::INF; tree.capacity()];
+            for op in ops {
+                match op {
+                    Op::Set(v) => {
+                        let leaf = (v >> 8) as usize % naive.len();
+                        tree.set(leaf, key_of(v));
+                        naive[leaf] = key_of(v);
+                    }
+                    Op::Park(v) => {
+                        let leaf = v as usize % naive.len();
+                        tree.set(leaf, Tourney::INF);
+                        naive[leaf] = Tourney::INF;
+                    }
+                    Op::Rearm(v) => {
+                        let armed: Vec<usize> =
+                            (0..naive.len()).filter(|&l| naive[l] != Tourney::INF).collect();
+                        if let Some(&leaf) = armed.get((v >> 8) as usize % armed.len().max(1)) {
+                            tree.set(leaf, key_of(v));
+                            naive[leaf] = key_of(v);
+                        }
+                    }
+                    Op::Grow(n) => {
+                        tree.grow_to(n as usize);
+                        prop_assert!(tree.capacity() >= naive.len().max(n as usize));
+                        naive.resize(tree.capacity(), Tourney::INF);
+                    }
+                }
+                // `min_by_key` returns the first of several minima.
+                let want = naive
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|&(_, k)| k)
+                    .map(|(i, k)| (*k, i))
+                    .unwrap();
+                prop_assert_eq!(tree.min(), want);
+            }
+        }
     }
 }

@@ -39,7 +39,9 @@ pub fn decode_rows(text: &str) -> Option<Vec<Vec<f64>>> {
     for line in text.lines() {
         let mut parts = line.split(' ');
         let count: usize = parts.next()?.parse().ok()?;
-        let mut row = Vec::with_capacity(count);
+        // Each value takes 17 bytes (space + 16 hex digits), so the line
+        // bounds the allocation whatever count it declares.
+        let mut row = Vec::with_capacity(count.min(line.len() / 17));
         for _ in 0..count {
             let tok = parts.next()?;
             if tok.len() != 16 {
@@ -93,13 +95,14 @@ mod tests {
     #[test]
     fn malformed_inputs_fail_closed() {
         for bad in [
-            "x 3ff0000000000000",            // non-numeric count
-            "2 3ff0000000000000",            // short row
-            "1 3ff0000000000000 deadbeef",   // trailing garbage
-            "1 zzzz000000000000",            // non-hex token
-            "1 3ff000000000000",             // 15-digit token
-            "1 3ff00000000000000",           // 17-digit token
-            "18446744073709551616 deadbeef", // count overflows usize path
+            "x 3ff0000000000000",                    // non-numeric count
+            "2 3ff0000000000000",                    // short row
+            "18446744073709551615 3ff0000000000000", // count beyond the line
+            "1 3ff0000000000000 deadbeef",           // trailing garbage
+            "1 zzzz000000000000",                    // non-hex token
+            "1 3ff000000000000",                     // 15-digit token
+            "1 3ff00000000000000",                   // 17-digit token
+            "18446744073709551616 deadbeef",         // count overflows usize path
         ] {
             assert!(decode_rows(bad).is_none(), "accepted malformed: {bad:?}");
         }

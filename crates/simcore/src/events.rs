@@ -11,7 +11,7 @@
 //! determinism invariant every simulation in this workspace leans on.
 //! A test-local binary heap is the reference model: a proptest below
 //! checks that the wheel's pop order matches it for arbitrary
-//! schedule/pop/`alloc_seq` sequences. See DESIGN.md §"Engine
+//! schedule/pop/`alloc_seq`/peek sequences. See DESIGN.md §"Engine
 //! internals" for the wheel layout and the cursor invariants.
 
 use std::cmp::{Ordering, Reverse};
@@ -231,36 +231,80 @@ impl<E> EventQueue<E> {
     /// Takes `&mut self` because it advances the wheel's levels until
     /// the earliest pending event sits at the back of the drain bucket
     /// (storage movement only — the pop sequence is unaffected, so
-    /// peeking is unobservable). External-frontier merges compare this
-    /// key against their own candidates to decide which source pops
-    /// next.
+    /// peeking is unobservable). The cursor moves to the front's slot
+    /// however far away it is; external-frontier merges, which only
+    /// need the front when it can beat their own candidates, use
+    /// [`EventQueue::peek_key_within`] instead.
     pub fn peek_key(&mut self) -> Option<(SimTime, u64)> {
+        self.peek_key_within(SimTime::MAX).ok()
+    }
+
+    /// The earliest pending event's key if it lies in `limit`'s slot or
+    /// earlier; otherwise `Err(lb)`, where `lb > limit` and every
+    /// pending event is at or after `lb` (`SimTime::MAX` for an empty
+    /// queue).
+    ///
+    /// The cursor never moves past `limit`'s slot. On `Err` it catches
+    /// up to that slot, so events scheduled near `limit` later still
+    /// land in level-0 slots. An unbounded peek instead jumps the
+    /// cursor to the front however far away it is, and every event
+    /// scheduled behind a jumped cursor is sorted-inserted into the
+    /// drain bucket. An engine that merges the queue with other sources
+    /// passes their minimum as `limit`: a queue front beyond it cannot
+    /// pop next anyway.
+    pub fn peek_key_within(&mut self, limit: SimTime) -> Result<(SimTime, u64), SimTime> {
+        let limit_slot = slot_of(limit);
         loop {
             if let Some(e) = self.bucket.last() {
-                return Some(e.key());
+                return if slot_of(e.at) <= limit_slot {
+                    Ok(e.key())
+                } else {
+                    Err(e.at)
+                };
             }
             let next0 = occ_next(&self.l0_occ, (self.cursor & SLOT_MASK) as usize)
                 .map(|off| self.cursor + off);
             let cursor1 = self.cursor >> 8;
-            let next1 =
-                occ_next(&self.l1_occ, (cursor1 & SLOT_MASK) as usize).map(|off| cursor1 + off);
-            // An occupied L1 slot must scatter before the L0 scan may
-            // advance into (or past) its range, or its events would be
-            // skipped; ties (`s1 << 8 <= slot`) also scatter first.
-            match (next0, next1) {
-                (Some(slot), Some(s1)) if (s1 << 8) <= slot => self.scatter_l1(s1),
-                (None, Some(s1)) => self.scatter_l1(s1),
-                (Some(slot), _) => {
-                    self.advance_cursor(slot);
-                    self.load_bucket(slot);
+            let start1 = occ_next(&self.l1_occ, (cursor1 & SLOT_MASK) as usize)
+                .map(|off| (cursor1 + off) << 8);
+            // The earliest level-0 slot either level holds. An occupied
+            // L1 slot must scatter before the L0 scan may advance into
+            // (or past) its range, or its events would be skipped; ties
+            // also scatter first.
+            let (first, from_l1) = match (next0, start1) {
+                (Some(s0), Some(s1)) if s1 <= s0 => (Some(s1), true),
+                (None, Some(s1)) => (Some(s1), true),
+                (s0, _) => (s0, false),
+            };
+            let lb = match first {
+                Some(slot) if slot <= limit_slot => {
+                    if from_l1 {
+                        self.scatter_l1(slot >> 8);
+                    } else {
+                        self.advance_cursor(slot);
+                        self.load_bucket(slot);
+                    }
+                    continue;
                 }
-                (None, None) => {
-                    let min_at = self.far.peek()?.at;
-                    self.advance_cursor(slot_of(min_at));
-                    // advance_cursor re-filed every newly eligible far
-                    // timer (at least the minimum); loop to drain it.
-                }
+                Some(slot) => SimTime::from_nanos(slot << SLOT_SHIFT),
+                None => match self.far.peek() {
+                    None => return Err(SimTime::MAX),
+                    Some(e) if slot_of(e.at) <= limit_slot => {
+                        // advance_cursor re-files every newly eligible
+                        // far timer (at least the minimum); loop to
+                        // drain it.
+                        self.advance_cursor(slot_of(e.at));
+                        continue;
+                    }
+                    Some(e) => e.at,
+                },
+            };
+            // Nothing at or before `limit`'s slot: every level's next
+            // occupant lies beyond it, so the cursor may stand there.
+            if self.cursor < limit_slot {
+                self.advance_cursor(limit_slot);
             }
+            return Err(lb);
         }
     }
 
@@ -348,6 +392,13 @@ impl<E> EventQueue<E> {
                 break;
             }
         }
+    }
+
+    /// Entries in the drain bucket (what `place` binary-search inserts
+    /// into when an event lands at or before the cursor).
+    #[cfg(test)]
+    fn bucket_len(&self) -> usize {
+        self.bucket.len()
     }
 
     /// Loads L0 slot `slot` (== the new cursor) into the drain bucket.
@@ -501,6 +552,69 @@ mod tests {
     }
 
     #[test]
+    fn bounded_peek_stops_at_the_limit() {
+        let mut q = EventQueue::new();
+        assert_eq!(q.peek_key_within(SimTime::MAX), Err(SimTime::MAX));
+        q.schedule(SimTime::from_millis(40), 'f');
+        let limit = SimTime::from_micros(10);
+        let lb = q.peek_key_within(limit).unwrap_err();
+        assert!(limit < lb && lb <= SimTime::from_millis(40));
+        assert_eq!(q.cursor, slot_of(limit), "cursor catches up to the limit");
+        q.schedule(SimTime::from_micros(12), 'n');
+        assert_eq!(
+            q.peek_key_within(SimTime::from_micros(12)),
+            Ok((SimTime::from_micros(12), 1))
+        );
+        assert_eq!(q.pop(), Some((SimTime::from_micros(12), 'n')));
+        assert_eq!(
+            q.peek_key_within(SimTime::MAX),
+            Ok((SimTime::from_millis(40), 0))
+        );
+    }
+
+    /// The 7-SSD pathology: one far timer plus ~300 pending near events
+    /// churned under an advancing clock. A merging engine peeks with
+    /// the other sources' minimum as the limit; the cursor then never
+    /// passes the clock, so no near event is scheduled at or behind it
+    /// and the drain bucket only ever holds the slot being drained.
+    #[test]
+    fn far_timer_never_pulls_near_events_into_the_drain_bucket() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_millis(50), u64::MAX);
+        let mut now = SimTime::ZERO;
+        let mut rng = 0x2545_F491_4F6C_DD1Du64;
+        let mut next_near = || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            2_000 + rng % 100_000
+        };
+        for i in 0..300 {
+            q.schedule(now + SimDuration::from_nanos(next_near()), i);
+        }
+        for i in 300..20_000u64 {
+            // Another source's event sits just past the clock, so the
+            // queue front is only wanted up to it.
+            let other = now + SimDuration::from_nanos(500);
+            match q.peek_key_within(other) {
+                Ok((at, _)) if at <= other => {
+                    now = q.pop_keyed().unwrap().0;
+                }
+                _ => now = other,
+            }
+            let before = q.bucket_len();
+            q.schedule(now + SimDuration::from_nanos(next_near()), i);
+            assert_eq!(
+                q.bucket_len(),
+                before,
+                "sorted insert into the drain bucket"
+            );
+            assert!(q.cursor <= slot_of(now), "cursor ran ahead of the clock");
+        }
+        assert!(now < SimTime::from_millis(50), "the far timer stayed far");
+    }
+
+    #[test]
     fn same_instant_reschedule_from_handler_pops_after_pending() {
         // An event scheduled for "now" while draining that instant must
         // pop after events already pending at the same instant.
@@ -554,6 +668,9 @@ mod tests {
         AllocSeq,
         /// Settle the wheel through `peek_key` (storage movement only).
         PeekKey,
+        /// Bounded peek with the limit this many nanoseconds after the
+        /// last pop.
+        PeekWithin(u64),
     }
 
     /// Op mix: ~56 % schedules (mostly near, some L1 and far), ~37 %
@@ -571,8 +688,9 @@ mod tests {
                 51..=55 => Op::Schedule(v % 5_000_000_000),        // far timers
                 56..=92 => Op::Pop(1),
                 93 => Op::Pop(1 + v % 16),
-                94..=96 => Op::AllocSeq,
-                _ => Op::PeekKey,
+                94..=95 => Op::AllocSeq,
+                96 => Op::PeekKey,
+                _ => Op::PeekWithin(v % [1_000, 300_000, 100_000_000][v as usize % 3]),
             }
         })
     }
@@ -613,6 +731,21 @@ mod tests {
                     }
                     Op::AllocSeq => prop_assert_eq!(wheel.alloc_seq(), heap.alloc_seq()),
                     Op::PeekKey => prop_assert_eq!(wheel.peek_key(), heap.peek_key()),
+                    Op::PeekWithin(offset) => {
+                        let limit = now + SimDuration::from_nanos(offset);
+                        match (wheel.peek_key_within(limit), heap.peek_key()) {
+                            (Ok(k), Some(front)) => {
+                                prop_assert_eq!(k, front);
+                                prop_assert!(slot_of(front.0) <= slot_of(limit));
+                            }
+                            (Err(lb), Some(front)) => {
+                                prop_assert!(slot_of(front.0) > slot_of(limit));
+                                prop_assert!(limit < lb && lb <= front.0, "bad bound {lb:?}");
+                            }
+                            (Err(lb), None) => prop_assert_eq!(lb, SimTime::MAX),
+                            (Ok(k), None) => prop_assert!(false, "front {k:?} of an empty queue"),
+                        }
+                    }
                 }
                 prop_assert_eq!(wheel.len(), heap.heap.len());
             }
