@@ -4,7 +4,7 @@
 //! figures [--fidelity smoke|standard|full] [--smoke] [--jobs N|auto]
 //!         [--no-cache] [--refresh] [--faults]
 //!         [--trace[=N]] [--inject-panic LABEL] [--inject-hang LABEL]
-//!         [--resume] [--watchdog-soft-ms N] [--watchdog-hard-ms N]
+//!         [--resume] [--watchdog-soft-ms N]
 //!         [--cell-retries N] [--retry-backoff-ms N]
 //!         [--scenario FILE.toml]...
 //!         [fig2 fig3 fig4 fig5 fig6 fig7 q10 table1 optane writeback
@@ -71,29 +71,28 @@
 //!
 //! A failing grid cell no longer kills the run: a panicking or hung
 //! cell is retried (with backoff) up to `--cell-retries` times, then
-//! quarantined and dropped; the remaining cells complete, partial CSVs
-//! are written, and `target/isol-bench/failures.json` names every
-//! failed cell with a structured class (`panic`, `timed_out`,
-//! `cancelled`, `cache_corrupt`, `invariant_violation`) and its attempt
-//! count (the file is written on every run; an empty `failures` array
-//! is the healthy signal). The process still exits 0 — CI distinguishes
-//! degraded runs by inspecting `failures.json`. `--inject-panic LABEL`
-//! deliberately panics the cell with that label (e.g.
-//! `q_faults-io.cost`); `--inject-hang LABEL` deliberately hangs it
-//! (exercising the watchdog → cancel → retry → quarantine chain, and
-//! arming a default watchdog if none was configured). Failed cells are
-//! never written to the cache.
+//! dropped; the remaining cells complete, partial CSVs are written, and
+//! `target/isol-bench/failures.json` names every failed cell with a
+//! structured class (`panic`, `timed_out`, `invariant_violation`) and
+//! its attempt count (the file is written on every run; an empty
+//! `failures` array is the healthy signal). The process still exits 0 —
+//! CI distinguishes degraded runs by inspecting `failures.json`.
+//! `--inject-panic LABEL` deliberately panics the cell with that label
+//! (e.g. `q_faults-io.cost`); `--inject-hang LABEL` deliberately hangs
+//! it (exercising the deadline → retry → quarantine chain, and arming a
+//! 2 s deadline if none was configured). Failed cells are never written
+//! to the cache.
 //!
-//! # Watchdog
+//! # Deadline
 //!
-//! `--watchdog-soft-ms N` arms every cell attempt with a cooperative
-//! cancellation deadline: a cell still running after N ms is cancelled
-//! (the simulation event loops poll the token and unwind with partial
-//! stats, which are discarded) and the attempt counts as `timed_out`.
-//! `--watchdog-hard-ms N` additionally declares the cell stuck for
-//! accounting once N ms pass. Both default to off; watchdog fires,
-//! retries, and quarantined labels are reported under `"resilience"` in
-//! `timings.json`.
+//! `--watchdog-soft-ms N` gives every cell attempt a cooperative
+//! wall-clock deadline, installed thread-locally on the worker that runs
+//! it: the engine's event loop polls it and unwinds with partial stats
+//! once N ms pass, and the runner polls it again when the attempt
+//! returns, so a late attempt is discarded and counts as `timed_out`.
+//! Off by default. Deadline fires, retries, and the quarantined labels
+//! (the cells whose attempts ran out) are reported under
+//! `"resilience"` in `timings.json`.
 //!
 //! # Crash-safe resume
 //!
@@ -162,11 +161,10 @@ fn main() -> ExitCode {
     let mut resume = false;
     let mut inject_hang = false;
     let mut watchdog_soft: Option<Duration> = None;
-    let mut watchdog_hard: Option<Duration> = None;
     let mut rest = Vec::new();
     let mut scenario_files: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
-    // Parses the millisecond value of a watchdog/backoff flag.
+    // Parses the millisecond value of a deadline/backoff flag.
     let parse_ms = |flag: &str, v: Option<String>| -> Result<Duration, String> {
         match v.as_deref().map(str::parse::<u64>) {
             Some(Ok(ms)) if ms > 0 => Ok(Duration::from_millis(ms)),
@@ -225,14 +223,6 @@ fn main() -> ExitCode {
         } else if a == "--watchdog-soft-ms" {
             match parse_ms(&a, args.next()) {
                 Ok(d) => watchdog_soft = Some(d),
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        } else if a == "--watchdog-hard-ms" {
-            match parse_ms(&a, args.next()) {
-                Ok(d) => watchdog_hard = Some(d),
                 Err(e) => {
                     eprintln!("{e}");
                     return ExitCode::FAILURE;
@@ -312,15 +302,12 @@ fn main() -> ExitCode {
     }
     cache::reset_stats();
     runner::reset_resilience();
-    // A hang test without a watchdog would hang forever; give
-    // --inject-hang a deadline unless one was configured explicitly.
+    // A hang test without a deadline would hang forever; give
+    // --inject-hang one unless one was configured explicitly.
     if inject_hang && watchdog_soft.is_none() {
         watchdog_soft = Some(Duration::from_millis(2_000));
-        if watchdog_hard.is_none() {
-            watchdog_hard = Some(Duration::from_millis(5_000));
-        }
     }
-    runner::set_watchdog(watchdog_soft, watchdog_hard);
+    runner::set_watchdog(watchdog_soft);
     let fidelity_token = format!("{fidelity:?}").to_lowercase();
     let journal_dir = std::path::PathBuf::from(format!("{OUTPUT_DIR}/journal"));
     match journal::arm(&journal_dir, resume, &fidelity_token) {
@@ -400,6 +387,7 @@ fn main() -> ExitCode {
     let mut timings = Timings::new(&format!("{fidelity:?}").to_lowercase(), jobs);
     let mut failures = Failures::new();
     let mut batch_cells: Vec<cache::CellStat> = Vec::new();
+    let mut quarantined: Vec<String> = Vec::new();
 
     // fig2 is standalone; the rest feed Table I.
     let result: std::io::Result<()> = (|| {
@@ -466,9 +454,14 @@ fn main() -> ExitCode {
         let batch_started = Instant::now();
         let mut results = isol_bench::run_cells(batch);
         let batch_elapsed = batch_started.elapsed();
-        // Cell panics carry global batch indices; map them back to
-        // their experiment and its local submission index.
-        for f in runner::take_failures() {
+        // Cell failures carry global batch indices; map them back to
+        // their experiment and its local submission index. Each record
+        // is a cell whose attempts ran out, so its label is quarantined
+        // (sorted: workers finish in any order).
+        let cell_failures = runner::take_failures();
+        quarantined = cell_failures.iter().map(|f| f.label.clone()).collect();
+        quarantined.sort();
+        for f in cell_failures {
             let (exp, local) = spans
                 .iter()
                 .find(|s| f.index >= s.start && f.index < s.end)
@@ -598,14 +591,13 @@ fn main() -> ExitCode {
     );
     let res = runner::resilience_stats();
     let resumed = journal::resumed_count();
-    if res.watchdog_soft + res.watchdog_hard + res.retries > 0 || !res.quarantined.is_empty() {
+    if res.watchdog_soft + res.retries > 0 || !quarantined.is_empty() {
         sink.note(&format!(
-            "(resilience: {} soft / {} hard watchdog fire(s), {} retr{}, {} quarantined)",
+            "(resilience: {} deadline fire(s), {} retr{}, {} quarantined)",
             res.watchdog_soft,
-            res.watchdog_hard,
             res.retries,
             if res.retries == 1 { "y" } else { "ies" },
-            res.quarantined.len()
+            quarantined.len()
         ));
     }
     if resumed > 0 {
@@ -615,9 +607,8 @@ fn main() -> ExitCode {
     }
     timings.set_resilience(ResilienceSummary {
         watchdog_soft: res.watchdog_soft,
-        watchdog_hard: res.watchdog_hard,
         retries: res.retries,
-        quarantined: res.quarantined,
+        quarantined,
         resumed,
     });
     batch_cells.extend(cache::take_cell_stats());

@@ -69,15 +69,13 @@ pub struct Timings {
     cells: Vec<CellTiming>,
 }
 
-/// Watchdog/retry/resume telemetry for one run, reported under
+/// Deadline/retry/resume telemetry for one run, reported under
 /// `"resilience"` in `timings.json`. All zeros on a healthy,
 /// uninterrupted run.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ResilienceSummary {
-    /// Watchdog soft-deadline fires (cooperative cancels issued).
+    /// Cell attempts whose soft deadline passed.
     pub watchdog_soft: usize,
-    /// Watchdog hard-deadline fires (cells declared stuck).
-    pub watchdog_hard: usize,
     /// Retry attempts executed after failed attempts.
     pub retries: usize,
     /// Cell labels quarantined after exhausting their retry budget.
@@ -120,7 +118,7 @@ impl Timings {
         self.cache = (hits, misses, stored, bypassed, corrupt);
     }
 
-    /// Records the run's watchdog/retry/resume telemetry.
+    /// Records the run's deadline/retry/resume telemetry.
     pub fn set_resilience(&mut self, resilience: ResilienceSummary) {
         self.resilience = resilience;
     }
@@ -168,8 +166,8 @@ impl Timings {
             .collect::<Vec<_>>()
             .join(", ");
         s.push_str(&format!(
-            "  \"resilience\": {{\"watchdog_soft\": {}, \"watchdog_hard\": {}, \"retries\": {}, \"quarantined\": [{quarantined}], \"resumed\": {}}},\n",
-            r.watchdog_soft, r.watchdog_hard, r.retries, r.resumed
+            "  \"resilience\": {{\"watchdog_soft\": {}, \"retries\": {}, \"quarantined\": [{quarantined}], \"resumed\": {}}},\n",
+            r.watchdog_soft, r.retries, r.resumed
         ));
         s.push_str("  \"cells\": [\n");
         for (i, c) in self.cells.iter().enumerate() {
@@ -204,13 +202,14 @@ pub struct FailureEntry {
     pub experiment: String,
     /// The cell's submission index within its batch.
     pub index: usize,
-    /// The cell's label (scenario name, or `#index`).
+    /// The cell's label (scenario name; `<name> (experiment)` for a
+    /// failed finishing step).
     pub label: String,
-    /// The panic payload or cancellation cause, stringified.
+    /// The panic payload or deadline message, stringified.
     pub message: String,
     /// Structured failure class token (`panic`, `timed_out`,
-    /// `cancelled`, `cache_corrupt`, `invariant_violation`) — the same
-    /// taxonomy the run journal records.
+    /// `invariant_violation`) — the same taxonomy the run journal
+    /// records.
     pub class: String,
     /// Attempts the cell consumed before being given up on.
     pub attempts: u32,
@@ -480,7 +479,6 @@ mod tests {
         t.set_cache_summary(10, 2, 2, 1, 1);
         t.set_resilience(ResilienceSummary {
             watchdog_soft: 2,
-            watchdog_hard: 1,
             retries: 3,
             quarantined: vec!["fig4-hung".into()],
             resumed: 5,
@@ -505,7 +503,7 @@ mod tests {
             "\"cache\": {\"hits\": 10, \"misses\": 2, \"stored\": 2, \"bypassed\": 1, \"corrupt\": 1}"
         ));
         assert!(json.contains(
-            "\"resilience\": {\"watchdog_soft\": 2, \"watchdog_hard\": 1, \"retries\": 3, \
+            "\"resilience\": {\"watchdog_soft\": 2, \"retries\": 3, \
              \"quarantined\": [\"fig4-hung\"], \"resumed\": 5}"
         ));
         // Cells are sorted by (experiment, label): fig3 first.

@@ -5,9 +5,9 @@
 //! * SIGKILL a run mid-grid, rerun with `--resume`, and require the
 //!   CSVs and the per-cell `(experiment, label, outcome)` triples in
 //!   `timings.json` to be byte-identical to an uninterrupted run;
-//! * `--inject-hang` a cell and require the watchdog to cancel it
-//!   within the deadline, retry it, quarantine it, classify it
-//!   `timed_out`, and still exit 0 with every other table emitted.
+//! * `--inject-hang` a cell and require its deadline to stop it, the
+//!   runner to retry it, quarantine it and classify it `timed_out`, and
+//!   the run to still exit 0 with every other table emitted.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -135,8 +135,6 @@ fn injected_hang_is_cancelled_retried_and_quarantined() {
             label,
             "--watchdog-soft-ms",
             "4000",
-            "--watchdog-hard-ms",
-            "10000",
             "--cell-retries",
             "1",
             "--retry-backoff-ms",

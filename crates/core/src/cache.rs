@@ -173,8 +173,7 @@ pub struct CacheStats {
     /// Entries that were *present* on disk but failed validation
     /// (truncated, checksum mismatch, stale salt, wrong spec). Each is
     /// also counted as a miss; this counter separates "never computed"
-    /// from "computed but the bytes rotted", which the failure taxonomy
-    /// reports as `cache_corrupt` pressure.
+    /// from "computed but the bytes rotted".
     pub corrupt: usize,
 }
 
@@ -437,6 +436,9 @@ pub fn run_scenario(
         // running) and are never stored: with tracing on, probe
         // closures run, so timings would differ from untraced entries.
         let rows = run_traced_cell(label, scenario, until, capacity, extract);
+        if simcore::cancel::poll() {
+            return rows; // discarded by the runner; see below
+        }
         BYPASSED.fetch_add(1, Ordering::Relaxed);
         record_cell(experiment, label, started, CellOutcome::Bypass.as_str());
         return rows;
@@ -472,7 +474,7 @@ pub fn run_scenario(
     };
     if faulted {
         let rows = extract(scenario.run(until));
-        if simcore::cancel::cancelled() {
+        if simcore::cancel::poll() {
             return rows; // discarded by the runner; see below
         }
         BYPASSED.fetch_add(1, Ordering::Relaxed);
@@ -482,7 +484,7 @@ pub fn run_scenario(
     }
     if mode == CacheMode::Off {
         let rows = extract(scenario.run(until));
-        if simcore::cancel::cancelled() {
+        if simcore::cancel::poll() {
             return rows;
         }
         journal_done(CellOutcome::Off, &rows);
@@ -506,11 +508,11 @@ pub fn run_scenario(
         }
     }
     let rows = extract(scenario.run(until));
-    if simcore::cancel::cancelled() {
-        // The attempt's cancel token latched mid-simulation: these rows
-        // are partial stats. The resilient runner discards the attempt,
-        // so they must never reach the cache, the journal, or the
-        // per-cell telemetry.
+    if simcore::cancel::poll() {
+        // The attempt's deadline passed: these rows may be partial
+        // stats (the engine unwound at a poll point). The resilient
+        // runner discards the attempt, so they must never reach the
+        // cache, the journal, or the per-cell telemetry.
         return rows;
     }
     MISSES.fetch_add(1, Ordering::Relaxed);

@@ -45,7 +45,7 @@ pub type FinishFn<R> = Box<dyn FnOnce(Vec<Option<CellRows>>, &mut OutputSink) ->
 /// One schedulable grid cell.
 ///
 /// The task is `Fn`, not `FnOnce`: the resilient runner re-invokes it
-/// when an attempt fails (watchdog cancel, panic), so a cell must be a
+/// when an attempt fails (deadline, panic), so a cell must be a
 /// pure description that can re-simulate from scratch.
 pub struct Cell {
     experiment: &'static str,
@@ -193,11 +193,11 @@ impl<R> Staged<R> {
 }
 
 /// Runs a batch of cells (possibly spanning many experiments) on the
-/// resilient worker pool: per-cell watchdog, bounded retry with
-/// backoff, quarantine (see [`crate::runner`]). One result slot per
-/// cell, in submission order; `None` marks a cell that failed every
-/// attempt (recorded in the failure registry with its batch index,
-/// label, and failure class).
+/// resilient worker pool: a soft deadline per attempt and bounded retry
+/// with backoff (see [`crate::runner`]). One result slot per cell, in
+/// submission order; `None` marks a cell that failed every attempt
+/// (recorded in the failure registry with its batch index, label, and
+/// failure class).
 #[must_use]
 pub fn run_cells(cells: Vec<Cell>) -> Vec<Option<CellRows>> {
     runner::run_cells_keep(

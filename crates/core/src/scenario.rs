@@ -16,7 +16,7 @@ use workload::{AppModelSpec, JobSpec};
 ///
 /// `Clone` exists for the resilient cell runner: a retried cell
 /// re-simulates from an identical `Scenario` value, so a flaky attempt
-/// (watchdog cancel, injected panic) can be re-run without the
+/// (deadline, injected panic) can be re-run without the
 /// experiment rebuilding its grid.
 #[derive(Debug, Clone)]
 pub struct Scenario {

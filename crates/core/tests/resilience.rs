@@ -4,10 +4,13 @@
 //! * a flaky cell (panics once, succeeds on retry) recovers without
 //!   surfacing a failure,
 //! * a cell that exhausts its retry budget is quarantined — recorded
-//!   with its failure class and attempt count, and skipped (not
-//!   re-run) if submitted again,
-//! * a hung cell (`--inject-hang` hook) is cancelled by the per-cell
-//!   watchdog within a bounded wall-clock and classified `timed_out`,
+//!   with its failure class and attempt count,
+//! * a hung cell (`--inject-hang` hook) is stopped at its per-attempt
+//!   deadline within a bounded wall-clock and classified `timed_out`,
+//! * a real scenario that outlives its deadline is cut at the engine's
+//!   own poll point, and a task that never polls is discarded when it
+//!   returns late — in both cases nothing reaches the cache, the
+//!   journal or the per-cell telemetry, traced cells included,
 //! * arming the journal in resume mode replays completed cells without
 //!   re-simulating, and the replayed run's CSVs are byte-identical,
 //! * journal replay is idempotent under arbitrary truncation of the
@@ -22,20 +25,25 @@ use std::time::{Duration, Instant};
 
 use isol_bench::experiments::fig4;
 use isol_bench::journal::{parse_journal, render_header, render_record, Header, Record};
-use isol_bench::{cache, journal, run_cells, runner, Cell, Fidelity, OutputSink};
+use isol_bench::{
+    cache, journal, run_cells, runner, tracing, Cell, Fidelity, Knob, OutputSink, Scenario,
+};
 use proptest::prelude::*;
+use simcore::SimTime;
+use workload::JobSpec;
 
-/// Watchdog deadlines, retry budget, injection hooks, and the journal
-/// are process-global, so tests that touch them must not interleave.
+/// The cell deadline, retry budget, injection hooks, cache, tracing and
+/// the journal are process-global, so tests that touch them must not
+/// interleave.
 static GLOBAL_CONFIG: Mutex<()> = Mutex::new(());
 
 /// Restores every process-global knob this suite touches, so a failing
-/// assertion cannot leak a watchdog or quarantine into other tests.
+/// assertion cannot leak a deadline or an injection into other tests.
 struct ResilienceGuard;
 
 impl Drop for ResilienceGuard {
     fn drop(&mut self) {
-        runner::set_watchdog(None, None);
+        runner::set_watchdog(None);
         runner::set_cell_retries(1);
         runner::set_retry_backoff(Duration::from_millis(50));
         runner::set_inject_hang(None);
@@ -45,11 +53,12 @@ impl Drop for ResilienceGuard {
         let _ = runner::take_failures();
         journal::disarm();
         cache::set_mode(cache::CacheMode::Off);
+        tracing::set_capacity(None);
     }
 }
 
 fn arm_defaults() -> ResilienceGuard {
-    runner::set_watchdog(None, None);
+    runner::set_watchdog(None);
     runner::set_cell_retries(1);
     runner::set_retry_backoff(Duration::from_millis(1));
     runner::set_inject_hang(None);
@@ -89,7 +98,6 @@ fn flaky_cell_recovers_on_retry() {
     assert_eq!(CALLS.load(Ordering::SeqCst), 2, "exactly one retry");
     let stats = runner::resilience_stats();
     assert!(stats.retries >= 1, "retry must be counted");
-    assert!(stats.quarantined.is_empty(), "a recovered cell is clean");
     assert!(
         runner::take_failures().is_empty(),
         "a recovered cell must not surface a failure"
@@ -111,28 +119,6 @@ fn exhausted_retries_quarantine_the_label() {
     assert_eq!(fails[0].label, "res-doomed");
     assert_eq!(fails[0].class, runner::FailureClass::Panic);
     assert_eq!(fails[0].attempts, 2, "initial attempt + one retry");
-    assert!(runner::resilience_stats()
-        .quarantined
-        .contains(&"res-doomed".to_owned()));
-
-    // A quarantined label is skipped outright — even if the task would
-    // now succeed, it must not run.
-    static RAN: AtomicUsize = AtomicUsize::new(0);
-    RAN.store(0, Ordering::SeqCst);
-    let retried = Cell::from_fn("res", "res-doomed", || {
-        RAN.fetch_add(1, Ordering::SeqCst);
-        vec![vec![1.0]]
-    });
-    let results = run_cells(vec![retried]);
-    assert_eq!(results, vec![None], "quarantined cell yields no result");
-    assert_eq!(
-        RAN.load(Ordering::SeqCst),
-        0,
-        "quarantined task must not run"
-    );
-    let fails = runner::take_failures();
-    assert_eq!(fails.len(), 1);
-    assert_eq!(fails[0].attempts, 0, "a skip consumes no attempts");
 }
 
 #[test]
@@ -140,7 +126,7 @@ fn watchdog_cancels_a_hung_cell_within_bound() {
     let _guard = GLOBAL_CONFIG.lock().unwrap_or_else(|e| e.into_inner());
     let _restore = arm_defaults();
     let soft = Duration::from_millis(60);
-    runner::set_watchdog(Some(soft), Some(Duration::from_millis(500)));
+    runner::set_watchdog(Some(soft));
     runner::set_cell_retries(0);
     runner::set_inject_hang(Some("res-hang"));
     let hung = Cell::from_fn("res", "res-hang", || vec![vec![1.0]]);
@@ -154,11 +140,11 @@ fn watchdog_cancels_a_hung_cell_within_bound() {
         results[1].as_ref().expect("healthy cell unaffected")[0][0],
         2.0
     );
-    // The hang would spin forever; only the watchdog bounds it. Allow
+    // The hang would spin forever; only the deadline bounds it. Allow
     // generous slack over the soft deadline for scheduler noise.
     assert!(
         elapsed < soft + Duration::from_secs(10),
-        "watchdog must bound the hang (took {elapsed:?})"
+        "the deadline must bound the hang (took {elapsed:?})"
     );
     let fails = runner::take_failures();
     let hung_fail = fails
@@ -168,7 +154,109 @@ fn watchdog_cancels_a_hung_cell_within_bound() {
     assert_eq!(hung_fail.class, runner::FailureClass::TimedOut);
     let stats = runner::resilience_stats();
     assert!(stats.watchdog_soft >= 1, "soft deadline must have fired");
-    assert!(stats.quarantined.contains(&"res-hang".to_owned()));
+}
+
+/// A fig4-shaped scenario (four always-busy batch tenants on one SSD)
+/// simulated for a minute: far longer than any deadline below, so only
+/// the deadline can end it early.
+fn long_cell(label: &str) -> Cell {
+    let mut s = Scenario::new(label, 2, vec![Knob::None.device_setup(true)]);
+    for i in 0..4 {
+        let g = s.add_cgroup(&format!("batch-{i}"));
+        s.add_app(g, JobSpec::batch_app(&format!("b-{i}")));
+    }
+    Cell::scenario(
+        "res",
+        Fidelity::Smoke,
+        s,
+        SimTime::from_secs(60),
+        |report| vec![vec![report.aggregate_gib_s()]],
+    )
+}
+
+/// Runs `cell` alone with a 50 ms deadline and no retry, and checks
+/// that it timed out within a bounded wall-clock.
+fn run_past_deadline(cell: Cell) -> runner::CellFailure {
+    let soft = Duration::from_millis(50);
+    runner::set_watchdog(Some(soft));
+    runner::set_cell_retries(0);
+    let label = cell.label().to_owned();
+    let started = Instant::now();
+    let results = run_cells(vec![cell]);
+    let elapsed = started.elapsed();
+    assert_eq!(results, vec![None], "a timed-out attempt yields no rows");
+    assert!(
+        elapsed < soft + Duration::from_secs(10),
+        "the deadline must bound the cell (took {elapsed:?})"
+    );
+    let mut fails = runner::take_failures();
+    assert_eq!(fails.len(), 1);
+    let fail = fails.pop().expect("one failure");
+    assert_eq!(fail.label, label);
+    assert_eq!(fail.class, runner::FailureClass::TimedOut);
+    assert_eq!(fail.attempts, 1);
+    assert_eq!(runner::resilience_stats().watchdog_soft, 1);
+    fail
+}
+
+#[test]
+fn deadline_cuts_a_real_scenario_at_the_engine_poll_point() {
+    let _guard = GLOBAL_CONFIG.lock().unwrap_or_else(|e| e.into_inner());
+    let _restore = arm_defaults();
+    let cache_dir = temp_dir("deadline-cache");
+    let journal_dir = temp_dir("deadline-journal");
+    cache::set_dir(&cache_dir);
+    cache::set_mode(cache::CacheMode::ReadWrite);
+    cache::reset_stats();
+    let _ = cache::take_cell_stats();
+    journal::arm(&journal_dir, false, "smoke").expect("arm journal");
+
+    run_past_deadline(long_cell("res-long"));
+
+    let stats = cache::stats();
+    assert_eq!((stats.misses, stats.stored), (0, 0), "nothing stored");
+    assert!(
+        fs::read_dir(&cache_dir).map_or(true, |mut d| d.next().is_none()),
+        "no cache entry written"
+    );
+    assert!(cache::take_cell_stats().is_empty(), "no per-cell telemetry");
+    let text = fs::read_to_string(journal::file_path(&journal_dir)).unwrap_or_default();
+    let (_, records) = parse_journal(&text);
+    assert!(
+        records.iter().all(|r| !matches!(r, Record::Cell { .. })),
+        "no completed cell journaled: {records:?}"
+    );
+    fs::remove_dir_all(&cache_dir).ok();
+    fs::remove_dir_all(&journal_dir).ok();
+}
+
+#[test]
+fn traced_cell_past_its_deadline_records_nothing() {
+    let _guard = GLOBAL_CONFIG.lock().unwrap_or_else(|e| e.into_inner());
+    let _restore = arm_defaults();
+    let trace_dir = temp_dir("deadline-traces");
+    tracing::set_dir(&trace_dir);
+    tracing::set_capacity(Some(1024));
+    cache::reset_stats();
+    let _ = cache::take_cell_stats();
+
+    run_past_deadline(long_cell("res-long-traced"));
+
+    assert_eq!(cache::stats().bypassed, 0, "no bypass counted");
+    assert!(cache::take_cell_stats().is_empty(), "no per-cell telemetry");
+    fs::remove_dir_all(&trace_dir).ok();
+}
+
+#[test]
+fn task_that_never_polls_is_discarded_when_it_returns_late() {
+    let _guard = GLOBAL_CONFIG.lock().unwrap_or_else(|e| e.into_inner());
+    let _restore = arm_defaults();
+    let sleepy = Cell::from_fn("res", "res-sleepy", || {
+        std::thread::sleep(Duration::from_millis(200));
+        vec![vec![1.0]]
+    });
+    let fail = run_past_deadline(sleepy);
+    assert!(fail.message.contains("partial result discarded"));
 }
 
 /// Runs the fig4 smoke grid, returning every emitted CSV as

@@ -689,8 +689,8 @@ impl HostSim {
     }
 
     /// How many pops the event loop processes between polls of the
-    /// thread-local cancellation token: cheap enough to be invisible on
-    /// healthy runs, tight enough that a cancelled cell unwinds within
+    /// thread-local cell deadline: cheap enough to be invisible on
+    /// healthy runs, tight enough that a timed-out cell unwinds within
     /// milliseconds of simulated work.
     const CANCEL_POLL_INTERVAL: u64 = 4096;
 
@@ -771,11 +771,12 @@ impl HostSim {
     /// but not processed.
     ///
     /// Cooperative cancellation: every [`Self::CANCEL_POLL_INTERVAL`]
-    /// pops the loop charges the thread-local [`simcore::cancel`] token
-    /// and breaks out early if it latched — the run then finishes
+    /// pops the loop polls the thread-local [`simcore::cancel`] deadline
+    /// and breaks out early once it has passed — the run then finishes
     /// normally with partial statistics (and the cell runner discards
-    /// them; a cancelled run never contributes rows to any output, so
-    /// determinism is unaffected).
+    /// them; a timed-out run never contributes rows to any output, so
+    /// determinism is unaffected). With no deadline installed the poll
+    /// is one TLS read.
     fn run_loop(&mut self, until: SimTime) -> (u64, u64) {
         let mut popped = 0u64;
         let mut peak = (self.queue.len() + self.tree_pending) as u64;
@@ -783,9 +784,7 @@ impl HostSim {
             if t > until {
                 break;
             }
-            if popped.is_multiple_of(Self::CANCEL_POLL_INTERVAL)
-                && simcore::cancel::charge_current(Self::CANCEL_POLL_INTERVAL)
-            {
+            if popped.is_multiple_of(Self::CANCEL_POLL_INTERVAL) && simcore::cancel::poll() {
                 break;
             }
             self.now = t;

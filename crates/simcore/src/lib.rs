@@ -40,7 +40,6 @@ mod time;
 mod token;
 pub mod trace;
 
-pub use cancel::{CancelReason, CancelToken};
 pub use events::EventQueue;
 pub use ewma::Ewma;
 pub use hash::{fnv1a_64, xxhash64, Fingerprint};

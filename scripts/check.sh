@@ -181,7 +181,7 @@ rm -rf "$chaos_dir"
 echo "==> watchdog check (--inject-hang cell must be cancelled within the deadline, retried, quarantined; run still exits 0)"
 hang_start=$SECONDS
 ./target/release/figures --smoke fig4 --no-cache --inject-hang fig4-none-1ssd-1 \
-    --watchdog-soft-ms 4000 --watchdog-hard-ms 10000 \
+    --watchdog-soft-ms 4000 \
     --cell-retries 1 --retry-backoff-ms 10 > /dev/null 2>&1 \
     || { echo "FAIL: a hung cell must not fail the run"; exit 1; }
 hang_elapsed=$(( SECONDS - hang_start ))
