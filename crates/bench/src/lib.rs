@@ -316,7 +316,9 @@ fn json_escape(s: &str) -> String {
 }
 
 /// Parses the figure-selection arguments of the `figures` binary.
-/// Returns the normalized list of experiment names to run.
+/// Returns the normalized list of experiment names to run: `all` (or no
+/// name at all) stands for the paper artifacts, expanded in place beside
+/// any other names, and each name is kept once, where it first appears.
 ///
 /// # Errors
 ///
@@ -338,15 +340,17 @@ pub fn parse_selection<I: IntoIterator<Item = String>>(args: I) -> Result<Vec<St
     // Extra studies that must be requested by name (or via their own
     // flag, like `--faults` for the fault-injection study).
     const EXTRA: [&str; 3] = ["q_faults", "fleet_scale", "app_mix"];
-    let mut out = Vec::new();
+    let mut out: Vec<String> = Vec::new();
+    let mut add = |name: &str| {
+        if !out.iter().any(|s| s == name) {
+            out.push(name.to_owned());
+        }
+    };
     for a in args {
         let a = a.to_lowercase();
         match a.as_str() {
-            "all" => {
-                out = DEFAULT.iter().map(|s| (*s).to_owned()).collect();
-                return Ok(out);
-            }
-            k if DEFAULT.contains(&k) || EXTRA.contains(&k) => out.push(a),
+            "all" => DEFAULT.iter().for_each(|k| add(k)),
+            k if DEFAULT.contains(&k) || EXTRA.contains(&k) => add(k),
             other => return Err(other.to_owned()),
         }
     }
@@ -378,6 +382,56 @@ mod tests {
     fn all_overrides() {
         let sel = parse_selection(vec!["fig3".into(), "all".into()]).unwrap();
         assert_eq!(sel.len(), 10);
+    }
+
+    #[test]
+    fn all_expands_in_place_beside_extras() {
+        let args = ["all", "q_faults", "fleet_scale", "app_mix", "Q_FAULTS"];
+        let sel = parse_selection(args.map(str::to_owned)).unwrap();
+        assert_eq!(sel.len(), 13, "{sel:?}");
+        assert_eq!(sel[..2], ["fig2", "fig3"]);
+        assert_eq!(sel[10..], ["q_faults", "fleet_scale", "app_mix"]);
+        let sel = parse_selection(["all", "q_faults"].map(str::to_owned)).unwrap();
+        assert_eq!(sel.len(), 11);
+        assert!(sel.contains(&"q_faults".to_owned()));
+        // First-seen order, each name once.
+        let sel = parse_selection(["fig7", "all", "fig7"].map(str::to_owned)).unwrap();
+        assert_eq!(sel.len(), 10);
+        assert_eq!(sel[..2], ["fig7", "fig2"]);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn arbitrary_arguments_never_panic(
+            picks in proptest::collection::vec(0usize..24, 0..12),
+            junk in proptest::collection::vec(0u32..0x11_0000, 0..6),
+        ) {
+            // Known names in any case and order, `all`, and arbitrary
+            // strings (any code points, possibly empty).
+            const WORDS: [&str; 16] = [
+                "all", "ALL", "fig2", "FIG4", "q10", "table1", "optane", "writeback",
+                "q_faults", "fleet_scale", "App_Mix", "", "fig", "all ", "-", "figures",
+            ];
+            let stray: String = junk.iter().filter_map(|&c| char::from_u32(c)).collect();
+            let args: Vec<String> = picks
+                .iter()
+                .map(|&i| WORDS.get(i).map_or_else(|| stray.clone(), |w| (*w).to_owned()))
+                .collect();
+            match parse_selection(args.clone()) {
+                Ok(sel) => {
+                    let mut seen = sel.clone();
+                    seen.sort();
+                    seen.dedup();
+                    proptest::prop_assert_eq!(seen.len(), sel.len());
+                    proptest::prop_assert!(!sel.is_empty());
+                }
+                Err(bad) => {
+                    proptest::prop_assert!(args.iter().any(|a| a.to_lowercase() == bad));
+                }
+            }
+        }
     }
 
     #[test]

@@ -42,10 +42,8 @@ fn stage_labels(name: &str, fidelity: Fidelity) -> Vec<String> {
 
 #[test]
 fn every_cell_label_in_a_combined_batch_is_distinct() {
-    let mut names = parse_selection(["all".to_owned()]).expect("all");
-    names.extend(
-        parse_selection(["q_faults", "fleet_scale", "app_mix"].map(str::to_owned)).expect("extras"),
-    );
+    let names = parse_selection(["all", "q_faults", "fleet_scale", "app_mix"].map(str::to_owned))
+        .expect("all + extras");
     for fidelity in [Fidelity::Smoke, Fidelity::Standard, Fidelity::Full] {
         let mut owner: BTreeMap<String, &str> = BTreeMap::new();
         for name in &names {

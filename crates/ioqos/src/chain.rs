@@ -19,22 +19,16 @@ enum Stage {
     Latency(IoLatencyController),
 }
 
-impl Stage {
-    fn ctrl(&self) -> &dyn QosController {
-        match self {
-            Stage::Max(c) => c,
-            Stage::Cost(c) => c,
-            Stage::Latency(c) => c,
+/// Runs `$body` with `$c` bound to the stage's controller: a closed
+/// `match`, so each arm calls its controller directly.
+macro_rules! each_stage {
+    ($stage:expr, $c:ident => $body:expr) => {
+        match $stage {
+            Stage::Max($c) => $body,
+            Stage::Cost($c) => $body,
+            Stage::Latency($c) => $body,
         }
-    }
-
-    fn ctrl_mut(&mut self) -> &mut dyn QosController {
-        match self {
-            Stage::Max(c) => c,
-            Stage::Cost(c) => c,
-            Stage::Latency(c) => c,
-        }
-    }
+    };
 }
 
 /// The ordered stack of QoS controllers in front of one device's
@@ -44,7 +38,9 @@ impl Stage {
 /// A submitted request traverses the stages in order; any stage may hold
 /// it. [`QosChain::drain`] pumps requests that a stage released onward
 /// through the remaining stages and returns those that cleared the whole
-/// stack.
+/// stack. A drain before every stage's
+/// [`QosController::release_due`] — the common pump, which finds every
+/// held head still waiting — walks no stage.
 ///
 /// # Example
 ///
@@ -152,7 +148,7 @@ impl QosChain {
         for i in start..self.stages.len() {
             req.qos_stage = i as u8;
             let (id, group, dev) = (req.id, req.group, req.dev);
-            match self.stages[i].ctrl_mut().on_submit(req, now) {
+            match each_stage!(&mut self.stages[i], c => c.on_submit(req, now)) {
                 SubmitOutcome::Pass(r) => req = r,
                 SubmitOutcome::Held => {
                     trace::record_with(|| {
@@ -185,7 +181,7 @@ impl QosChain {
     /// slot release).
     pub fn on_device_complete(&mut self, req: &IoRequest, now: SimTime) {
         for s in &mut self.stages {
-            s.ctrl_mut().on_device_complete(req, now);
+            each_stage!(s, c => c.on_device_complete(req, now));
         }
     }
 
@@ -194,12 +190,13 @@ impl QosChain {
     /// nearly every engine event; with a caller-reused `out` the whole
     /// pass is allocation-free.
     pub fn drain_into(&mut self, now: SimTime, out: &mut Vec<IoRequest>) {
+        if now < self.release_due(now) {
+            return;
+        }
         let mut released = std::mem::take(&mut self.released);
         for i in 0..self.stages.len() {
             released.clear();
-            self.stages[i]
-                .ctrl_mut()
-                .drain_released_into(now, &mut released);
+            each_stage!(&mut self.stages[i], c => c.drain_released_into(now, &mut released));
             for mut r in released.drain(..) {
                 r.qos_stage = (i + 1) as u8;
                 if let Some(done) = self.feed_from(r, now) {
@@ -219,19 +216,29 @@ impl QosChain {
         out
     }
 
+    /// The earliest [`QosController::release_due`] of any stage: before
+    /// it [`QosChain::drain_into`] is a no-op.
+    fn release_due(&self, now: SimTime) -> SimTime {
+        self.stages
+            .iter()
+            .map(|s| each_stage!(s, c => c.release_due(now)))
+            .min()
+            .unwrap_or(SimTime::MAX)
+    }
+
     /// The earliest instant any stage needs attention.
     #[must_use]
     pub fn next_event(&self, now: SimTime) -> Option<SimTime> {
         self.stages
             .iter()
-            .filter_map(|s| s.ctrl().next_event(now))
+            .filter_map(|s| each_stage!(s, c => c.next_event(now)))
             .min()
     }
 
     /// Runs periodic work on every stage.
     pub fn tick(&mut self, now: SimTime) {
         for s in &mut self.stages {
-            s.ctrl_mut().tick(now);
+            each_stage!(s, c => c.tick(now));
         }
     }
 
@@ -241,8 +248,41 @@ impl QosChain {
     #[must_use]
     pub fn submit_cpu_overhead(&self, deep_queue: bool) -> SimDuration {
         self.stages.iter().fold(SimDuration::ZERO, |acc, s| {
-            acc + s.ctrl().submit_cpu_overhead(deep_queue)
+            acc + each_stage!(s, c => c.submit_cpu_overhead(deep_queue))
         })
+    }
+}
+
+/// The drain and `next_event` as they were before stages kept their
+/// release instants: every pump walks every stage, each through its own
+/// literal reference. The differential tests' reference.
+#[cfg(test)]
+impl QosChain {
+    pub(crate) fn drain_literal(&mut self, now: SimTime, out: &mut Vec<IoRequest>) {
+        let mut released = std::mem::take(&mut self.released);
+        for i in 0..self.stages.len() {
+            released.clear();
+            each_stage!(&mut self.stages[i], c => c.drain_literal(now, &mut released));
+            for mut r in released.drain(..) {
+                r.qos_stage = (i + 1) as u8;
+                if let Some(done) = self.feed_from(r, now) {
+                    out.push(done);
+                }
+            }
+        }
+        released.clear();
+        self.released = released;
+    }
+
+    pub(crate) fn next_event_literal(&self, now: SimTime) -> Option<SimTime> {
+        self.stages
+            .iter()
+            .filter_map(|s| match s {
+                Stage::Max(c) => c.next_event_literal(now),
+                Stage::Cost(c) => c.next_event_literal(now),
+                Stage::Latency(c) => c.next_event(now),
+            })
+            .min()
     }
 }
 

@@ -62,6 +62,21 @@
 //! Rows, row order and per-row arithmetic are those of the row-by-row
 //! definition, kept as the test reference; weight sums are exact
 //! (integer weights ≤ 10 000), so every answer is bit-identical to it.
+//!
+//! # Held heads at O(1) per pump
+//!
+//! A backlogged group's head releases once `vtime + abs/hweight ≤
+//! vnow(t) + margin`; the right side is non-decreasing in `t`, so for
+//! fixed inputs there is one exact release instant, found with that
+//! predicate itself. Each backlogged group caches it with its
+//! `next_event` instant (which depends on `now` only through a final
+//! `max(now)`) in a [`HeadRelease`], tagged with the [`RowSums`]
+//! generation: every input —
+//! the group's vtime and head (reset on a pop), its hweight, the vtime
+//! clock (`vbase`/`tbase`/`vrate`, moved only by a tick, which bumps
+//! the epoch) — changes either the generation or the tag. The
+//! controller keeps the minimum of both over its backlogged groups, so
+//! a pump before the earliest release walks nothing.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -134,6 +149,24 @@ struct GroupCost {
     /// the generation of a still-valid [`RowSums`].
     hw_value: Cell<f64>,
     hw_gen: Cell<u64>,
+}
+
+/// A backlogged group's held head: its exact release instant and its
+/// `next_event` instant (`ZERO`: reachable already), valid while `gen`
+/// equals the current [`RowSums`] generation; a pop resets `gen`.
+#[derive(Debug, Clone, Copy)]
+struct HeadRelease {
+    release_at: SimTime,
+    next_at: SimTime,
+    gen: u64,
+}
+
+impl HeadRelease {
+    const STALE: HeadRelease = HeadRelease {
+        release_at: SimTime::ZERO,
+        next_at: SimTime::ZERO,
+        gen: u64::MAX,
+    };
 }
 
 impl Default for GroupCost {
@@ -250,6 +283,14 @@ pub struct IoCostController {
     /// Row-member sums (interior-mutable because `hweight` serves
     /// `&self` callers).
     rows: Cell<RowSums>,
+    /// Held heads' release instants, materialized at a group's first
+    /// hold (apart from `groups`, whose hweight walks stay dense).
+    heads: GroupArena<HeadRelease>,
+    /// Minimum `release_at` and `next_at` over the backlogged groups,
+    /// valid while the row sums of generation `heads_gen` are.
+    due: SimTime,
+    next_at: SimTime,
+    heads_gen: u64,
 }
 
 impl IoCostController {
@@ -273,6 +314,10 @@ impl IoCostController {
             window_wlat_ns: Vec::new(),
             scratch_ids: Vec::new(),
             rows: Cell::new(RowSums::UNBUILT),
+            heads: GroupArena::new(),
+            due: SimTime::ZERO,
+            next_at: SimTime::ZERO,
+            heads_gen: u64::MAX,
         }
     }
 
@@ -312,6 +357,75 @@ impl IoCostController {
 
     fn margin_v(&self) -> f64 {
         self.config.period.as_nanos() as f64 * self.config.margin_frac
+    }
+
+    /// The instant the held head's vtime comes within the margin of the
+    /// global clock at hweight `hw` (`ZERO` if it already is): what
+    /// `next_event` reports for the group, before the final `max(now)`.
+    fn head_next_at(&self, g: &GroupCost, hw: f64) -> SimTime {
+        let (_, abs) = g.held.front().expect("a held head");
+        let charge = abs / hw;
+        let needed_v = g.vtime + charge - self.margin_v();
+        let dv = needed_v - self.vbase;
+        if dv <= 0.0 {
+            SimTime::ZERO
+        } else {
+            self.tbase + SimDuration::from_nanos((dv / self.vrate).ceil() as u64)
+        }
+    }
+
+    /// Caches the held head's release instant — the least `t` at which
+    /// the drain's own test `vtime + charge ≤ vnow(t) + margin` holds —
+    /// and its `next_event` instant, tagged with generation `gen`.
+    fn read_head(&mut self, id: GroupId, hw: f64, gen: u64) {
+        let g = self
+            .groups
+            .get(id)
+            .expect("backlogged members are materialized");
+        let next_at = self.head_next_at(g, hw);
+        let need = g.vtime + g.held.front().expect("a held head").1 / hw;
+        let margin = self.margin_v();
+        let release_at =
+            SimTime::first_where(next_at.max(self.tbase), |t| need <= self.vnow(t) + margin)
+                .unwrap_or(SimTime::MAX);
+        let head = HeadRelease {
+            release_at,
+            next_at,
+            gen,
+        };
+        *self.heads.get_or_insert_with(id, || head) = head;
+    }
+
+    /// The group's cached head release (stale if never read).
+    fn head(&self, id: GroupId) -> HeadRelease {
+        self.heads.get(id).copied().unwrap_or(HeadRelease::STALE)
+    }
+
+    /// Whether the backlogged minima were taken under the row sums that
+    /// are still valid at `now`.
+    fn heads_valid(&self, now: SimTime) -> bool {
+        let r = self.rows.get();
+        r.gen == self.heads_gen && r.epoch == self.epoch && now <= r.valid_until
+    }
+
+    /// Re-reads every stale backlogged head and takes the minima afresh.
+    fn settle_heads(&mut self, now: SimTime) {
+        let gen = self.row_sums(now).gen;
+        let (mut due, mut next_at) = (SimTime::MAX, SimTime::MAX);
+        let mut ids = std::mem::take(&mut self.scratch_ids);
+        ids.extend(self.backlogged.iter());
+        for &id in &ids {
+            if self.head(id).gen != gen {
+                let hw = self.hweight(id, now);
+                self.read_head(id, hw, gen);
+            }
+            let head = self.head(id);
+            due = due.min(head.release_at);
+            next_at = next_at.min(head.next_at);
+        }
+        ids.clear();
+        self.scratch_ids = ids;
+        (self.due, self.next_at, self.heads_gen) = (due, next_at, gen);
     }
 
     /// Absolute cost of a request in virtual nanoseconds (device time at
@@ -570,68 +684,90 @@ impl QosController for IoCostController {
     }
 
     fn drain_released_into(&mut self, now: SimTime, out: &mut Vec<IoRequest>) {
-        let vnow = self.vnow(now);
-        let margin = self.margin_v();
+        if now < self.release_due(now) {
+            return;
+        }
         let mut ids = std::mem::take(&mut self.scratch_ids);
         // Arena/slot order is ascending group order by construction —
         // deterministic without collect-and-sort.
         ids.extend(self.backlogged.iter());
         for &id in &ids {
+            let gen = self.row_sums(now).gen;
+            let head = self.head(id);
+            if head.gen == gen && now < head.release_at {
+                continue;
+            }
             // Shares move with donation; price each head at the current
             // hweight, not the submit-time one.
             let hw = self.hweight(id, now);
-            let g = self
-                .groups
-                .get_mut(id)
-                .expect("backlogged members are materialized");
-            while let Some((_, abs)) = g.held.front() {
-                let charge = abs / hw;
-                if g.vtime + charge <= vnow + margin {
-                    let (req, abs) = g.held.pop_front().expect("nonempty");
-                    self.held_total -= 1;
-                    g.vtime += charge;
-                    g.spent_in_period += charge;
-                    g.inflight += 1;
-                    let vtime = g.vtime;
-                    trace::record_with(|| vtime_event(&req, now, vtime, abs));
-                    out.push(req);
-                } else {
+            loop {
+                if self.head(id).gen != gen {
+                    self.read_head(id, hw, gen);
+                }
+                if now < self.head(id).release_at {
                     break;
                 }
-            }
-            if g.held.is_empty() {
-                // The group's "wants more" flag flips off.
-                self.backlogged.remove(id);
-                self.epoch += 1;
+                let g = self.groups.get_mut(id).expect("backlogged");
+                let (req, abs) = g.held.pop_front().expect("nonempty");
+                let charge = abs / hw;
+                self.held_total -= 1;
+                g.vtime += charge;
+                g.spent_in_period += charge;
+                g.inflight += 1;
+                let vtime = g.vtime;
+                trace::record_with(|| vtime_event(&req, now, vtime, abs));
+                let emptied = g.held.is_empty();
+                out.push(req);
+                *self.heads.get_mut(id).expect("read above") = HeadRelease::STALE;
+                if emptied {
+                    // The group's "wants more" flag flips off.
+                    self.backlogged.remove(id);
+                    self.epoch += 1;
+                    break;
+                }
             }
         }
         ids.clear();
         self.scratch_ids = ids;
+        if !self.backlogged.is_empty() {
+            // Minima afresh; a flip mid-walk moved hweights, so heads
+            // read before it are read again.
+            self.settle_heads(now);
+        }
+    }
+
+    fn release_due(&self, now: SimTime) -> SimTime {
+        if self.backlogged.is_empty() {
+            SimTime::MAX
+        } else if self.heads_valid(now) {
+            self.due
+        } else {
+            SimTime::ZERO
+        }
     }
 
     fn next_event(&self, now: SimTime) -> Option<SimTime> {
-        let mut earliest = self.next_tick;
         // Earliest hold release across backlogged groups (estimated at
         // the current share; the periodic tick re-evaluates as shares
         // move).
-        for id in self.backlogged.iter() {
-            let g = self
-                .groups
-                .get(id)
-                .expect("backlogged members are materialized");
-            if let Some((_, abs)) = g.held.front() {
-                let charge = abs / self.hweight(id, now);
-                let needed_v = g.vtime + charge - self.margin_v();
-                let dv = needed_v - self.vbase;
-                let t = if dv <= 0.0 {
-                    now
-                } else {
-                    self.tbase + SimDuration::from_nanos((dv / self.vrate).ceil() as u64)
-                };
-                earliest = earliest.min(t.max(now));
-            }
-        }
-        Some(earliest)
+        let held = if self.backlogged.is_empty() {
+            SimTime::MAX
+        } else if self.heads_valid(now) {
+            self.next_at.max(now)
+        } else {
+            self.backlogged
+                .iter()
+                .map(|id| {
+                    let g = self
+                        .groups
+                        .get(id)
+                        .expect("backlogged members are materialized");
+                    self.head_next_at(g, self.hweight(id, now)).max(now)
+                })
+                .min()
+                .expect("nonempty")
+        };
+        Some(self.next_tick.min(held))
     }
 
     fn tick(&mut self, now: SimTime) {
@@ -657,6 +793,61 @@ impl QosController for IoCostController {
 
     fn name(&self) -> &'static str {
         "io.cost"
+    }
+}
+
+/// The drain and `next_event` as they were before backlogged groups kept
+/// their heads' release instants: every pump re-prices every head. The
+/// differential tests' reference.
+#[cfg(test)]
+impl IoCostController {
+    pub(crate) fn drain_literal(&mut self, now: SimTime, out: &mut Vec<IoRequest>) {
+        let vnow = self.vnow(now);
+        let margin = self.margin_v();
+        let mut ids = std::mem::take(&mut self.scratch_ids);
+        ids.extend(self.backlogged.iter());
+        for &id in &ids {
+            let hw = self.hweight(id, now);
+            let g = self.groups.get_mut(id).expect("backlogged");
+            while let Some((_, abs)) = g.held.front() {
+                let charge = abs / hw;
+                if g.vtime + charge <= vnow + margin {
+                    let (req, _) = g.held.pop_front().expect("nonempty");
+                    self.held_total -= 1;
+                    g.vtime += charge;
+                    g.spent_in_period += charge;
+                    g.inflight += 1;
+                    out.push(req);
+                } else {
+                    break;
+                }
+            }
+            if g.held.is_empty() {
+                self.backlogged.remove(id);
+                self.epoch += 1;
+            }
+        }
+        ids.clear();
+        self.scratch_ids = ids;
+    }
+
+    pub(crate) fn next_event_literal(&self, now: SimTime) -> Option<SimTime> {
+        let mut earliest = self.next_tick;
+        for id in self.backlogged.iter() {
+            let g = self.groups.get(id).expect("backlogged");
+            if let Some((_, abs)) = g.held.front() {
+                let charge = abs / self.hweight(id, now);
+                let needed_v = g.vtime + charge - self.margin_v();
+                let dv = needed_v - self.vbase;
+                let t = if dv <= 0.0 {
+                    now
+                } else {
+                    self.tbase + SimDuration::from_nanos((dv / self.vrate).ceil() as u64)
+                };
+                earliest = earliest.min(t.max(now));
+            }
+        }
+        Some(earliest)
     }
 }
 

@@ -23,6 +23,11 @@
 //!   (victim selection is global by design).
 //! * `backlogged` — groups with held requests, so the per-pump drain
 //!   never touches idle tenants.
+//!
+//! After a drain every backlogged group is at its queue depth, so the
+//! next drain can release only after a completion in a backlogged group
+//! or a window evaluation (a target write moves no depth by itself);
+//! until one happens `due` keeps the pump from walking at all.
 
 use std::collections::VecDeque;
 
@@ -76,6 +81,9 @@ pub struct IoLatencyController {
     backlogged: SlotSet,
     /// Total held requests across groups.
     held_total: usize,
+    /// `SimTime::MAX` while no backlogged group can have a free slot
+    /// (set by a drain), `ZERO` once one may.
+    due: SimTime,
     next_window_at: SimTime,
     /// Reused scratch for window walks (kept empty between calls).
     scratch_ids: Vec<GroupId>,
@@ -100,6 +108,7 @@ impl IoLatencyController {
             dirty: SlotSet::new(),
             backlogged: SlotSet::new(),
             held_total: 0,
+            due: SimTime::ZERO,
             next_window_at: SimTime::ZERO + WINDOW,
             scratch_ids: Vec::new(),
             scratch_lats: Vec::new(),
@@ -250,10 +259,13 @@ impl QosController for IoLatencyController {
         g.window_lat_ns.push(lat);
         // A nonempty window needs clearing at the next evaluation.
         self.dirty.insert(group);
+        if self.backlogged.contains(group) {
+            self.due = SimTime::ZERO;
+        }
     }
 
-    fn drain_released_into(&mut self, _now: SimTime, out: &mut Vec<IoRequest>) {
-        if self.backlogged.is_empty() {
+    fn drain_released_into(&mut self, now: SimTime, out: &mut Vec<IoRequest>) {
+        if now < self.release_due(now) {
             return;
         }
         let mut ids = std::mem::take(&mut self.scratch_ids);
@@ -275,6 +287,15 @@ impl QosController for IoLatencyController {
         }
         ids.clear();
         self.scratch_ids = ids;
+        self.due = SimTime::MAX;
+    }
+
+    fn release_due(&self, _now: SimTime) -> SimTime {
+        if self.backlogged.is_empty() {
+            SimTime::MAX
+        } else {
+            self.due
+        }
     }
 
     fn next_event(&self, _now: SimTime) -> Option<SimTime> {
@@ -288,6 +309,7 @@ impl QosController for IoLatencyController {
         while self.next_window_at <= now {
             self.evaluate_window();
             self.next_window_at += WINDOW;
+            self.due = SimTime::ZERO;
         }
     }
 
@@ -297,6 +319,26 @@ impl QosController for IoLatencyController {
 
     fn name(&self) -> &'static str {
         "io.latency"
+    }
+}
+
+/// The drain as it was before `due`: every pump walks the backlogged
+/// groups. The differential tests' reference.
+#[cfg(test)]
+impl IoLatencyController {
+    pub(crate) fn drain_literal(&mut self, _now: SimTime, out: &mut Vec<IoRequest>) {
+        for id in self.backlogged.iter().collect::<Vec<_>>() {
+            let g = self.groups.get_mut(id).expect("backlogged");
+            while !g.held.is_empty() && g.inflight < g.effective_qd {
+                let req = g.held.pop_front().expect("nonempty");
+                self.held_total -= 1;
+                g.inflight += 1;
+                out.push(req);
+            }
+            if g.held.is_empty() {
+                self.backlogged.remove(id);
+            }
+        }
     }
 }
 

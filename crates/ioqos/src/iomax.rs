@@ -28,82 +28,135 @@ pub fn burst_tokens(rate: u64, min_burst: f64) -> f64 {
     (r * BURST_SECS).max(min_burst)
 }
 
+/// What a held head's buckets say, read at one instant and kept until
+/// an input they read changes (a token take, the head itself, or new
+/// limits — each of which resets it to [`HeadHold::STALE`]).
+#[derive(Debug, Clone, Copy)]
+struct HeadHold {
+    /// The least instant at which the head's tokens are ready: exact for
+    /// every instant while the buckets and the head are untouched,
+    /// because readiness is a step function of time
+    /// ([`TokenBucket::ready_from`]). `SimTime::MAX`: never.
+    release_at: SimTime,
+    /// `availability(head, t)` for every `t` from the read until `until`.
+    next_at: SimTime,
+    /// End of `next_at`'s validity: the first instant a not-ready bucket
+    /// turns ready, or the instant after the read where a bucket's wait
+    /// is not provably steady ([`TokenBucket::wait_is_steady`]).
+    until: SimTime,
+}
+
+impl HeadHold {
+    /// Must be read again before use (`until` lies before any instant).
+    const STALE: HeadHold = HeadHold {
+        release_at: SimTime::ZERO,
+        next_at: SimTime::ZERO,
+        until: SimTime::ZERO,
+    };
+}
+
+/// One direction of a group: its byte and IOPS buckets and its FIFO of
+/// held requests (reads and writes queue independently, as in
+/// blk-throttle).
+#[derive(Debug)]
+struct DirThrottle {
+    bps: Option<TokenBucket>,
+    iops: Option<TokenBucket>,
+    held: VecDeque<IoRequest>,
+    /// The held head's hold (stale when `held` is empty).
+    hold: HeadHold,
+}
+
+impl DirThrottle {
+    fn new(bps: Option<u64>, iops: Option<u64>) -> Self {
+        let bucket = |rate: Option<u64>, min_burst: f64| {
+            rate.map(|r| TokenBucket::new(r.max(1) as f64, burst_tokens(r, min_burst)))
+        };
+        DirThrottle {
+            bps: bucket(bps, MIN_BURST_BYTES),
+            iops: bucket(iops, MIN_BURST_IOS),
+            held: VecDeque::new(),
+            hold: HeadHold::STALE,
+        }
+    }
+
+    /// The buckets with the tokens a request of `len` bytes needs.
+    fn needs(&self, len: u32) -> impl Iterator<Item = (&TokenBucket, f64)> {
+        let bps = self.bps.as_ref().map(|b| (b, f64::from(len)));
+        let iops = self.iops.as_ref().map(|b| (b, 1.0));
+        bps.into_iter().chain(iops)
+    }
+
+    fn availability(&self, len: u32, now: SimTime) -> SimTime {
+        self.needs(len)
+            .fold(now, |at, (b, n)| at.max(b.available_at(n, now)))
+    }
+
+    /// Consumes the tokens for a request of `len` bytes. Availability was
+    /// verified up to nanosecond rounding; `take_debt` tolerates the
+    /// sub-token residue.
+    fn take(&mut self, len: u32, now: SimTime) {
+        if let Some(b) = &mut self.bps {
+            b.take_debt(f64::from(len), now);
+        }
+        if let Some(b) = &mut self.iops {
+            b.take_debt(1.0, now);
+        }
+    }
+
+    /// Reads the held head's hold at `now`. Callers release a head that
+    /// reads ready at once, so `until` matters only for heads waiting on
+    /// some bucket.
+    fn read_head(&self, now: SimTime) -> HeadHold {
+        let len = self.held.front().expect("a held head").len;
+        let mut release_at = SimTime::ZERO;
+        let mut until = SimTime::MAX;
+        for (b, n) in self.needs(len) {
+            let ready = b.ready_from(n, now).unwrap_or(SimTime::MAX);
+            release_at = release_at.max(ready);
+            if ready > now {
+                let steady = if b.wait_is_steady(n, now) {
+                    ready
+                } else {
+                    now + SimDuration::from_nanos(1)
+                };
+                until = until.min(steady);
+            }
+        }
+        HeadHold {
+            release_at,
+            next_at: self.availability(len, now),
+            until,
+        }
+    }
+}
+
 #[derive(Debug)]
 struct GroupThrottle {
     limits: IoMax,
-    rbps: Option<TokenBucket>,
-    wbps: Option<TokenBucket>,
-    riops: Option<TokenBucket>,
-    wiops: Option<TokenBucket>,
-    /// Held reads and writes queue independently, as in blk-throttle.
-    held_r: VecDeque<IoRequest>,
-    held_w: VecDeque<IoRequest>,
+    /// Reads (index 0) and writes (index 1).
+    dirs: [DirThrottle; 2],
 }
 
 impl GroupThrottle {
     fn new(limits: IoMax) -> Self {
-        let bucket = |rate: Option<u64>, min_burst: f64| {
-            rate.map(|r| TokenBucket::new(r.max(1) as f64, burst_tokens(r, min_burst)))
-        };
         GroupThrottle {
-            rbps: bucket(limits.rbps, MIN_BURST_BYTES),
-            wbps: bucket(limits.wbps, MIN_BURST_BYTES),
-            riops: bucket(limits.riops, MIN_BURST_IOS),
-            wiops: bucket(limits.wiops, MIN_BURST_IOS),
+            dirs: [
+                DirThrottle::new(limits.rbps, limits.riops),
+                DirThrottle::new(limits.wbps, limits.wiops),
+            ],
             limits,
-            held_r: VecDeque::new(),
-            held_w: VecDeque::new(),
         }
     }
 
-    fn availability(&self, req: &IoRequest, now: SimTime) -> SimTime {
-        let (bps, iops) = if req.op.is_read() {
-            (&self.rbps, &self.riops)
-        } else {
-            (&self.wbps, &self.wiops)
-        };
-        let mut at = now;
-        if let Some(b) = bps {
-            at = at.max(b.available_at(f64::from(req.len), now));
-        }
-        if let Some(b) = iops {
-            at = at.max(b.available_at(1.0, now));
-        }
-        at
+    fn held_len(&self) -> usize {
+        self.dirs.iter().map(|d| d.held.len()).sum()
     }
+}
 
-    /// Consumes tokens for `req` or reports when they will be available.
-    fn try_take(&mut self, req: &IoRequest, now: SimTime) -> Result<(), SimTime> {
-        let at = self.availability(req, now);
-        if at > now {
-            return Err(at);
-        }
-        let (bps, iops) = if req.op.is_read() {
-            (&mut self.rbps, &mut self.riops)
-        } else {
-            (&mut self.wbps, &mut self.wiops)
-        };
-        // Availability was verified above up to nanosecond rounding;
-        // take_debt tolerates the sub-token residue.
-        if let Some(b) = bps {
-            b.take_debt(f64::from(req.len), now);
-        }
-        if let Some(b) = iops {
-            b.take_debt(1.0, now);
-        }
-        Ok(())
-    }
-
-    /// Earliest instant at which either direction's head can go.
-    fn next_ready_at(&self, now: SimTime) -> Option<SimTime> {
-        let r = self.held_r.front().map(|req| self.availability(req, now));
-        let w = self.held_w.front().map(|req| self.availability(req, now));
-        match (r, w) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (x, None) => x,
-            (None, y) => y,
-        }
-    }
+/// Index of a request's direction in [`GroupThrottle::dirs`].
+fn dir_of(req: &IoRequest) -> usize {
+    usize::from(req.op.is_write())
 }
 
 /// The `io.max` throttler for one device.
@@ -113,15 +166,27 @@ impl GroupThrottle {
 /// requests queue FIFO per group while tokens are short. The mechanism
 /// is static: it never redistributes unused budget (not
 /// work-conserving, O8) and provides no prioritization.
+///
+/// Like the kernel's one pending timer per throttled group, each held
+/// head keeps its exact release instant ([`HeadHold`]), so a pump
+/// before the earliest of them costs a compare.
 #[derive(Debug, Default)]
 pub struct IoMaxThrottler {
     /// Only limited groups occupy a slot; everyone else passes through.
     groups: GroupArena<GroupThrottle>,
-    /// Groups with held requests — the only slots the per-pump drain and
-    /// `next_event` walks touch.
+    /// Groups with held requests — the only slots the drain and the
+    /// `next_event` fallback walk.
     backlogged: SlotSet,
     /// Total held requests across groups.
     held_total: usize,
+    /// Minimum `until` over the held heads: before it no head can
+    /// release and `next_event` is `next_at`. `ZERO` (the default) when
+    /// unknown, forcing the next drain to walk.
+    due: SimTime,
+    /// Minimum `next_at` over the held heads (meaningful before `due`).
+    next_at: SimTime,
+    /// Reused scratch for the drain walk (kept empty between calls).
+    scratch_ids: Vec<GroupId>,
 }
 
 impl IoMaxThrottler {
@@ -134,26 +199,21 @@ impl IoMaxThrottler {
     /// Sets (or clears, when unlimited) a group's limits, as a write to
     /// that group's `io.max` file would.
     pub fn set_limits(&mut self, group: GroupId, limits: IoMax) {
+        self.due = SimTime::ZERO;
         if limits.is_unlimited() {
             if let Some(g) = self.groups.remove(group) {
-                self.held_total -= g.held_r.len() + g.held_w.len();
+                self.held_total -= g.held_len();
                 self.backlogged.remove(group);
             }
         } else {
-            match self.groups.get_mut(group) {
-                // Preserve held requests across reconfiguration.
-                Some(g) => {
-                    let held_r = std::mem::take(&mut g.held_r);
-                    let held_w = std::mem::take(&mut g.held_w);
-                    let mut fresh = GroupThrottle::new(limits);
-                    fresh.held_r = held_r;
-                    fresh.held_w = held_w;
-                    *g = fresh;
-                }
-                None => {
-                    self.groups.insert(group, GroupThrottle::new(limits));
+            let mut fresh = GroupThrottle::new(limits);
+            // Preserve held requests across reconfiguration.
+            if let Some(g) = self.groups.get_mut(group) {
+                for (new, old) in fresh.dirs.iter_mut().zip(&mut g.dirs) {
+                    new.held = std::mem::take(&mut old.held);
                 }
             }
+            self.groups.insert(group, fresh);
         }
     }
 
@@ -177,79 +237,85 @@ impl QosController for IoMaxThrottler {
         let Some(g) = self.groups.get_mut(req.group) else {
             return SubmitOutcome::Pass(req);
         };
-        let queue_empty = if req.op.is_read() {
-            g.held_r.is_empty()
-        } else {
-            g.held_w.is_empty()
-        };
-        if queue_empty && g.try_take(&req, now).is_ok() {
+        let d = &mut g.dirs[dir_of(&req)];
+        if d.held.is_empty() && d.availability(req.len, now) <= now {
+            d.take(req.len, now);
             trace::record_with(|| iomax_pass_event(&req, now));
-            SubmitOutcome::Pass(req)
-        } else {
-            let group = req.group;
-            if req.op.is_read() {
-                g.held_r.push_back(req);
-            } else {
-                g.held_w.push_back(req);
-            }
-            self.held_total += 1;
-            self.backlogged.insert(group);
-            SubmitOutcome::Held
+            return SubmitOutcome::Pass(req);
         }
+        let group = req.group;
+        d.held.push_back(req);
+        if d.held.len() == 1 {
+            d.hold = d.read_head(now);
+            self.due = self.due.min(d.hold.until);
+            self.next_at = self.next_at.min(d.hold.next_at);
+        }
+        self.held_total += 1;
+        self.backlogged.insert(group);
+        SubmitOutcome::Held
     }
 
     fn on_device_complete(&mut self, _req: &IoRequest, _now: SimTime) {}
 
     fn drain_released_into(&mut self, now: SimTime, out: &mut Vec<IoRequest>) {
-        if self.backlogged.is_empty() {
+        if now < self.due {
             return;
         }
-        // Walk only groups with held requests, in ascending slot order
-        // (deterministic by construction).
-        let mut cursor = 0usize;
-        // SlotSet iteration cannot outlive the `get_mut` borrow, so step
-        // the membership manually: find the next backlogged slot at or
-        // after `cursor`.
-        while let Some(id) = self.backlogged.iter().find(|g| g.index() >= cursor) {
-            cursor = id.index() + 1;
+        let (mut due, mut next_at) = (SimTime::MAX, SimTime::MAX);
+        let mut ids = std::mem::take(&mut self.scratch_ids);
+        // Ascending slot order: deterministic by construction.
+        ids.extend(self.backlogged.iter());
+        for &id in &ids {
             let g = self
                 .groups
                 .get_mut(id)
                 .expect("backlogged members are limited");
-            for dir in 0..2 {
-                loop {
-                    let head = if dir == 0 {
-                        g.held_r.front()
-                    } else {
-                        g.held_w.front()
-                    };
-                    let Some(head) = head else { break };
-                    let head = head.clone();
-                    if g.try_take(&head, now).is_ok() {
-                        let q = if dir == 0 {
-                            &mut g.held_r
-                        } else {
-                            &mut g.held_w
-                        };
-                        let released = q.pop_front().expect("head exists");
-                        self.held_total -= 1;
-                        trace::record_with(|| iomax_pass_event(&released, now));
-                        out.push(released);
-                    } else {
+            for d in &mut g.dirs {
+                while !d.held.is_empty() {
+                    if now >= d.hold.until {
+                        d.hold = d.read_head(now);
+                    }
+                    if now < d.hold.release_at {
                         break;
                     }
+                    let released = d.held.pop_front().expect("head exists");
+                    d.take(released.len, now);
+                    d.hold = HeadHold::STALE;
+                    self.held_total -= 1;
+                    trace::record_with(|| iomax_pass_event(&released, now));
+                    out.push(released);
+                }
+                if !d.held.is_empty() {
+                    due = due.min(d.hold.until);
+                    next_at = next_at.min(d.hold.next_at);
                 }
             }
-            if g.held_r.is_empty() && g.held_w.is_empty() {
+            if g.held_len() == 0 {
                 self.backlogged.remove(id);
             }
         }
+        ids.clear();
+        self.scratch_ids = ids;
+        self.due = due;
+        self.next_at = next_at;
+    }
+
+    fn release_due(&self, _now: SimTime) -> SimTime {
+        self.due
     }
 
     fn next_event(&self, now: SimTime) -> Option<SimTime> {
+        if self.backlogged.is_empty() {
+            return None;
+        }
+        if now < self.due {
+            return Some(self.next_at);
+        }
+        // Holds not read since an input changed: the literal walk.
         self.backlogged
             .iter()
-            .filter_map(|id| self.groups.get(id).and_then(|g| g.next_ready_at(now)))
+            .flat_map(|id| &self.groups.get(id).expect("limited").dirs)
+            .filter_map(|d| d.held.front().map(|h| d.availability(h.len, now)))
             .min()
     }
 
@@ -281,6 +347,71 @@ fn iomax_pass_event(req: &IoRequest, now: SimTime) -> TraceEvent {
         u64::from(req.len),
         u64::from(req.op.is_write()),
     )
+}
+
+/// The drain and `next_event` as they were before held heads kept their
+/// release instants: every pump re-derives every head's availability.
+/// The differential tests' reference.
+#[cfg(test)]
+impl IoMaxThrottler {
+    pub(crate) fn drain_literal(&mut self, now: SimTime, out: &mut Vec<IoRequest>) {
+        fn availability(d: &DirThrottle, req: &IoRequest, now: SimTime) -> SimTime {
+            let mut at = now;
+            if let Some(b) = &d.bps {
+                at = at.max(b.available_at(f64::from(req.len), now));
+            }
+            if let Some(b) = &d.iops {
+                at = at.max(b.available_at(1.0, now));
+            }
+            at
+        }
+        if self.backlogged.is_empty() {
+            return;
+        }
+        let mut cursor = 0usize;
+        while let Some(id) = self.backlogged.iter().find(|g| g.index() >= cursor) {
+            cursor = id.index() + 1;
+            let g = self.groups.get_mut(id).expect("limited");
+            for d in &mut g.dirs {
+                while let Some(head) = d.held.front() {
+                    let head = head.clone();
+                    if availability(d, &head, now) > now {
+                        break;
+                    }
+                    if let Some(b) = &mut d.bps {
+                        b.take_debt(f64::from(head.len), now);
+                    }
+                    if let Some(b) = &mut d.iops {
+                        b.take_debt(1.0, now);
+                    }
+                    let released = d.held.pop_front().expect("head exists");
+                    self.held_total -= 1;
+                    out.push(released);
+                }
+            }
+            if g.held_len() == 0 {
+                self.backlogged.remove(id);
+            }
+        }
+    }
+
+    pub(crate) fn next_event_literal(&self, now: SimTime) -> Option<SimTime> {
+        self.backlogged
+            .iter()
+            .flat_map(|id| &self.groups.get(id).expect("limited").dirs)
+            .filter_map(|d| {
+                let head = d.held.front()?;
+                let mut at = now;
+                if let Some(b) = &d.bps {
+                    at = at.max(b.available_at(f64::from(head.len), now));
+                }
+                if let Some(b) = &d.iops {
+                    at = at.max(b.available_at(1.0, now));
+                }
+                Some(at)
+            })
+            .min()
+    }
 }
 
 #[cfg(test)]
@@ -427,6 +558,41 @@ mod tests {
             t.on_submit(r, SimTime::ZERO),
             SubmitOutcome::Pass(_)
         ));
+    }
+
+    #[test]
+    fn many_held_groups_release_in_slot_order() {
+        let mut t = IoMaxThrottler::new();
+        let groups: Vec<usize> = (0..96).map(|k| 1 + (k * 37) % 96).collect();
+        let limit = IoMax {
+            riops: Some(1),
+            wiops: Some(1),
+            ..Default::default()
+        };
+        for &g in &groups {
+            t.set_limits(GroupId(g), limit);
+        }
+        // Burst one request per direction, hold the rest, submitting
+        // the groups in shuffled order.
+        let now = SimTime::ZERO;
+        let mut id = 0;
+        for &g in &groups {
+            for op in [IoOp::Read, IoOp::Write, IoOp::Read, IoOp::Write, IoOp::Read] {
+                let _ = t.on_submit(req(id, g, op, 4096, now), now);
+                id += 1;
+            }
+        }
+        assert_eq!(t.held_count(), 96 * 3);
+        let released = t.drain_released(SimTime::from_secs(1));
+        // One second refills one read and one write token per group.
+        assert_eq!(released.len(), 96 * 2);
+        let order: Vec<(usize, bool)> = released
+            .iter()
+            .map(|r| (r.group.index(), r.op.is_write()))
+            .collect();
+        let mut sorted = order.clone();
+        sorted.sort_unstable();
+        assert_eq!(order, sorted, "slot order, reads before writes per group");
     }
 
     #[test]

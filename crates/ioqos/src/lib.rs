@@ -48,6 +48,8 @@
 
 mod arena;
 mod chain;
+#[cfg(test)]
+mod differential;
 mod iocost;
 mod iolatency;
 mod iomax;
@@ -78,7 +80,7 @@ pub enum SubmitOutcome {
 /// reports device completions with `on_device_complete`, pumps held
 /// requests out with `drain_released`, and calls `tick` whenever
 /// `next_event` fires (window evaluation, vrate adjustment, token
-/// refill).
+/// refill). The `now` passed to successive calls never decreases.
 pub trait QosController: std::fmt::Debug {
     /// Offers a request at instant `now`.
     fn on_submit(&mut self, req: IoRequest, now: SimTime) -> SubmitOutcome;
@@ -100,6 +102,13 @@ pub trait QosController: std::fmt::Debug {
         self.drain_released_into(now, &mut out);
         out
     }
+
+    /// An instant before which [`QosController::drain_released_into`]
+    /// releases nothing and changes nothing, so a caller may skip it: a
+    /// lower bound on the next release that the controller keeps up to
+    /// date as its inputs change (`now` itself or earlier when it cannot
+    /// tell).
+    fn release_due(&self, now: SimTime) -> SimTime;
 
     /// The earliest instant at which this controller needs attention
     /// (a hold expiry or a periodic evaluation), if any.

@@ -5,9 +5,10 @@ use std::fmt;
 
 use blkio::IoRequest;
 use simcore::trace::{self, TraceEvent, TraceKind};
-use simcore::{DetRng, SimDuration, SimTime};
+use simcore::{BoundedPareto, DetRng, SimDuration, SimTime};
 
 use crate::fault::{CommandFate, CompletionStatus, FaultCounters, FaultPlan};
+use crate::profile::{TAIL_ALPHA, TAIL_MULT_MIN};
 use crate::{DeviceProfile, GcState};
 
 /// Opaque handle to a request in service on a device — the simulation's
@@ -88,6 +89,8 @@ impl std::error::Error for InvalidProfile {}
 #[derive(Debug)]
 pub struct NvmeDevice {
     profile: DeviceProfile,
+    /// The tail-event multiplier distribution (fixed by the profile).
+    tail: BoundedPareto,
     gc: GcState,
     rng: DetRng,
     waiting: VecDeque<IoRequest>,
@@ -135,6 +138,7 @@ impl NvmeDevice {
         );
         let units = profile.units as usize;
         Ok(NvmeDevice {
+            tail: BoundedPareto::new(TAIL_MULT_MIN, profile.tail_mult_max, TAIL_ALPHA),
             profile,
             gc,
             rng,
@@ -288,9 +292,7 @@ impl NvmeDevice {
             .rng
             .lognormal_median(median, self.profile.latency_sigma);
         if self.rng.chance(self.profile.tail_prob) {
-            cmd_ns *= self
-                .rng
-                .bounded_pareto(1.5, self.profile.tail_mult_max, 1.2);
+            cmd_ns *= self.tail.sample(&mut self.rng);
         }
         // Fault fate, drawn from the plan's private stream (no plan, or
         // a disabled plan, draws nothing — the service RNG above is

@@ -59,4 +59,4 @@ mod profile;
 pub use device::{InvalidProfile, NvmeDevice, ServiceSlot, StartedCmd};
 pub use fault::{CommandFate, CompletionStatus, FaultConfig, FaultCounters, FaultPlan};
 pub use gc::GcState;
-pub use profile::{DeviceProfile, IocostCoefficients};
+pub use profile::{DeviceProfile, IocostCoefficients, TAIL_MULT_MIN};

@@ -3,6 +3,12 @@
 use blkio::{AccessPattern, IoOp};
 use serde::{Deserialize, Serialize};
 
+/// Lower bound of a tail event's multiplier (the bounded Pareto's `lo`).
+pub const TAIL_MULT_MIN: f64 = 1.5;
+
+/// Tail exponent of the tail-event multiplier.
+pub const TAIL_ALPHA: f64 = 1.2;
+
 /// Static performance parameters of a simulated SSD.
 ///
 /// Two calibrated presets are provided: [`DeviceProfile::flash`]
@@ -30,7 +36,8 @@ pub struct DeviceProfile {
     pub latency_sigma: f64,
     /// Probability of a heavy-tail service event (erase collision, etc.).
     pub tail_prob: f64,
-    /// Multiplier range of tail events (bounded Pareto upper bound).
+    /// Multiplier range of tail events (bounded Pareto upper bound, above
+    /// [`TAIL_MULT_MIN`]).
     pub tail_mult_max: f64,
     /// Shared-pipe bandwidth for random reads, bytes/s.
     pub rand_read_bps: f64,
@@ -179,6 +186,9 @@ impl DeviceProfile {
         if !(0.0..=1.0).contains(&self.tail_prob) {
             return Err("tail_prob must be in [0, 1]".into());
         }
+        if self.tail_mult_max.is_nan() || self.tail_mult_max <= TAIL_MULT_MIN {
+            return Err(format!("tail_mult_max must exceed {TAIL_MULT_MIN}"));
+        }
         Ok(())
     }
 
@@ -321,6 +331,9 @@ mod tests {
 
     #[test]
     fn validate_catches_bad_profiles() {
+        let mut p = DeviceProfile::flash();
+        p.tail_mult_max = TAIL_MULT_MIN;
+        assert!(p.validate().is_err());
         let mut p = DeviceProfile::flash();
         p.units = 0;
         assert!(p.validate().is_err());

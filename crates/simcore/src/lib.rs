@@ -43,6 +43,6 @@ pub mod trace;
 pub use events::EventQueue;
 pub use ewma::Ewma;
 pub use hash::{fnv1a_64, xxhash64, Fingerprint};
-pub use rng::DetRng;
+pub use rng::{BoundedPareto, DetRng};
 pub use time::{SimDuration, SimTime};
 pub use token::TokenBucket;

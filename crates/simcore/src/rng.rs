@@ -137,23 +137,45 @@ impl DetRng {
     pub fn lognormal_median(&mut self, median: f64, sigma: f64) -> f64 {
         median * (sigma * self.std_normal()).exp()
     }
+}
 
-    /// Bounded Pareto on `[lo, hi]` with tail exponent `alpha`; heavy
-    /// tails for rare slow events (e.g. GC pauses).
+/// Bounded Pareto on `[lo, hi]` with tail exponent `alpha`; heavy tails
+/// for rare slow events (e.g. GC pauses). The parameter-only powers are
+/// computed once; [`BoundedPareto::sample`] then costs one `powf`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct BoundedPareto {
+    /// `lo^alpha`.
+    la: f64,
+    /// `hi^alpha`.
+    ha: f64,
+    /// `-1 / alpha`.
+    exp: f64,
+}
+
+impl BoundedPareto {
+    /// The distribution on `[lo, hi]` with tail exponent `alpha`.
     ///
     /// # Panics
     ///
     /// Panics if `lo <= 0`, `hi <= lo`, or `alpha <= 0`.
-    pub fn bounded_pareto(&mut self, lo: f64, hi: f64, alpha: f64) -> f64 {
+    #[must_use]
+    pub fn new(lo: f64, hi: f64, alpha: f64) -> Self {
         assert!(
             lo > 0.0 && hi > lo && alpha > 0.0,
             "invalid pareto parameters"
         );
-        let u = self.f64();
-        let la = lo.powf(alpha);
-        let ha = hi.powf(alpha);
+        BoundedPareto {
+            la: lo.powf(alpha),
+            ha: hi.powf(alpha),
+            exp: -1.0 / alpha,
+        }
+    }
+
+    /// Draws one sample from `rng`.
+    pub fn sample(&self, rng: &mut DetRng) -> f64 {
+        let (u, la, ha) = (rng.f64(), self.la, self.ha);
         // Inverse CDF of the bounded Pareto.
-        (-(u * ha - u * la - ha) / (ha * la)).powf(-1.0 / alpha)
+        (-(u * ha - u * la - ha) / (ha * la)).powf(self.exp)
     }
 }
 
@@ -240,9 +262,31 @@ mod tests {
     #[test]
     fn bounded_pareto_stays_in_bounds() {
         let mut r = DetRng::new(14);
+        let pareto = BoundedPareto::new(1.0, 100.0, 1.3);
         for _ in 0..5000 {
-            let x = r.bounded_pareto(1.0, 100.0, 1.3);
+            let x = pareto.sample(&mut r);
             assert!((1.0..=100.0 + 1e-9).contains(&x), "out of bounds: {x}");
+        }
+    }
+
+    #[test]
+    fn hoisted_pareto_matches_the_per_draw_formula() {
+        // The formula before the hoist, powers taken on every draw.
+        fn per_draw(r: &mut DetRng, lo: f64, hi: f64, alpha: f64) -> f64 {
+            let u = r.f64();
+            let la = lo.powf(alpha);
+            let ha = hi.powf(alpha);
+            (-(u * ha - u * la - ha) / (ha * la)).powf(-1.0 / alpha)
+        }
+        for seed in 0..64 {
+            for (lo, hi, alpha) in [(1.5, 6.0, 1.2), (1.5, 3.0, 1.2), (1.0, 100.0, 1.3)] {
+                let pareto = BoundedPareto::new(lo, hi, alpha);
+                let (mut a, mut b) = (DetRng::new(seed), DetRng::new(seed));
+                for _ in 0..500 {
+                    let (x, y) = (pareto.sample(&mut a), per_draw(&mut b, lo, hi, alpha));
+                    assert_eq!(x.to_bits(), y.to_bits(), "seed {seed}");
+                }
+            }
         }
     }
 

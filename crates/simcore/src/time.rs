@@ -98,6 +98,57 @@ impl SimTime {
     pub fn checked_add(self, d: SimDuration) -> Option<SimTime> {
         self.0.checked_add(d.0).map(SimTime)
     }
+
+    /// The least instant at which `holds` is true, searched outward from
+    /// `guess`; `None` if it holds at no instant.
+    ///
+    /// `holds` must be a step function of time: false up to some instant
+    /// and true from it on. The search gallops away from `guess` and then
+    /// bisects, so it costs O(log |answer − guess|) calls — two or three
+    /// when the guess is within a nanosecond or so.
+    pub fn first_where(guess: SimTime, holds: impl Fn(SimTime) -> bool) -> Option<SimTime> {
+        // Invariant once bracketed: `holds(lo)` is false, `holds(hi)` true.
+        let (mut lo, mut hi);
+        let mut step = 1u64;
+        if holds(guess) {
+            hi = guess.0;
+            loop {
+                if hi == 0 {
+                    return Some(SimTime::ZERO);
+                }
+                let probe = hi.saturating_sub(step);
+                if !holds(SimTime(probe)) {
+                    lo = probe;
+                    break;
+                }
+                hi = probe;
+                step = step.saturating_mul(2);
+            }
+        } else {
+            lo = guess.0;
+            loop {
+                let probe = lo.saturating_add(step);
+                if probe == lo {
+                    return None;
+                }
+                if holds(SimTime(probe)) {
+                    hi = probe;
+                    break;
+                }
+                lo = probe;
+                step = step.saturating_mul(2);
+            }
+        }
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            if holds(SimTime(mid)) {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        Some(SimTime(hi))
+    }
 }
 
 impl SimDuration {
@@ -339,6 +390,17 @@ mod tests {
             SimTime::ZERO.checked_add(SimDuration::from_nanos(1)),
             Some(SimTime::from_nanos(1))
         );
+    }
+
+    #[test]
+    fn first_where_finds_the_step_from_any_guess() {
+        for step in [0u64, 1, 2, 7, 1_000, 1 << 40, u64::MAX] {
+            for guess in [0u64, 1, 5, 999, 1_001, 1 << 41, u64::MAX] {
+                let got = SimTime::first_where(SimTime(guess), |t| t.0 >= step);
+                assert_eq!(got, Some(SimTime(step)), "step {step} guess {guess}");
+            }
+        }
+        assert_eq!(SimTime::first_where(SimTime(3), |_| false), None);
     }
 
     #[test]

@@ -326,22 +326,54 @@ impl OpCounts {
     }
 }
 
-/// Zipf-skewed rank in `[0, n)` via continuous CDF inversion (the same
+/// Zipf-skewed ranks in `[0, n)` via continuous CDF inversion (the same
 /// technique as [`crate::AddressStream`]'s zipf mode), degenerating to
-/// uniform at `theta == 0`.
-fn zipf_rank(rng: &mut DetRng, n: u64, theta: f64) -> u64 {
-    let u = rng.f64();
-    if theta <= f64::EPSILON {
-        return ((u * n as f64) as u64).min(n - 1);
+/// uniform at `theta == 0`. The terms that depend only on `n` and
+/// `theta` are computed once, with the operations the per-draw formula
+/// would use, so every rank is the one that formula gives.
+#[derive(Debug, Clone, Copy)]
+struct ZipfRanks {
+    n: u64,
+    shape: ZipfShape,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum ZipfShape {
+    Uniform,
+    /// `theta == 1`: the CDF is logarithmic.
+    Log,
+    /// `span = n^(1−θ) − 1`, `inv_s = 1 / (1−θ)`.
+    Power {
+        span: f64,
+        inv_s: f64,
+    },
+}
+
+impl ZipfRanks {
+    fn new(n: u64, theta: f64) -> Self {
+        let s = 1.0 - theta;
+        let shape = if theta <= f64::EPSILON {
+            ZipfShape::Uniform
+        } else if s.abs() < 1e-9 {
+            ZipfShape::Log
+        } else {
+            ZipfShape::Power {
+                span: (n as f64).powf(s) - 1.0,
+                inv_s: 1.0 / s,
+            }
+        };
+        ZipfRanks { n, shape }
     }
-    let s = 1.0 - theta;
-    let rank = if (s.abs()) < 1e-9 {
-        // theta == 1: the CDF is logarithmic.
-        ((n as f64).powf(u) - 1.0).max(0.0)
-    } else {
-        (((n as f64).powf(s) - 1.0) * u + 1.0).powf(1.0 / s) - 1.0
-    };
-    (rank as u64).min(n - 1)
+
+    fn sample(&self, rng: &mut DetRng) -> u64 {
+        let (n, u) = (self.n, rng.f64());
+        let rank = match self.shape {
+            ZipfShape::Uniform => return ((u * n as f64) as u64).min(n - 1),
+            ZipfShape::Log => ((n as f64).powf(u) - 1.0).max(0.0),
+            ZipfShape::Power { span, inv_s } => (span * u + 1.0).powf(inv_s) - 1.0,
+        };
+        (rank as u64).min(n - 1)
+    }
 }
 
 /// Scatters a logical id over the block space so hot ranks do not
@@ -421,6 +453,8 @@ pub struct KvEngine {
     clients: Vec<Client>,
     /// Number of distinct keys (device capacity / value size, capped).
     keys: u64,
+    /// Key popularity over `keys`.
+    zipf: ZipfRanks,
     counts: OpCounts,
 }
 
@@ -431,6 +465,7 @@ impl KvEngine {
         let keys = (capacity_bytes / u64::from(cfg.value_size.max(1))).max(1);
         let clients = (0..cfg.window).map(|_| Client::new()).collect();
         KvEngine {
+            zipf: ZipfRanks::new(keys, cfg.theta),
             cfg,
             rng,
             clients,
@@ -440,7 +475,7 @@ impl KvEngine {
     }
 
     fn begin_txn(&mut self, ci: usize) -> AppOp {
-        let key = zipf_rank(&mut self.rng, self.keys, self.cfg.theta);
+        let key = self.zipf.sample(&mut self.rng);
         let offset = scatter(key, self.keys) * u64::from(self.cfg.value_size);
         let token = ci as u64;
         let len = self.cfg.value_size;
@@ -880,6 +915,43 @@ impl AppEngine for MlIngestEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The per-draw formula [`ZipfRanks`] hoists, verbatim.
+    fn zipf_rank(rng: &mut DetRng, n: u64, theta: f64) -> u64 {
+        let u = rng.f64();
+        if theta <= f64::EPSILON {
+            return ((u * n as f64) as u64).min(n - 1);
+        }
+        let s = 1.0 - theta;
+        let rank = if (s.abs()) < 1e-9 {
+            // theta == 1: the CDF is logarithmic.
+            ((n as f64).powf(u) - 1.0).max(0.0)
+        } else {
+            (((n as f64).powf(s) - 1.0) * u + 1.0).powf(1.0 / s) - 1.0
+        };
+        (rank as u64).min(n - 1)
+    }
+
+    #[test]
+    fn hoisted_zipf_ranks_match_the_per_draw_formula() {
+        for seed in 0..64u64 {
+            for (n, theta) in [
+                (1u64, 0.99),
+                (7, 0.0),
+                (1000, 0.5),
+                (1 << 18, 0.99),
+                (1 << 18, 1.0),
+                (262_144, 1.2),
+                (u64::from(u32::MAX), 0.8),
+            ] {
+                let zipf = ZipfRanks::new(n, theta);
+                let (mut a, mut b) = (DetRng::new(seed), DetRng::new(seed));
+                for _ in 0..200 {
+                    assert_eq!(zipf.sample(&mut a), zipf_rank(&mut b, n, theta));
+                }
+            }
+        }
+    }
 
     fn drive(spec: &AppModelSpec, steps: u32, seed: u64) -> Vec<AppOp> {
         let mut e = spec.build(DetRng::new(seed), 1 << 30);

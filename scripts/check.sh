@@ -31,6 +31,9 @@ cargo bench --workspace --no-run
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
+echo "==> QoS release-cache equivalence (cached drain/next_event vs the literal per-pump reference, high case count, release mode)"
+cargo test -q --release -p ioqos --lib differential -- --ignored
+
 echo "==> perfbench correctness (its own tests, then each workload untraced and traced at seed 1; every cell must match reference.txt)"
 cargo build --release --manifest-path perfbench/Cargo.toml
 cargo test --release --manifest-path perfbench/Cargo.toml
