@@ -4,7 +4,7 @@
 //! figures [--fidelity smoke|standard|full] [--smoke] [--jobs N|auto]
 //!         [--no-cache] [--refresh] [--faults]
 //!         [--trace[=N]] [--inject-panic LABEL] [--inject-hang LABEL]
-//!         [--resume] [--watchdog-soft-ms N]
+//!         [--watchdog-soft-ms N]
 //!         [--cell-retries N] [--retry-backoff-ms N]
 //!         [--scenario FILE.toml]...
 //!         [fig2 fig3 fig4 fig5 fig6 fig7 q10 table1 optane writeback
@@ -96,17 +96,15 @@
 //!
 //! # Crash-safe resume
 //!
-//! Every run appends completed cells (fingerprint, outcome, result
-//! rows) to an append-only journal at
-//! `target/isol-bench/journal/run.jsonl`, flushed per cell — a SIGKILL
-//! can at worst tear the final line, which the parser treats as a clean
-//! end of journal. `--resume` replays the journal of an interrupted run
-//! (same engine salt + fidelity): already-completed cells return their
-//! journaled rows without simulating, so the resumed run's CSVs and
-//! `timings.json` cell outcomes are byte-identical to an uninterrupted
-//! run. Without `--resume` the journal is truncated and started fresh.
-//! Stale cache temp files (`*.tmp-<pid>` from killed runs) are swept at
-//! startup.
+//! A killed run is resumed by running the same command again. Each
+//! cell's entry is stored in the cell cache the moment it completes
+//! (temp file plus atomic rename), so every cell stored before the kill
+//! is a hit and only the rest simulate; the CSVs are byte-identical to
+//! an uninterrupted run's, and `"hits"` in `timings.json` counts the
+//! cells that were carried over. Stale cache temp files (`*.tmp-<pid>`
+//! from killed runs) are swept at startup. A `--no-cache` run reads and
+//! writes nothing, so after a kill it starts over; faulted cells are
+//! never cached, so they always run again.
 
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
@@ -116,7 +114,7 @@ use isol_bench::experiments::{
     app_mix, fig2, fig3, fig4, fig5, fig6, fig7, fleet_scale, optane, q10, q_faults, table1,
     writeback,
 };
-use isol_bench::{cache, journal, runner, Cell, Fidelity, OutputSink, Staged};
+use isol_bench::{cache, runner, Cell, Fidelity, OutputSink, Staged};
 use isol_bench_harness::{
     parse_count, parse_selection, CellTiming, Failures, ResilienceSummary, Timings, OUTPUT_DIR,
 };
@@ -158,7 +156,6 @@ fn main() -> ExitCode {
     let mut fidelity = Fidelity::Standard;
     let mut no_cache = false;
     let mut refresh = false;
-    let mut resume = false;
     let mut inject_hang = false;
     let mut watchdog_soft: Option<Duration> = None;
     let mut rest = Vec::new();
@@ -218,8 +215,6 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             }
-        } else if a == "--resume" {
-            resume = true;
         } else if a == "--watchdog-soft-ms" {
             match parse_ms(&a, args.next()) {
                 Ok(d) => watchdog_soft = Some(d),
@@ -308,32 +303,6 @@ fn main() -> ExitCode {
         watchdog_soft = Some(Duration::from_millis(2_000));
     }
     runner::set_watchdog(watchdog_soft);
-    let fidelity_token = format!("{fidelity:?}").to_lowercase();
-    let journal_dir = std::path::PathBuf::from(format!("{OUTPUT_DIR}/journal"));
-    match journal::arm(&journal_dir, resume, &fidelity_token) {
-        Ok(sum) => {
-            if resume && sum.fresh {
-                eprintln!(
-                    "resume: no matching journal (missing, or different engine salt/fidelity); \
-                     starting fresh"
-                );
-            } else if resume {
-                eprintln!(
-                    "resume: {} completed cell(s) replayable from {}",
-                    sum.replayable,
-                    journal::file_path(&journal_dir).display()
-                );
-            }
-        }
-        Err(e) => {
-            // The journal is advisory: a run that cannot journal still
-            // produces correct output, it just cannot be resumed.
-            eprintln!(
-                "warning: cannot arm run journal in {}: {e}",
-                journal_dir.display()
-            );
-        }
-    }
 
     let mut sink = match OutputSink::with_dir(OUTPUT_DIR) {
         Ok(s) => s,
@@ -590,7 +559,6 @@ fn main() -> ExitCode {
         stats.corrupt,
     );
     let res = runner::resilience_stats();
-    let resumed = journal::resumed_count();
     if res.watchdog_soft + res.retries > 0 || !quarantined.is_empty() {
         sink.note(&format!(
             "(resilience: {} deadline fire(s), {} retr{}, {} quarantined)",
@@ -600,16 +568,10 @@ fn main() -> ExitCode {
             quarantined.len()
         ));
     }
-    if resumed > 0 {
-        sink.note(&format!(
-            "(resume: {resumed} cell(s) replayed from the run journal)"
-        ));
-    }
     timings.set_resilience(ResilienceSummary {
         watchdog_soft: res.watchdog_soft,
         retries: res.retries,
         quarantined,
-        resumed,
     });
     batch_cells.extend(cache::take_cell_stats());
     timings.set_cells(
@@ -619,7 +581,7 @@ fn main() -> ExitCode {
                 experiment: c.experiment,
                 label: c.label,
                 seconds: c.seconds,
-                outcome: c.outcome,
+                outcome: c.outcome.as_str().to_owned(),
             })
             .collect(),
     );

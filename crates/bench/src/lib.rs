@@ -69,9 +69,8 @@ pub struct Timings {
     cells: Vec<CellTiming>,
 }
 
-/// Deadline/retry/resume telemetry for one run, reported under
-/// `"resilience"` in `timings.json`. All zeros on a healthy,
-/// uninterrupted run.
+/// Deadline/retry telemetry for one run, reported under `"resilience"`
+/// in `timings.json`. All zeros on a healthy run.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ResilienceSummary {
     /// Cell attempts whose soft deadline passed.
@@ -80,8 +79,6 @@ pub struct ResilienceSummary {
     pub retries: usize,
     /// Cell labels quarantined after exhausting their retry budget.
     pub quarantined: Vec<String>,
-    /// Cells answered from the run journal by `--resume`.
-    pub resumed: usize,
 }
 
 impl Timings {
@@ -118,7 +115,7 @@ impl Timings {
         self.cache = (hits, misses, stored, bypassed, corrupt);
     }
 
-    /// Records the run's deadline/retry/resume telemetry.
+    /// Records the run's deadline/retry telemetry.
     pub fn set_resilience(&mut self, resilience: ResilienceSummary) {
         self.resilience = resilience;
     }
@@ -166,8 +163,8 @@ impl Timings {
             .collect::<Vec<_>>()
             .join(", ");
         s.push_str(&format!(
-            "  \"resilience\": {{\"watchdog_soft\": {}, \"retries\": {}, \"quarantined\": [{quarantined}], \"resumed\": {}}},\n",
-            r.watchdog_soft, r.retries, r.resumed
+            "  \"resilience\": {{\"watchdog_soft\": {}, \"retries\": {}, \"quarantined\": [{quarantined}]}},\n",
+            r.watchdog_soft, r.retries
         ));
         s.push_str("  \"cells\": [\n");
         for (i, c) in self.cells.iter().enumerate() {
@@ -208,8 +205,7 @@ pub struct FailureEntry {
     /// The panic payload or deadline message, stringified.
     pub message: String,
     /// Structured failure class token (`panic`, `timed_out`,
-    /// `invariant_violation`) — the same taxonomy the run journal
-    /// records.
+    /// `invariant_violation`; see `isol_bench::runner::FailureClass`).
     pub class: String,
     /// Attempts the cell consumed before being given up on.
     pub attempts: u32,
@@ -535,7 +531,6 @@ mod tests {
             watchdog_soft: 2,
             retries: 3,
             quarantined: vec!["fig4-hung".into()],
-            resumed: 5,
         });
         t.set_cells(vec![
             CellTiming {
@@ -558,7 +553,7 @@ mod tests {
         ));
         assert!(json.contains(
             "\"resilience\": {\"watchdog_soft\": 2, \"retries\": 3, \
-             \"quarantined\": [\"fig4-hung\"], \"resumed\": 5}"
+             \"quarantined\": [\"fig4-hung\"]}"
         ));
         // Cells are sorted by (experiment, label): fig3 first.
         let f3 = json.find("fig3-none-16").unwrap();

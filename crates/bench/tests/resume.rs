@@ -1,10 +1,12 @@
 //! End-to-end crash/hang resilience tests against the real `figures`
 //! binary, each in its own scratch working directory (the harness
-//! writes to `target/isol-bench/` relative to the cwd):
+//! writes to `target/isol-bench/` relative to the cwd, so each test
+//! also starts from an empty cell cache):
 //!
-//! * SIGKILL a run mid-grid, rerun with `--resume`, and require the
-//!   CSVs and the per-cell `(experiment, label, outcome)` triples in
-//!   `timings.json` to be byte-identical to an uninterrupted run;
+//! * SIGKILL a run mid-grid, run the same command again, and require
+//!   the CSVs to be byte-identical to an uninterrupted run's, every
+//!   entry stored before the kill to be a cache hit, and the other
+//!   cells to report the uninterrupted run's outcome;
 //! * `--inject-hang` a cell and require its deadline to stop it, the
 //!   runner to retry it, quarantine it and classify it `timed_out`, and
 //!   the run to still exit 0 with every other table emitted.
@@ -37,23 +39,45 @@ fn out_file(cwd: &Path, name: &str) -> PathBuf {
     cwd.join("target/isol-bench").join(name)
 }
 
+/// The names in the run's cache directory whose extension starts with
+/// `ext` (`cell` for entries, `tmp-` for stores in flight).
+fn cache_files(cwd: &Path, ext: &str) -> Vec<String> {
+    fs::read_dir(out_file(cwd, "cache"))
+        .map(|d| {
+            d.flatten()
+                .map(|e| e.file_name().to_string_lossy().into_owned())
+                .filter(|n| n.rsplit_once('.').is_some_and(|(_, x)| x.starts_with(ext)))
+                .collect()
+        })
+        .unwrap_or_default()
+}
+
 /// The order- and duration-independent part of `timings.json`: one
-/// `(experiment, label, outcome)` line per cell, `"seconds"` stripped.
-fn cell_outcomes(cwd: &Path) -> Vec<String> {
+/// `(experiment, label)` prefix and its outcome token per cell,
+/// `"seconds"` stripped.
+fn cell_outcomes(cwd: &Path) -> Vec<(String, String)> {
     let text = fs::read_to_string(out_file(cwd, "timings.json")).expect("timings.json");
     text.lines()
         .filter(|l| l.contains("\"experiment\""))
         .map(|l| {
-            let start = l.find(", \"seconds\":").expect("seconds field");
-            let end = l[start + 1..].find(',').expect("field after seconds") + start + 1;
-            format!("{}{}", &l[..start], &l[end..])
+            let (cell, rest) = l.split_once(", \"seconds\":").expect("seconds field");
+            let (_, outcome) = rest.split_once("\"outcome\": \"").expect("outcome field");
+            let outcome = outcome.split('"').next().expect("outcome token");
+            (cell.to_owned(), outcome.to_owned())
         })
         .collect()
 }
 
+fn cache_hits(cwd: &Path) -> usize {
+    let text = fs::read_to_string(out_file(cwd, "timings.json")).expect("timings.json");
+    let (_, rest) = text.split_once("\"hits\": ").expect("hits field");
+    let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
+    digits.parse().expect("hits count")
+}
+
 #[test]
 fn sigkill_then_resume_matches_an_uninterrupted_run() {
-    let base = &["--smoke", "fig4", "--no-cache", "--jobs", "2"];
+    let base = &["--smoke", "fig4", "--jobs", "2"];
 
     // Reference: an uninterrupted run.
     let ref_dir = scratch_dir("ref");
@@ -66,51 +90,58 @@ fn sigkill_then_resume_matches_an_uninterrupted_run() {
     let ref_cells = cell_outcomes(&ref_dir);
     assert!(!ref_cells.is_empty(), "reference run must report cells");
 
-    // Victim: same run, SIGKILLed once the journal holds a few durable
-    // cells (so the resume has real work both to replay and to redo).
+    // Victim: same run, SIGKILLed once the cache holds a few stored
+    // cells (so the rerun has real work both to serve and to redo).
     let kill_dir = scratch_dir("kill");
     let mut child = figures(&kill_dir, base).spawn().expect("spawn victim");
-    let journal = out_file(&kill_dir, "journal/run.jsonl");
     let deadline = Instant::now() + Duration::from_secs(120);
     loop {
-        let cells = fs::read_to_string(&journal)
-            .map(|t| t.lines().filter(|l| l.contains("\"cell\":")).count())
-            .unwrap_or(0);
-        if cells >= 3 {
+        if cache_files(&kill_dir, "cell").len() >= 3 {
             break;
         }
         if let Some(status) = child.try_wait().expect("try_wait") {
-            // Too fast to catch mid-run — the resume below degenerates
-            // to a full replay, which the test still validates.
+            // Too fast to catch mid-run — the rerun degenerates to all
+            // hits, which the test still validates.
             assert!(status.success(), "victim run failed: {status}");
             break;
         }
-        assert!(Instant::now() < deadline, "no journaled cells within 120s");
+        assert!(Instant::now() < deadline, "no stored cells within 120s");
         std::thread::sleep(Duration::from_millis(10));
     }
     child.kill().ok(); // SIGKILL: no cleanup code runs
     child.wait().expect("reap victim");
+    let stored = cache_files(&kill_dir, "cell").len();
 
-    // Resume must complete only the missing cells and converge to the
-    // uninterrupted run's bytes.
-    let mut resume_args = base.to_vec();
-    resume_args.push("--resume");
-    let status = figures(&kill_dir, &resume_args)
-        .status()
-        .expect("spawn resume");
-    assert!(status.success(), "resume run failed: {status}");
+    // The same command again completes only the missing cells and
+    // converges to the uninterrupted run's bytes.
+    let status = figures(&kill_dir, base).status().expect("spawn rerun");
+    assert!(status.success(), "rerun failed: {status}");
     for (name, expect) in CSVS.iter().zip(&ref_csvs) {
-        let got = fs::read(out_file(&kill_dir, name)).expect("resumed csv");
+        let got = fs::read(out_file(&kill_dir, name)).expect("rerun csv");
         assert_eq!(
             &got, expect,
             "{name} differs between resumed and uninterrupted runs"
         );
     }
-    assert_eq!(
-        cell_outcomes(&kill_dir),
-        ref_cells,
-        "per-cell outcomes must survive the resume"
+    assert_eq!(cache_hits(&kill_dir), stored, "every stored cell is a hit");
+    assert!(
+        cache_files(&kill_dir, "tmp-").is_empty(),
+        "no temp file is left behind"
     );
+    let cells = cell_outcomes(&kill_dir);
+    let labels = |cells: &[(String, String)]| -> Vec<String> {
+        cells.iter().map(|(cell, _)| cell.clone()).collect()
+    };
+    assert_eq!(labels(&cells), labels(&ref_cells), "same cells, same order");
+    let mut hits = 0;
+    for ((cell, got), (_, want)) in cells.iter().zip(&ref_cells) {
+        if got == "hit" {
+            hits += 1;
+        } else {
+            assert_eq!(got, want, "{cell}: outcome of a recomputed cell");
+        }
+    }
+    assert_eq!(hits, stored, "exactly the stored cells report `hit`");
 
     fs::remove_dir_all(&ref_dir).ok();
     fs::remove_dir_all(&kill_dir).ok();

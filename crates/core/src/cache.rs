@@ -50,8 +50,20 @@
 //! Loading is fail-closed: a missing, truncated, corrupted, stale-salt,
 //! or wrong-spec entry is silently a miss and gets recomputed and
 //! rewritten. Stores go through a temp file + atomic rename so a
-//! crashed run can leave at worst an ignored `*.tmp-*` turd, never a
-//! half-written entry under a live key.
+//! crashed run can leave at worst an ignored `*.tmp-*` turd (swept by
+//! [`sweep_stale_tmp`] at the next open), never a half-written entry
+//! under a live key.
+//!
+//! # Resume
+//!
+//! The cache is also what resumes a killed run: started again with the
+//! same command, the run hits every cell stored before the kill and
+//! simulates only the rest. Each entry is durable on its own once its
+//! rename returns, because a SIGKILL or OOM kill does not lose data the
+//! process already handed to the kernel. Nothing is fsynced, so a power
+//! loss can lose recent entries; a lost entry is only a miss. Cells the
+//! cache never stores (faulted, traced, or the whole run under
+//! `CacheMode::Off`) simulate again.
 //!
 //! # Process-global state
 //!
@@ -151,14 +163,6 @@ fn salt() -> u64 {
         .unwrap_or(ENGINE_SALT)
 }
 
-/// The engine salt currently in effect (the test override if set, else
-/// [`ENGINE_SALT`]). The run journal pins this in its header so a
-/// journal written by a different engine version is never replayed.
-#[must_use]
-pub fn active_salt() -> u64 {
-    salt()
-}
-
 /// Cache traffic counters for one run (see [`stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
@@ -235,10 +239,8 @@ pub struct CellStat {
     pub label: String,
     /// Wall-clock spent in the cell, including cache I/O.
     pub seconds: f64,
-    /// How the cache treated this cell — a [`CellOutcome`] token, kept
-    /// as a string so a journal-resumed cell can report the *original*
-    /// run's token and keep `timings.json` outcomes byte-identical.
-    pub outcome: String,
+    /// How the cache treated this cell.
+    pub outcome: CellOutcome,
 }
 
 /// Drains the per-cell telemetry recorded since the last call (or
@@ -392,7 +394,7 @@ pub fn store_rows(dir: &Path, spec: &str, rows: &[Vec<f64>]) -> std::io::Result<
     fs::rename(&tmp, &path)
 }
 
-fn record_cell(experiment: &str, label: &str, started: Instant, outcome: &str) {
+fn record_cell(experiment: &str, label: &str, started: Instant, outcome: CellOutcome) {
     CELL_STATS
         .lock()
         .expect("cell stats poisoned")
@@ -400,27 +402,23 @@ fn record_cell(experiment: &str, label: &str, started: Instant, outcome: &str) {
             experiment: experiment.to_owned(),
             label: label.to_owned(),
             seconds: started.elapsed().as_secs_f64(),
-            outcome: outcome.to_owned(),
+            outcome,
         });
 }
 
-/// Runs one scenario cell through the cache and the run journal.
+/// Runs one scenario cell through the cache.
 ///
 /// On a cache hit the scenario is **not** simulated — the stored rows
 /// come back as-is (bit-exact, via the hex-bits row encoding). On a
 /// miss the scenario runs, `extract` turns the report into rows, and
-/// the rows are stored (best-effort). Faulted scenarios always simulate
-/// and are never cached. A panic in the simulation or in `extract`
-/// propagates before any store, so degraded cells never poison the
-/// cache.
+/// the rows are stored (best-effort). Faulted and traced scenarios
+/// always simulate and are never cached. A panic in the simulation or
+/// in `extract` propagates before any store, so degraded cells never
+/// poison the cache.
 ///
-/// When the run journal is armed ([`crate::journal::arm`]) the cell is
-/// first checked against the journal's durable completed cells — a
-/// `--resume` replay short-circuits even faulted and cache-off cells,
-/// reporting the *journaled* outcome token so the resumed run's
-/// telemetry matches the interrupted run byte-for-byte. Every cell that
-/// completes live appends its rows and outcome to the journal before
-/// returning. Traced cells bypass both the cache and the journal.
+/// Because each store is a temp file plus an atomic rename, every cell
+/// stored before a crash is a hit when the same run is started again:
+/// that is how a killed `figures` run resumes.
 #[must_use]
 pub fn run_scenario(
     experiment: &str,
@@ -440,65 +438,34 @@ pub fn run_scenario(
             return rows; // discarded by the runner; see below
         }
         BYPASSED.fetch_add(1, Ordering::Relaxed);
-        record_cell(experiment, label, started, CellOutcome::Bypass.as_str());
+        record_cell(experiment, label, started, CellOutcome::Bypass);
         return rows;
     }
-    let mode = mode();
-    let faulted = scenario.has_faults();
-    let journaled = crate::journal::armed();
-    // The spec is needed for the cache (non-faulted, cache on) and for
-    // the journal key (always, so faulted and cache-off cells resume
-    // too). Computed at most once.
-    let spec = (journaled || (!faulted && mode != CacheMode::Off))
-        .then(|| spec_string(experiment, label, fidelity, &scenario, until));
-    let fp = journaled
-        .then(|| spec.as_deref().map(|s| fingerprint(s).hex()))
-        .flatten();
-    if let Some(fp) = &fp {
-        if let Some((rows, outcome)) = crate::journal::replay(fp, experiment, label) {
-            record_cell(experiment, label, started, &outcome);
-            return rows;
-        }
-    }
-    let journal_done = |outcome: CellOutcome, rows: &[Vec<f64>]| {
-        if let Some(fp) = &fp {
-            crate::journal::record_cell(
-                fp,
-                experiment,
-                label,
-                outcome.as_str(),
-                crate::runner::current_attempt(),
-                rows,
-            );
-        }
-    };
-    if faulted {
+    if scenario.has_faults() {
         let rows = extract(scenario.run(until));
         if simcore::cancel::poll() {
             return rows; // discarded by the runner; see below
         }
         BYPASSED.fetch_add(1, Ordering::Relaxed);
-        journal_done(CellOutcome::Bypass, &rows);
-        record_cell(experiment, label, started, CellOutcome::Bypass.as_str());
+        record_cell(experiment, label, started, CellOutcome::Bypass);
         return rows;
     }
+    let mode = mode();
     if mode == CacheMode::Off {
         let rows = extract(scenario.run(until));
         if simcore::cancel::poll() {
             return rows;
         }
-        journal_done(CellOutcome::Off, &rows);
-        record_cell(experiment, label, started, CellOutcome::Off.as_str());
+        record_cell(experiment, label, started, CellOutcome::Off);
         return rows;
     }
-    let spec = spec.expect("spec computed for cache-on path above");
+    let spec = spec_string(experiment, label, fidelity, &scenario, until);
     let cache_dir = dir();
     if mode == CacheMode::ReadWrite {
         match load_classified(&cache_dir, &spec) {
             LoadOutcome::Loaded(rows) => {
                 HITS.fetch_add(1, Ordering::Relaxed);
-                journal_done(CellOutcome::Hit, &rows);
-                record_cell(experiment, label, started, CellOutcome::Hit.as_str());
+                record_cell(experiment, label, started, CellOutcome::Hit);
                 return rows;
             }
             LoadOutcome::Corrupt => {
@@ -512,15 +479,14 @@ pub fn run_scenario(
         // The attempt's deadline passed: these rows may be partial
         // stats (the engine unwound at a poll point). The resilient
         // runner discards the attempt, so they must never reach the
-        // cache, the journal, or the per-cell telemetry.
+        // cache or the per-cell telemetry.
         return rows;
     }
     MISSES.fetch_add(1, Ordering::Relaxed);
     if store_rows(&cache_dir, &spec, &rows).is_ok() {
         STORED.fetch_add(1, Ordering::Relaxed);
     }
-    journal_done(CellOutcome::Miss, &rows);
-    record_cell(experiment, label, started, CellOutcome::Miss.as_str());
+    record_cell(experiment, label, started, CellOutcome::Miss);
     rows
 }
 

@@ -49,7 +49,6 @@ pub mod cache;
 pub mod cell;
 pub mod experiments;
 mod fidelity;
-pub mod journal;
 mod knob;
 mod output;
 pub mod runner;

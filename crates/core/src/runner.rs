@@ -84,22 +84,8 @@ static BACKOFF_BASE_MS: AtomicU64 = AtomicU64::new(50);
 static SOFT_FIRES: AtomicUsize = AtomicUsize::new(0);
 static RETRIES_DONE: AtomicUsize = AtomicUsize::new(0);
 
-thread_local! {
-    /// 1-based attempt number of the cell attempt running on this
-    /// thread; read by the cache layer when journaling a completed
-    /// cell.
-    static CURRENT_ATTEMPT: std::cell::Cell<u32> = const { std::cell::Cell::new(1) };
-}
-
-/// The attempt number of the cell attempt running on this thread (1
-/// outside the resilient pool).
-#[must_use]
-pub(crate) fn current_attempt() -> u32 {
-    CURRENT_ATTEMPT.with(std::cell::Cell::get)
-}
-
-/// Structured failure taxonomy shared by `failures.json` and the run
-/// journal.
+/// Structured failure taxonomy reported in `failures.json` and in the
+/// runner's log lines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FailureClass {
     /// The cell panicked (assertion, arithmetic, explicit panic).
@@ -321,7 +307,6 @@ fn run_resilient_cell<T>(index: usize, label: &str, task: &(dyn Fn() -> T + Send
             let backoff = base.saturating_mul(1 << (attempt - 2).min(16));
             thread::sleep(Duration::from_millis(backoff));
         }
-        CURRENT_ATTEMPT.with(|c| c.set(attempt));
         let (outcome, timed_out) = {
             let _deadline = DeadlineGuard::new(soft);
             let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
@@ -331,7 +316,6 @@ fn run_resilient_cell<T>(index: usize, label: &str, task: &(dyn Fn() -> T + Send
             }));
             (outcome, cancel::poll())
         };
-        CURRENT_ATTEMPT.with(|c| c.set(1));
         if timed_out {
             SOFT_FIRES.fetch_add(1, Ordering::Relaxed);
         }
@@ -365,7 +349,6 @@ fn run_resilient_cell<T>(index: usize, label: &str, task: &(dyn Fn() -> T + Send
         last = Some((class, message));
     }
     let (class, message) = last.expect("at least one attempt ran");
-    crate::journal::record_failure(label, class.as_str(), max_attempts, &message);
     FAILURES
         .lock()
         .expect("failure registry poisoned")

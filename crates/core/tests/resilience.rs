@@ -1,5 +1,5 @@
-//! Integration tests for resilient cell execution and the crash-safe
-//! run journal:
+//! Integration tests for resilient cell execution and crash-safe
+//! resume from the cell cache:
 //!
 //! * a flaky cell (panics once, succeeds on retry) recovers without
 //!   surfacing a failure,
@@ -9,31 +9,32 @@
 //!   deadline within a bounded wall-clock and classified `timed_out`,
 //! * a real scenario that outlives its deadline is cut at the engine's
 //!   own poll point, and a task that never polls is discarded when it
-//!   returns late — in both cases nothing reaches the cache, the
-//!   journal or the per-cell telemetry, traced cells included,
-//! * arming the journal in resume mode replays completed cells without
-//!   re-simulating, and the replayed run's CSVs are byte-identical,
-//! * journal replay is idempotent under arbitrary truncation of the
-//!   journal file (proptest).
+//!   returns late — in both cases nothing reaches the cache or the
+//!   per-cell telemetry, traced cells included,
+//! * a rerun over a cache left by a killed run (entries missing,
+//!   corrupt, or only a stale temp file) serves every intact entry and
+//!   reproduces the uninterrupted run's CSVs byte for byte,
+//! * whichever entries a kill leaves intact, absent, torn or as a temp
+//!   file only, the rerun's rows are bit-identical and its hits equal
+//!   the intact entries (proptest).
 
 use std::collections::BTreeMap;
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use isol_bench::experiments::fig4;
-use isol_bench::journal::{parse_journal, render_header, render_record, Header, Record};
 use isol_bench::{
-    cache, journal, run_cells, runner, tracing, Cell, Fidelity, Knob, OutputSink, Scenario,
+    cache, run_cells, runner, tracing, Cell, CellRows, Fidelity, Knob, OutputSink, Scenario,
 };
 use proptest::prelude::*;
 use simcore::SimTime;
 use workload::JobSpec;
 
-/// The cell deadline, retry budget, injection hooks, cache, tracing and
-/// the journal are process-global, so tests that touch them must not
+/// The cell deadline, retry budget, injection hooks, cache and tracing
+/// are process-global, so tests that touch them must not
 /// interleave.
 static GLOBAL_CONFIG: Mutex<()> = Mutex::new(());
 
@@ -51,7 +52,6 @@ impl Drop for ResilienceGuard {
         runner::set_jobs(0);
         runner::reset_resilience();
         let _ = runner::take_failures();
-        journal::disarm();
         cache::set_mode(cache::CacheMode::Off);
         tracing::set_capacity(None);
     }
@@ -65,7 +65,6 @@ fn arm_defaults() -> ResilienceGuard {
     runner::set_inject_panic(None);
     runner::reset_resilience();
     let _ = runner::take_failures();
-    journal::disarm();
     cache::set_mode(cache::CacheMode::Off);
     ResilienceGuard
 }
@@ -204,12 +203,10 @@ fn deadline_cuts_a_real_scenario_at_the_engine_poll_point() {
     let _guard = GLOBAL_CONFIG.lock().unwrap_or_else(|e| e.into_inner());
     let _restore = arm_defaults();
     let cache_dir = temp_dir("deadline-cache");
-    let journal_dir = temp_dir("deadline-journal");
     cache::set_dir(&cache_dir);
     cache::set_mode(cache::CacheMode::ReadWrite);
     cache::reset_stats();
     let _ = cache::take_cell_stats();
-    journal::arm(&journal_dir, false, "smoke").expect("arm journal");
 
     run_past_deadline(long_cell("res-long"));
 
@@ -220,14 +217,7 @@ fn deadline_cuts_a_real_scenario_at_the_engine_poll_point() {
         "no cache entry written"
     );
     assert!(cache::take_cell_stats().is_empty(), "no per-cell telemetry");
-    let text = fs::read_to_string(journal::file_path(&journal_dir)).unwrap_or_default();
-    let (_, records) = parse_journal(&text);
-    assert!(
-        records.iter().all(|r| !matches!(r, Record::Cell { .. })),
-        "no completed cell journaled: {records:?}"
-    );
     fs::remove_dir_all(&cache_dir).ok();
-    fs::remove_dir_all(&journal_dir).ok();
 }
 
 #[test]
@@ -275,116 +265,198 @@ fn fig4_csvs(tag: &str) -> BTreeMap<String, Vec<u8>> {
     out
 }
 
-#[test]
-fn journal_resume_replays_cells_byte_identically() {
-    let _guard = GLOBAL_CONFIG.lock().unwrap_or_else(|e| e.into_inner());
-    let _restore = arm_defaults();
-    let journal_dir = temp_dir("journal");
-    // Cold run with an armed fresh journal (cache stays off: the
-    // journal alone must carry the resume).
-    let summary = journal::arm(&journal_dir, false, "smoke").expect("arm fresh");
-    assert!(summary.fresh);
-    assert_eq!(summary.replayable, 0);
-    let cold = fig4_csvs("journal-cold");
-    assert!(runner::take_failures().is_empty(), "cold run must be clean");
-
-    // Resume: every completed cell replays from the journal.
-    let summary = journal::arm(&journal_dir, true, "smoke").expect("arm resume");
-    assert!(!summary.fresh, "matching journal must not be discarded");
-    assert!(summary.replayable > 0);
-    let resumed = fig4_csvs("journal-resume");
-    assert_eq!(
-        journal::resumed_count(),
-        summary.replayable,
-        "every journaled cell must replay"
-    );
-    assert_eq!(cold, resumed, "resumed CSVs must be byte-identical");
-
-    // A fidelity mismatch discards the journal instead of replaying
-    // stale rows.
-    let summary = journal::arm(&journal_dir, true, "standard").expect("arm mismatched");
-    assert!(summary.fresh, "mismatched header must start fresh");
-    assert_eq!(summary.replayable, 0);
-    fs::remove_dir_all(&journal_dir).ok();
+/// The `*.cell` entries under `dir`, sorted by name.
+fn cache_entries(dir: &Path) -> Vec<PathBuf> {
+    let mut entries: Vec<PathBuf> = fs::read_dir(dir)
+        .map(|d| d.flatten().map(|e| e.path()).collect())
+        .unwrap_or_default();
+    entries.retain(|p| p.extension().is_some_and(|e| e == "cell"));
+    entries.sort();
+    entries
 }
 
-/// Deterministic journal content derived from a seed list: a mix of
-/// completed-cell and failure records with awkward strings (quotes,
-/// backslashes, newlines) and bit-pattern floats. ASCII only, so any
-/// byte offset is a valid truncation point.
-fn journal_fixture(seeds: &[u64]) -> (Header, Vec<Record>, String) {
-    let header = Header {
-        salt: 0xABCD_EF01_2345_6789,
-        fidelity: "smoke".to_owned(),
-    };
-    let mut text = render_header(&header);
-    let mut records = Vec::new();
-    for (i, &s) in seeds.iter().enumerate() {
-        let rec = if s % 5 == 0 {
-            Record::Fail {
-                label: format!("cell-{i}"),
-                class: "panic".to_owned(),
-                attempts: (s % 3) as u32 + 1,
-                message: format!("boom \"{s}\" \\ tail\nsecond line"),
-            }
+/// The temp-file name a store of `entry` uses while it is in flight,
+/// here for a writer process that no longer exists.
+fn stale_tmp_of(entry: &Path) -> PathBuf {
+    entry.with_extension("tmp-4242")
+}
+
+#[test]
+fn rerun_after_a_kill_resumes_from_the_cache() {
+    let _guard = GLOBAL_CONFIG.lock().unwrap_or_else(|e| e.into_inner());
+    let _restore = arm_defaults();
+    let cache_dir = temp_dir("resume-cache");
+    cache::set_dir(&cache_dir);
+    cache::set_mode(cache::CacheMode::ReadWrite);
+    cache::reset_stats();
+    let cold = fig4_csvs("resume-cold");
+    assert!(runner::take_failures().is_empty(), "cold run must be clean");
+    let entries = cache_entries(&cache_dir);
+    assert_eq!(cache::stats().stored, entries.len());
+    assert!(
+        entries.len() >= 4,
+        "fig4 smoke grid has {} cells",
+        entries.len()
+    );
+
+    // What a kill can leave: every other entry never stored, one of the
+    // rest torn, and a half-written temp file from the store in flight.
+    let mut intact = 0;
+    for (i, entry) in entries.iter().enumerate() {
+        if i % 2 == 0 {
+            fs::remove_file(entry).expect("delete entry");
+        } else if i == 1 {
+            let bytes = fs::read(entry).expect("read entry");
+            fs::write(entry, &bytes[..bytes.len() / 2]).expect("tear entry");
         } else {
-            let v = f64::from_bits(s);
-            let v = if v.is_nan() { 0.0 } else { v };
-            Record::Cell {
-                fp: format!("{s:032x}"),
-                experiment: "fig4".to_owned(),
-                label: format!("cell-{i}"),
-                outcome: "miss".to_owned(),
-                attempts: (s % 2) as u32 + 1,
-                rows: vec![vec![v, -1.5], vec![], vec![(i as f64) * 0.125]],
-            }
-        };
-        text.push_str(&render_record(&rec));
-        records.push(rec);
+            intact += 1;
+        }
     }
-    assert!(text.is_ascii(), "fixture must allow arbitrary byte cuts");
-    (header, records, text)
+    let tmp = stale_tmp_of(&entries[0]);
+    fs::write(&tmp, "isol-bench-cell v1\nsalt").expect("write temp file");
+    assert_eq!(cache::sweep_stale_tmp(&cache_dir), 1);
+    assert!(!tmp.exists(), "the stale temp file is swept");
+
+    cache::reset_stats();
+    let resumed = fig4_csvs("resume-warm");
+    assert_eq!(cold, resumed, "resumed CSVs must be byte-identical");
+    let stats = cache::stats();
+    assert_eq!(stats.hits, intact, "every intact entry is served");
+    assert_eq!(stats.corrupt, 1, "the torn entry is a counted miss");
+    assert_eq!(stats.misses, entries.len() - intact);
+    assert_eq!(cache_entries(&cache_dir), entries, "every entry restored");
+    fs::remove_dir_all(&cache_dir).ok();
+}
+
+/// Six cells of a few simulated milliseconds each, one per knob.
+fn short_grid() -> Vec<Cell> {
+    Knob::ALL
+        .into_iter()
+        .enumerate()
+        .map(|(i, knob)| {
+            let mut s = Scenario::new(&format!("res-short-{i}"), 2, vec![knob.device_setup(false)]);
+            for t in 0..=i % 3 {
+                let g = s.add_cgroup(&format!("t-{t}"));
+                s.add_app(g, JobSpec::batch_app(&format!("a-{t}")));
+            }
+            Cell::scenario(
+                "res",
+                Fidelity::Smoke,
+                s,
+                SimTime::from_millis(3),
+                |report| vec![report.app_bandwidths(), vec![report.aggregate_gib_s()]],
+            )
+        })
+        .collect()
+}
+
+fn run_short_grid() -> Vec<CellRows> {
+    run_cells(short_grid())
+        .into_iter()
+        .map(|rows| rows.expect("short cells never fail"))
+        .collect()
+}
+
+/// What a kill left of one cache entry.
+#[derive(Debug, Clone, Copy)]
+enum Left {
+    Intact,
+    Absent,
+    /// Cut at this fraction of the entry's bytes (never all of them).
+    Torn(f64),
+    /// Never renamed into place: only a temp file with this fraction.
+    TempOnly(f64),
+}
+
+fn left() -> impl Strategy<Value = Left> {
+    prop_oneof![
+        Just(Left::Intact),
+        Just(Left::Absent),
+        (0.0f64..1.0).prop_map(Left::Torn),
+        (0.0f64..=1.0).prop_map(Left::TempOnly),
+    ]
+}
+
+/// A cold run of the short grid: its rows and its cache entries.
+struct ColdGrid {
+    rows: Vec<CellRows>,
+    /// `(file name, bytes)` per entry.
+    entries: Vec<(String, Vec<u8>)>,
+}
+
+/// The cold short grid, computed once and restored into a fresh
+/// directory by each proptest case.
+fn cold_short_grid() -> &'static ColdGrid {
+    static COLD: std::sync::OnceLock<ColdGrid> = std::sync::OnceLock::new();
+    COLD.get_or_init(|| {
+        let dir = temp_dir("short-cold");
+        cache::set_dir(&dir);
+        cache::set_mode(cache::CacheMode::ReadWrite);
+        let rows = run_short_grid();
+        let entries = cache_entries(&dir)
+            .iter()
+            .map(|p| {
+                let name = p.file_name().unwrap().to_string_lossy().into_owned();
+                (name, fs::read(p).expect("read entry"))
+            })
+            .collect();
+        fs::remove_dir_all(&dir).ok();
+        ColdGrid { rows, entries }
+    })
+}
+
+fn bits(rows: &[CellRows]) -> Vec<Vec<Vec<u64>>> {
+    rows.iter()
+        .map(|cell| {
+            cell.iter()
+                .map(|r| r.iter().map(|v| v.to_bits()).collect())
+                .collect()
+        })
+        .collect()
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Truncating the journal at ANY byte yields a clean prefix of the
-    /// original records (never garbage, never an error), and replaying
-    /// that prefix — re-rendering and re-parsing it — is idempotent.
-    /// This is the property that makes `--resume` after SIGKILL safe.
+    /// Whatever a kill leaves of each entry — intact, absent, torn at
+    /// any byte, or only a temp file — the rerun returns the cold run's
+    /// rows bit for bit and serves exactly the intact entries.
     #[test]
-    fn journal_replay_is_idempotent_under_truncation(
-        seeds in proptest::collection::vec(0u64..=u64::MAX, 0..12),
-        cut_frac in 0.0f64..=1.0,
+    fn rerun_is_exact_whatever_a_kill_left(
+        fates in proptest::collection::vec(left(), 6),
     ) {
-        let (header, records, text) = journal_fixture(&seeds);
-        #[allow(clippy::cast_sign_loss, clippy::cast_possible_truncation)]
-        let cut = ((text.len() as f64) * cut_frac) as usize;
-        let cut = cut.min(text.len());
-        let (h, parsed) = parse_journal(&text[..cut]);
-
-        // The parsed records are exactly a prefix of what was written.
-        prop_assert!(parsed.len() <= records.len());
-        prop_assert_eq!(&parsed[..], &records[..parsed.len()]);
-        // Records are only reachable through a complete, valid header.
-        if h.is_none() {
-            prop_assert!(parsed.is_empty());
-        } else {
-            prop_assert_eq!(h.as_ref(), Some(&header));
+        let _guard = GLOBAL_CONFIG.lock().unwrap_or_else(|e| e.into_inner());
+        let _restore = arm_defaults();
+        runner::set_jobs(2);
+        let cold = cold_short_grid();
+        prop_assert_eq!(cold.entries.len(), fates.len());
+        let dir = temp_dir("short-kill");
+        fs::create_dir_all(&dir).expect("cache dir");
+        let (mut intact, mut temps) = (0, 0);
+        for ((name, bytes), fate) in cold.entries.iter().zip(&fates) {
+            let path = dir.join(name);
+            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+            let prefix = |frac: f64| &bytes[..(bytes.len() as f64 * frac) as usize];
+            match *fate {
+                Left::Intact => {
+                    fs::write(&path, bytes).expect("write entry");
+                    intact += 1;
+                }
+                Left::Absent => {}
+                Left::Torn(frac) => fs::write(&path, prefix(frac)).expect("tear entry"),
+                Left::TempOnly(frac) => {
+                    fs::write(stale_tmp_of(&path), prefix(frac)).expect("write temp");
+                    temps += 1;
+                }
+            }
         }
-        // A cut inside record k loses records k.. but nothing before.
-        if cut == text.len() {
-            prop_assert_eq!(parsed.len(), records.len());
-        }
-
-        // Idempotence: re-render the durable prefix and re-parse it.
-        let mut round = h.as_ref().map(render_header).unwrap_or_default();
-        for rec in &parsed {
-            round.push_str(&render_record(rec));
-        }
-        let (h2, parsed2) = parse_journal(&round);
-        prop_assert_eq!(h2, h);
-        prop_assert_eq!(parsed2, parsed);
+        prop_assert_eq!(cache::sweep_stale_tmp(&dir), temps);
+        cache::set_dir(&dir);
+        cache::set_mode(cache::CacheMode::ReadWrite);
+        cache::reset_stats();
+        let rows = run_short_grid();
+        prop_assert_eq!(bits(&rows), bits(&cold.rows));
+        prop_assert_eq!(cache::stats().hits, intact);
+        fs::remove_dir_all(&dir).ok();
     }
 }

@@ -117,7 +117,14 @@ impl IoLatencyController {
 
     /// Sets or clears a group's latency target in microseconds (a write
     /// to `io.latency`).
+    ///
+    /// A disabled controller (no target left) counts nothing, so
+    /// removing the last target or adding the first starts every group
+    /// afresh: no in-flight count, depth or `use_delay` carries over.
+    /// While disabled a group's depth is unbounded, so everything held
+    /// when the last target went passes at the next drain.
     pub fn set_target(&mut self, group: GroupId, target_us: Option<u64>) {
+        let was_enabled = self.is_enabled();
         match target_us {
             Some(t) => {
                 self.targets.insert(group, t);
@@ -125,6 +132,17 @@ impl IoLatencyController {
             None => {
                 self.targets.remove(group);
             }
+        }
+        if was_enabled != self.is_enabled() {
+            let depth = if was_enabled { u32::MAX } else { self.max_qd };
+            for (_, g) in self.groups.iter_mut() {
+                g.inflight = 0;
+                g.effective_qd = depth;
+                g.use_delay = 0;
+                g.window_lat_ns.clear();
+            }
+            self.dirty.clear();
+            self.due = SimTime::ZERO;
         }
     }
 
@@ -523,6 +541,39 @@ mod tests {
         let rel = c.drain_released(SimTime::ZERO);
         assert_eq!(rel.len(), 1);
         assert_eq!(rel[0].id, 2);
+    }
+
+    #[test]
+    fn removing_the_last_target_releases_held_requests() {
+        let mut c = IoLatencyController::new(2);
+        c.set_target(GroupId(1), Some(100));
+        let reqs: Vec<IoRequest> = (0..4).map(|i| read4k(i, 1, SimTime::ZERO)).collect();
+        for r in &reqs {
+            c.on_submit(r.clone(), SimTime::ZERO);
+        }
+        assert_eq!(c.held_count(), 2, "two passed, two held");
+        c.set_target(GroupId(1), None);
+        for r in &reqs[..2] {
+            complete(&mut c, r.clone(), SimTime::ZERO, 10);
+        }
+        let now = SimTime::from_secs(10);
+        c.tick(now);
+        let ids: Vec<_> = c.drain_released(now).iter().map(|r| r.id).collect();
+        assert_eq!(ids, [2, 3]);
+        assert_eq!(c.held_count(), 0);
+
+        // A re-added target starts from an empty queue: both slots free.
+        c.set_target(GroupId(1), Some(100));
+        for i in 10..12 {
+            assert!(matches!(
+                c.on_submit(read4k(i, 1, now), now),
+                SubmitOutcome::Pass(_)
+            ));
+        }
+        assert!(matches!(
+            c.on_submit(read4k(12, 1, now), now),
+            SubmitOutcome::Held
+        ));
     }
 
     #[test]

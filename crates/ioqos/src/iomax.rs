@@ -172,7 +172,9 @@ fn dir_of(req: &IoRequest) -> usize {
 /// before the earliest of them costs a compare.
 #[derive(Debug, Default)]
 pub struct IoMaxThrottler {
-    /// Only limited groups occupy a slot; everyone else passes through.
+    /// Limited groups occupy a slot, as do groups whose limits were
+    /// lifted while they held requests (a slot without buckets, which
+    /// passes everything); everyone else passes through.
     groups: GroupArena<GroupThrottle>,
     /// Groups with held requests — the only slots the drain and the
     /// `next_event` fallback walk.
@@ -198,21 +200,22 @@ impl IoMaxThrottler {
 
     /// Sets (or clears, when unlimited) a group's limits, as a write to
     /// that group's `io.max` file would.
+    ///
+    /// Held requests survive the write, in order. Once no limit is left
+    /// they pass at the next drain without taking tokens, as
+    /// blk-throttle dispatches a group's queued bios when its limits
+    /// are lifted.
     pub fn set_limits(&mut self, group: GroupId, limits: IoMax) {
         self.due = SimTime::ZERO;
-        if limits.is_unlimited() {
-            if let Some(g) = self.groups.remove(group) {
-                self.held_total -= g.held_len();
-                self.backlogged.remove(group);
+        let mut fresh = GroupThrottle::new(limits);
+        if let Some(g) = self.groups.get_mut(group) {
+            for (new, old) in fresh.dirs.iter_mut().zip(&mut g.dirs) {
+                new.held = std::mem::take(&mut old.held);
             }
+        }
+        if limits.is_unlimited() && fresh.held_len() == 0 {
+            self.groups.remove(group);
         } else {
-            let mut fresh = GroupThrottle::new(limits);
-            // Preserve held requests across reconfiguration.
-            if let Some(g) = self.groups.get_mut(group) {
-                for (new, old) in fresh.dirs.iter_mut().zip(&mut g.dirs) {
-                    new.held = std::mem::take(&mut old.held);
-                }
-            }
             self.groups.insert(group, fresh);
         }
     }
@@ -269,7 +272,7 @@ impl QosController for IoMaxThrottler {
             let g = self
                 .groups
                 .get_mut(id)
-                .expect("backlogged members are limited");
+                .expect("backlogged members have a slot");
             for d in &mut g.dirs {
                 while !d.held.is_empty() {
                     if now >= d.hold.until {
@@ -556,6 +559,32 @@ mod tests {
         let r = read4k(0, 1, SimTime::ZERO);
         assert!(matches!(
             t.on_submit(r, SimTime::ZERO),
+            SubmitOutcome::Pass(_)
+        ));
+    }
+
+    #[test]
+    fn lifting_limits_releases_held_requests_in_order() {
+        let mut t = IoMaxThrottler::new();
+        t.set_limits(GroupId(1), limits_rbps(4096));
+        let now = SimTime::ZERO;
+        while let SubmitOutcome::Pass(_) = t.on_submit(read4k(100, 1, now), now) {}
+        for id in 1..4 {
+            assert!(matches!(
+                t.on_submit(read4k(id, 1, now), now),
+                SubmitOutcome::Held
+            ));
+        }
+        assert_eq!(t.held_count(), 4);
+        t.set_limits(GroupId(1), IoMax::default());
+        assert_eq!(t.held_count(), 4, "lifting limits drops nothing");
+        assert_eq!(t.next_event(now), Some(now));
+        let ids: Vec<u64> = t.drain_released(now).iter().map(|r| r.id).collect();
+        assert_eq!(ids, [100, 1, 2, 3]);
+        assert_eq!(t.held_count(), 0);
+        assert_eq!(t.next_event(now), None);
+        assert!(matches!(
+            t.on_submit(read4k(4, 1, now), now),
             SubmitOutcome::Pass(_)
         ));
     }

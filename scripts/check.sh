@@ -156,29 +156,32 @@ test -s target/isol-bench/traces/q_faults-io.cost.trace.jsonl \
     || { echo "FAIL: panicked cell left no partial trace"; exit 1; }
 ./target/release/traceck
 
-echo "==> chaos check (SIGKILL mid-run, then --resume must be byte-identical)"
+echo "==> chaos check (SIGKILL mid-run, then the same command must resume from the cell cache, byte-identical)"
 chaos_dir=$(mktemp -d)
-rm -rf target/isol-bench/journal
 ./target/release/figures --smoke fig4 --no-cache > /dev/null
 cp target/isol-bench/fig4*.csv "$chaos_dir"/
-rm -rf target/isol-bench/journal
-./target/release/figures --smoke fig4 --no-cache > /dev/null 2>&1 &
+rm -rf target/isol-bench/cache
+stored_cells() { find target/isol-bench/cache -name '*.cell' 2>/dev/null | wc -l; }
+./target/release/figures --smoke fig4 > /dev/null 2>&1 &
 victim=$!
 for _ in $(seq 1 600); do
-    cells=$(grep -c '"cell":' target/isol-bench/journal/run.jsonl 2>/dev/null || true)
-    [[ "${cells:-0}" -ge 3 ]] && break
+    [[ "$(stored_cells)" -ge 3 ]] && break
     kill -0 "$victim" 2>/dev/null || break
     sleep 0.05
 done
 kill -9 "$victim" 2>/dev/null || true
 wait "$victim" 2>/dev/null || true
-./target/release/figures --smoke fig4 --no-cache --resume > /dev/null
+stored=$(stored_cells)
+./target/release/figures --smoke fig4 > /dev/null
 for f in "$chaos_dir"/*.csv; do
     cmp -s "$f" "target/isol-bench/$(basename "$f")" \
-        || { echo "FAIL: $(basename "$f") differs after SIGKILL + --resume"; exit 1; }
+        || { echo "FAIL: $(basename "$f") differs after SIGKILL + rerun"; exit 1; }
 done
-grep -q '"resumed": [1-9]' target/isol-bench/timings.json \
-    || { echo "FAIL: resumed run replayed no cells from the journal"; exit 1; }
+hits=$(grep -o '"hits": [0-9]*' target/isol-bench/timings.json | head -1 | grep -o '[0-9]*$')
+[[ "${hits:-0}" -ge 1 && "$hits" -eq "$stored" ]] \
+    || { echo "FAIL: rerun served ${hits:-0} cache hits; $stored entries were stored before the kill"; exit 1; }
+[[ -z "$(find target/isol-bench/cache -name '*.tmp-*')" ]] \
+    || { echo "FAIL: a cache temp file was left behind"; exit 1; }
 rm -rf "$chaos_dir"
 
 echo "==> watchdog check (--inject-hang cell must be cancelled within the deadline, retried, quarantined; run still exits 0)"
