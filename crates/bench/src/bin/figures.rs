@@ -2,11 +2,9 @@
 //!
 //! ```text
 //! figures [--fidelity smoke|standard|full] [--smoke] [--jobs N|auto]
-//!         [--no-cache] [--refresh] [--faults]
+//!         [--no-cache] [--faults]
 //!         [--trace[=N]] [--inject-panic LABEL] [--inject-hang LABEL]
-//!         [--watchdog-soft-ms N]
-//!         [--cell-retries N] [--retry-backoff-ms N]
-//!         [--scenario FILE.toml]...
+//!         [--watchdog-soft-ms N] [--scenario FILE.toml]...
 //!         [fig2 fig3 fig4 fig5 fig6 fig7 q10 table1 optane writeback
 //!          q_faults fleet_scale app_mix | all]
 //! ```
@@ -30,9 +28,9 @@
 //! disk instead of re-simulated, so warm reruns are near-instant and
 //! byte-identical to cold runs by construction. `--no-cache` disables
 //! the cache entirely (every cell recomputes, nothing is read or
-//! written — the pre-cache behavior); `--refresh` recomputes every cell
-//! and overwrites its entry. Faulted cells (`q_faults`) always run
-//! live.
+//! written — the pre-cache behavior); `rm -rf target/isol-bench/cache`
+//! makes the next run recompute and store every cell. Faulted cells
+//! (`q_faults`) always run live.
 //!
 //! # Scheduling
 //!
@@ -69,30 +67,29 @@
 //!
 //! # Graceful degradation
 //!
-//! A failing grid cell no longer kills the run: a panicking or hung
-//! cell is retried (with backoff) up to `--cell-retries` times, then
-//! dropped; the remaining cells complete, partial CSVs are written, and
-//! `target/isol-bench/failures.json` names every failed cell with a
-//! structured class (`panic`, `timed_out`, `invariant_violation`) and
-//! its attempt count (the file is written on every run; an empty
-//! `failures` array is the healthy signal). The process still exits 0 —
-//! CI distinguishes degraded runs by inspecting `failures.json`.
+//! A failing grid cell does not kill the run: a panicking or hung cell
+//! runs once and is dropped; the remaining cells complete, partial CSVs
+//! are written, and `target/isol-bench/failures.json` names every failed
+//! cell with a structured class (`panic` or `timed_out`). The file is
+//! written on every run (an empty `failures` array is the healthy
+//! signal) and is the one record of a failed cell. The process still
+//! exits 0 — CI distinguishes degraded runs by inspecting
+//! `failures.json`. Failed cells are never written to the cache, so
+//! running the same command again retries exactly them: cells are pure
+//! and seeded, and every finished cell is a cache hit.
 //! `--inject-panic LABEL` deliberately panics the cell with that label
 //! (e.g. `q_faults-io.cost`); `--inject-hang LABEL` deliberately hangs
-//! it (exercising the deadline → retry → quarantine chain, and arming a
-//! 2 s deadline if none was configured). Failed cells are never written
-//! to the cache.
+//! it (exercising the deadline → `timed_out` path, and arming a 2 s
+//! deadline if none was configured).
 //!
 //! # Deadline
 //!
-//! `--watchdog-soft-ms N` gives every cell attempt a cooperative
-//! wall-clock deadline, installed thread-locally on the worker that runs
-//! it: the engine's event loop polls it and unwinds with partial stats
-//! once N ms pass, and the runner polls it again when the attempt
-//! returns, so a late attempt is discarded and counts as `timed_out`.
-//! Off by default. Deadline fires, retries, and the quarantined labels
-//! (the cells whose attempts ran out) are reported under
-//! `"resilience"` in `timings.json`.
+//! `--watchdog-soft-ms N` gives every cell a cooperative wall-clock
+//! deadline, installed thread-locally on the worker that runs it: the
+//! engine's event loop polls it and unwinds with partial stats once N ms
+//! pass, and the runner polls it again when the cell returns, so a late
+//! cell is discarded and recorded in `failures.json` as `timed_out`.
+//! Off by default.
 //!
 //! # Crash-safe resume
 //!
@@ -115,19 +112,7 @@ use isol_bench::experiments::{
     writeback,
 };
 use isol_bench::{cache, runner, Cell, Fidelity, OutputSink, Staged};
-use isol_bench_harness::{
-    parse_count, parse_selection, CellTiming, Failures, ResilienceSummary, Timings, OUTPUT_DIR,
-};
-
-fn payload_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_owned()
-    }
-}
+use isol_bench_harness::{parse_count, parse_selection, CellTiming, Failures, Timings, OUTPUT_DIR};
 
 /// One experiment's slice of the global cell batch.
 struct Span {
@@ -155,27 +140,16 @@ fn stage_push<R>(staged: Staged<R>, batch: &mut Vec<Cell>, spans: &mut Vec<Span>
 fn main() -> ExitCode {
     let mut fidelity = Fidelity::Standard;
     let mut no_cache = false;
-    let mut refresh = false;
     let mut inject_hang = false;
     let mut watchdog_soft: Option<Duration> = None;
     let mut rest = Vec::new();
     let mut scenario_files: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
-    // Parses the millisecond value of a deadline/backoff flag.
-    let parse_ms = |flag: &str, v: Option<String>| -> Result<Duration, String> {
-        match v.as_deref().map(str::parse::<u64>) {
-            Some(Ok(ms)) if ms > 0 => Ok(Duration::from_millis(ms)),
-            Some(_) => Err(format!("{flag} needs a positive millisecond count")),
-            None => Err(format!("{flag} needs a value (milliseconds)")),
-        }
-    };
     while let Some(a) = args.next() {
         if a == "--smoke" {
             fidelity = Fidelity::Smoke;
         } else if a == "--no-cache" {
             no_cache = true;
-        } else if a == "--refresh" {
-            refresh = true;
         } else if a == "--faults" {
             rest.push("q_faults".to_owned());
         } else if a == "--trace" {
@@ -216,26 +190,14 @@ fn main() -> ExitCode {
                 }
             }
         } else if a == "--watchdog-soft-ms" {
-            match parse_ms(&a, args.next()) {
-                Ok(d) => watchdog_soft = Some(d),
-                Err(e) => {
-                    eprintln!("{e}");
+            match args.next().as_deref().map(str::parse::<u64>) {
+                Some(Ok(ms)) if ms > 0 => watchdog_soft = Some(Duration::from_millis(ms)),
+                Some(_) => {
+                    eprintln!("--watchdog-soft-ms needs a positive millisecond count");
                     return ExitCode::FAILURE;
                 }
-            }
-        } else if a == "--cell-retries" {
-            match args.next().as_deref().map(str::parse::<usize>) {
-                Some(Ok(n)) => runner::set_cell_retries(n),
-                _ => {
-                    eprintln!("--cell-retries needs a count (0 disables retry)");
-                    return ExitCode::FAILURE;
-                }
-            }
-        } else if a == "--retry-backoff-ms" {
-            match parse_ms(&a, args.next()) {
-                Ok(d) => runner::set_retry_backoff(d),
-                Err(e) => {
-                    eprintln!("{e}");
+                None => {
+                    eprintln!("--watchdog-soft-ms needs a value (milliseconds)");
                     return ExitCode::FAILURE;
                 }
             }
@@ -282,11 +244,7 @@ fn main() -> ExitCode {
         cache::set_mode(cache::CacheMode::Off);
     } else {
         cache::set_dir(cache::DEFAULT_DIR);
-        cache::set_mode(if refresh {
-            cache::CacheMode::Refresh
-        } else {
-            cache::CacheMode::ReadWrite
-        });
+        cache::set_mode(cache::CacheMode::ReadWrite);
         // A killed run can leave half-written `*.tmp-<pid>` files next
         // to the entries; they are dead weight (stores rename away
         // their temp file on success), so sweep them at open time.
@@ -296,7 +254,6 @@ fn main() -> ExitCode {
         }
     }
     cache::reset_stats();
-    runner::reset_resilience();
     // A hang test without a deadline would hang forever; give
     // --inject-hang one unless one was configured explicitly.
     if inject_hang && watchdog_soft.is_none() {
@@ -356,7 +313,6 @@ fn main() -> ExitCode {
     let mut timings = Timings::new(&format!("{fidelity:?}").to_lowercase(), jobs);
     let mut failures = Failures::new();
     let mut batch_cells: Vec<cache::CellStat> = Vec::new();
-    let mut quarantined: Vec<String> = Vec::new();
 
     // fig2 is standalone; the rest feed Table I.
     let result: std::io::Result<()> = (|| {
@@ -370,15 +326,14 @@ fn main() -> ExitCode {
             ($name:literal, $body:expr) => {{
                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| $body))
                     .map_err(|p| {
-                        let msg = payload_message(p);
+                        let msg = runner::payload_message(p);
                         eprintln!("{} panicked: {msg}", $name);
                         failures.record(
                             $name,
                             0,
                             concat!($name, " (experiment)"),
                             &msg,
-                            runner::classify_panic(&msg).as_str(),
-                            1,
+                            runner::FailureClass::Panic.as_str(),
                         );
                     })
                     .ok()
@@ -424,25 +379,13 @@ fn main() -> ExitCode {
         let mut results = isol_bench::run_cells(batch);
         let batch_elapsed = batch_started.elapsed();
         // Cell failures carry global batch indices; map them back to
-        // their experiment and its local submission index. Each record
-        // is a cell whose attempts ran out, so its label is quarantined
-        // (sorted: workers finish in any order).
-        let cell_failures = runner::take_failures();
-        quarantined = cell_failures.iter().map(|f| f.label.clone()).collect();
-        quarantined.sort();
-        for f in cell_failures {
+        // their experiment and its local submission index.
+        for f in runner::take_failures() {
             let (exp, local) = spans
                 .iter()
                 .find(|s| f.index >= s.start && f.index < s.end)
                 .map_or(("batch", f.index), |s| (s.name, f.index - s.start));
-            failures.record(
-                exp,
-                local,
-                &f.label,
-                &f.message,
-                f.class.as_str(),
-                f.attempts,
-            );
+            failures.record(exp, local, &f.label, &f.message, f.class.as_str());
         }
         batch_cells = cache::take_cell_stats();
         sink.note(&format!("(batch ran in {batch_elapsed:.1?})"));
@@ -545,8 +488,8 @@ fn main() -> ExitCode {
         ));
         for f in failures.entries() {
             sink.note(&format!(
-                "  - {} cell #{} ({}) [{}, {} attempt(s)]: {}",
-                f.experiment, f.index, f.label, f.class, f.attempts, f.message
+                "  - {} cell #{} ({}) [{}]: {}",
+                f.experiment, f.index, f.label, f.class, f.message
             ));
         }
     }
@@ -558,21 +501,6 @@ fn main() -> ExitCode {
         stats.bypassed,
         stats.corrupt,
     );
-    let res = runner::resilience_stats();
-    if res.watchdog_soft + res.retries > 0 || !quarantined.is_empty() {
-        sink.note(&format!(
-            "(resilience: {} deadline fire(s), {} retr{}, {} quarantined)",
-            res.watchdog_soft,
-            res.retries,
-            if res.retries == 1 { "y" } else { "ies" },
-            quarantined.len()
-        ));
-    }
-    timings.set_resilience(ResilienceSummary {
-        watchdog_soft: res.watchdog_soft,
-        retries: res.retries,
-        quarantined,
-    });
     batch_cells.extend(cache::take_cell_stats());
     timings.set_cells(
         batch_cells

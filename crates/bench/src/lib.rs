@@ -65,20 +65,7 @@ pub struct Timings {
     jobs: usize,
     entries: Vec<(String, Duration)>,
     cache: (usize, usize, usize, usize, usize),
-    resilience: ResilienceSummary,
     cells: Vec<CellTiming>,
-}
-
-/// Deadline/retry telemetry for one run, reported under `"resilience"`
-/// in `timings.json`. All zeros on a healthy run.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct ResilienceSummary {
-    /// Cell attempts whose soft deadline passed.
-    pub watchdog_soft: usize,
-    /// Retry attempts executed after failed attempts.
-    pub retries: usize,
-    /// Cell labels quarantined after exhausting their retry budget.
-    pub quarantined: Vec<String>,
 }
 
 impl Timings {
@@ -91,7 +78,6 @@ impl Timings {
             jobs,
             entries: Vec::new(),
             cache: (0, 0, 0, 0, 0),
-            resilience: ResilienceSummary::default(),
             cells: Vec::new(),
         }
     }
@@ -113,11 +99,6 @@ impl Timings {
         corrupt: usize,
     ) {
         self.cache = (hits, misses, stored, bypassed, corrupt);
-    }
-
-    /// Records the run's deadline/retry telemetry.
-    pub fn set_resilience(&mut self, resilience: ResilienceSummary) {
-        self.resilience = resilience;
     }
 
     /// Replaces the per-cell breakdown. Entries are sorted by
@@ -154,17 +135,6 @@ impl Timings {
         let (hits, misses, stored, bypassed, corrupt) = self.cache;
         s.push_str(&format!(
             "  \"cache\": {{\"hits\": {hits}, \"misses\": {misses}, \"stored\": {stored}, \"bypassed\": {bypassed}, \"corrupt\": {corrupt}}},\n",
-        ));
-        let r = &self.resilience;
-        let quarantined = r
-            .quarantined
-            .iter()
-            .map(|l| format!("\"{}\"", json_escape(l)))
-            .collect::<Vec<_>>()
-            .join(", ");
-        s.push_str(&format!(
-            "  \"resilience\": {{\"watchdog_soft\": {}, \"retries\": {}, \"quarantined\": [{quarantined}]}},\n",
-            r.watchdog_soft, r.retries
         ));
         s.push_str("  \"cells\": [\n");
         for (i, c) in self.cells.iter().enumerate() {
@@ -204,18 +174,17 @@ pub struct FailureEntry {
     pub label: String,
     /// The panic payload or deadline message, stringified.
     pub message: String,
-    /// Structured failure class token (`panic`, `timed_out`,
-    /// `invariant_violation`; see `isol_bench::runner::FailureClass`).
+    /// Structured failure class token (`panic` or `timed_out`; see
+    /// `isol_bench::runner::FailureClass`).
     pub class: String,
-    /// Attempts the cell consumed before being given up on.
-    pub attempts: u32,
 }
 
 /// Grid cells that failed during a `figures` run, serialized as
 /// `failures.json` next to the CSVs (same hand-rolled JSON as
 /// [`Timings`]). The file is written on every run — an empty
 /// `failures` array is the healthy signal, a populated one names each
-/// failing cell while the surviving cells' partial CSVs stand.
+/// failing cell while the surviving cells' partial CSVs stand. It is the
+/// one record of a failed cell.
 #[derive(Debug, Default)]
 pub struct Failures {
     entries: Vec<FailureEntry>,
@@ -236,7 +205,6 @@ impl Failures {
         label: &str,
         message: &str,
         class: &str,
-        attempts: u32,
     ) {
         self.entries.push(FailureEntry {
             experiment: experiment.to_owned(),
@@ -244,7 +212,6 @@ impl Failures {
             label: label.to_owned(),
             message: message.to_owned(),
             class: class.to_owned(),
-            attempts,
         });
     }
 
@@ -273,13 +240,12 @@ impl Failures {
         for (i, e) in self.entries.iter().enumerate() {
             let comma = if i + 1 == self.entries.len() { "" } else { "," };
             s.push_str(&format!(
-                "    {{\"experiment\": \"{}\", \"index\": {}, \"label\": \"{}\", \"message\": \"{}\", \"class\": \"{}\", \"attempts\": {}}}{comma}\n",
+                "    {{\"experiment\": \"{}\", \"index\": {}, \"label\": \"{}\", \"message\": \"{}\", \"class\": \"{}\"}}{comma}\n",
                 json_escape(&e.experiment),
                 e.index,
                 json_escape(&e.label),
                 json_escape(&e.message),
-                json_escape(&e.class),
-                e.attempts
+                json_escape(&e.class)
             ));
         }
         s.push_str("  ]\n}\n");
@@ -473,14 +439,13 @@ mod tests {
             "q_faults-io.cost",
             "boom \"quoted\"",
             "timed_out",
-            2,
         );
         assert_eq!(f.len(), 1);
         let json = f.to_json();
         assert!(json.contains(
             "{\"experiment\": \"q_faults\", \"index\": 4, \
              \"label\": \"q_faults-io.cost\", \"message\": \"boom \\\"quoted\\\"\", \
-             \"class\": \"timed_out\", \"attempts\": 2}"
+             \"class\": \"timed_out\"}"
         ));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
@@ -523,15 +488,10 @@ mod tests {
     }
 
     #[test]
-    fn timings_json_carries_cache_resilience_and_cells() {
+    fn timings_json_carries_cache_and_cells() {
         let mut t = Timings::new("smoke", 4);
         t.record("fig4", Duration::from_millis(100));
         t.set_cache_summary(10, 2, 2, 1, 1);
-        t.set_resilience(ResilienceSummary {
-            watchdog_soft: 2,
-            retries: 3,
-            quarantined: vec!["fig4-hung".into()],
-        });
         t.set_cells(vec![
             CellTiming {
                 experiment: "fig4".into(),
@@ -551,10 +511,7 @@ mod tests {
         assert!(json.contains(
             "\"cache\": {\"hits\": 10, \"misses\": 2, \"stored\": 2, \"bypassed\": 1, \"corrupt\": 1}"
         ));
-        assert!(json.contains(
-            "\"resilience\": {\"watchdog_soft\": 2, \"retries\": 3, \
-             \"quarantined\": [\"fig4-hung\"]}"
-        ));
+        assert!(!json.contains("\"resilience\""));
         // Cells are sorted by (experiment, label): fig3 first.
         let f3 = json.find("fig3-none-16").unwrap();
         let f4 = json.find("fig4-none-1ssd-4").unwrap();

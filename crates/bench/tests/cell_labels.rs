@@ -2,10 +2,10 @@
 //!
 //! The label is a cell's identity outside the batch: `--inject-panic`
 //! and `--inject-hang` target it, the cell cache keys entries by it (so
-//! a rerun resumes from them), and `failures.json` and the quarantine
-//! list report it. This stages every experiment `all` selects plus the
-//! by-name extras, at each fidelity, and checks that no two cells share
-//! a label. Nothing is simulated.
+//! a rerun resumes from them), and `failures.json` reports it. This
+//! stages every experiment `all` selects plus the by-name extras, at
+//! each fidelity, and checks that no two cells share a label. Nothing
+//! is simulated.
 
 use std::collections::BTreeMap;
 

@@ -7,9 +7,9 @@
 //!   the CSVs to be byte-identical to an uninterrupted run's, every
 //!   entry stored before the kill to be a cache hit, and the other
 //!   cells to report the uninterrupted run's outcome;
-//! * `--inject-hang` a cell and require its deadline to stop it, the
-//!   runner to retry it, quarantine it and classify it `timed_out`, and
-//!   the run to still exit 0 with every other table emitted.
+//! * `--inject-hang` a cell and require its deadline to stop it, one
+//!   `timed_out` record naming it in `failures.json`, and the run to
+//!   still exit 0 with every other table emitted.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -148,7 +148,7 @@ fn sigkill_then_resume_matches_an_uninterrupted_run() {
 }
 
 #[test]
-fn injected_hang_is_cancelled_retried_and_quarantined() {
+fn injected_hang_is_cancelled_and_recorded_once() {
     let dir = scratch_dir("hang");
     let label = "fig4-none-1ssd-1";
     // Soft deadline well above the slowest healthy smoke cell (~1.2s)
@@ -166,42 +166,32 @@ fn injected_hang_is_cancelled_retried_and_quarantined() {
             label,
             "--watchdog-soft-ms",
             "4000",
-            "--cell-retries",
-            "1",
-            "--retry-backoff-ms",
-            "10",
         ],
     )
     .status()
     .expect("spawn figures");
     let elapsed = started.elapsed();
     assert!(status.success(), "a hung cell must not fail the run");
-    // Two attempts at a 4s soft deadline plus the healthy grid: a
-    // watchdog-bounded run stays far under this; an unbounded hang
-    // never returns at all.
+    // One 4s soft deadline plus the healthy grid: a watchdog-bounded
+    // run stays far under this; an unbounded hang never returns at all.
     assert!(
         elapsed < Duration::from_secs(90),
         "watchdog must bound the run (took {elapsed:?})"
     );
 
     let failures = fs::read_to_string(out_file(&dir, "failures.json")).expect("failures.json");
+    let records: Vec<&str> = failures
+        .lines()
+        .filter(|l| l.contains("\"label\": "))
+        .collect();
+    assert_eq!(records.len(), 1, "one failure record: {failures}");
     assert!(
-        failures.contains(label),
-        "failures.json must name the hung cell"
+        records[0].contains(&format!("\"label\": \"{label}\"")),
+        "failures.json must name the hung cell: {failures}"
     );
     assert!(
-        failures.contains("\"class\": \"timed_out\""),
-        "hung cell must be classified timed_out"
-    );
-
-    let timings = fs::read_to_string(out_file(&dir, "timings.json")).expect("timings.json");
-    assert!(
-        !timings.contains("\"watchdog_soft\": 0,"),
-        "soft watchdog fires must be recorded"
-    );
-    assert!(
-        timings.contains(&format!("\"{label}\"")),
-        "quarantine list must name the hung cell"
+        records[0].contains("\"class\": \"timed_out\""),
+        "hung cell must be classified timed_out: {failures}"
     );
     // The healthy cells still produced both tables.
     for name in CSVS {

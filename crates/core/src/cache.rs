@@ -34,7 +34,8 @@
 //! results) orphans every existing entry at once. As a belt over those
 //! suspenders, the full spec string is stored *inside* each entry and
 //! compared verbatim on load, so even a 128-bit hash collision cannot
-//! serve the wrong rows.
+//! serve the wrong rows. To recompute every cell anyway, delete the
+//! directory: `rm -rf target/isol-bench/cache`.
 //!
 //! # What is never cached
 //!
@@ -44,6 +45,9 @@
 //! * Cells that panic (including `--inject-panic` cells): the store
 //!   happens strictly after the cell function returns, so a panic
 //!   propagates before anything is written.
+//! * Cells that end past their deadline: their rows may be partial
+//!   stats, so [`run_scenario`] returns them uncounted and unstored for
+//!   the runner to discard.
 //!
 //! # Robustness
 //!
@@ -74,7 +78,7 @@
 
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -102,11 +106,10 @@ pub enum CacheMode {
     Off,
     /// Normal operation: hit loads, miss recomputes and stores.
     ReadWrite,
-    /// `--refresh`: never load, always recompute and overwrite.
-    Refresh,
 }
 
-static MODE: AtomicU8 = AtomicU8::new(0);
+/// Whether the mode is [`CacheMode::ReadWrite`].
+static MODE: AtomicBool = AtomicBool::new(false);
 static HITS: AtomicUsize = AtomicUsize::new(0);
 static MISSES: AtomicUsize = AtomicUsize::new(0);
 static STORED: AtomicUsize = AtomicUsize::new(0);
@@ -118,21 +121,16 @@ static CELL_STATS: Mutex<Vec<CellStat>> = Mutex::new(Vec::new());
 
 /// Sets the process-wide cache mode.
 pub fn set_mode(mode: CacheMode) {
-    let v = match mode {
-        CacheMode::Off => 0,
-        CacheMode::ReadWrite => 1,
-        CacheMode::Refresh => 2,
-    };
-    MODE.store(v, Ordering::Relaxed);
+    MODE.store(mode == CacheMode::ReadWrite, Ordering::Relaxed);
 }
 
 /// The current cache mode.
 #[must_use]
 pub fn mode() -> CacheMode {
-    match MODE.load(Ordering::Relaxed) {
-        1 => CacheMode::ReadWrite,
-        2 => CacheMode::Refresh,
-        _ => CacheMode::Off,
+    if MODE.load(Ordering::Relaxed) {
+        CacheMode::ReadWrite
+    } else {
+        CacheMode::Off
     }
 }
 
@@ -168,7 +166,7 @@ fn salt() -> u64 {
 pub struct CacheStats {
     /// Cells served from disk without simulating.
     pub hits: usize,
-    /// Cells recomputed (entry absent, invalid, or `Refresh` mode).
+    /// Cells recomputed (entry absent or invalid).
     pub misses: usize,
     /// Recomputed cells whose entry was (re)written successfully.
     pub stored: usize,
@@ -414,7 +412,9 @@ fn record_cell(experiment: &str, label: &str, started: Instant, outcome: CellOut
 /// the rows are stored (best-effort). Faulted and traced scenarios
 /// always simulate and are never cached. A panic in the simulation or
 /// in `extract` propagates before any store, so degraded cells never
-/// poison the cache.
+/// poison the cache. A cell whose deadline has passed when its rows are
+/// in hand is neither counted, stored nor timed: the runner discards
+/// its rows.
 ///
 /// Because each store is a temp file plus an atomic rename, every cell
 /// stored before a crash is a hit when the same run is started again:
@@ -429,64 +429,51 @@ pub fn run_scenario(
     extract: impl FnOnce(RunReport) -> Vec<Vec<f64>>,
 ) -> Vec<Vec<f64>> {
     let started = Instant::now();
-    if let Some(capacity) = crate::tracing::capacity() {
+    // A miss's entry path, spec, and whether an invalid entry sat there.
+    let mut miss: Option<(PathBuf, String, bool)> = None;
+    let (rows, outcome) = if let Some(capacity) = crate::tracing::capacity() {
         // Traced cells always simulate (the trace is a side effect of
         // running) and are never stored: with tracing on, probe
         // closures run, so timings would differ from untraced entries.
         let rows = run_traced_cell(label, scenario, until, capacity, extract);
-        if simcore::cancel::poll() {
-            return rows; // discarded by the runner; see below
-        }
-        BYPASSED.fetch_add(1, Ordering::Relaxed);
-        record_cell(experiment, label, started, CellOutcome::Bypass);
-        return rows;
-    }
-    if scenario.has_faults() {
-        let rows = extract(scenario.run(until));
-        if simcore::cancel::poll() {
-            return rows; // discarded by the runner; see below
-        }
-        BYPASSED.fetch_add(1, Ordering::Relaxed);
-        record_cell(experiment, label, started, CellOutcome::Bypass);
-        return rows;
-    }
-    let mode = mode();
-    if mode == CacheMode::Off {
-        let rows = extract(scenario.run(until));
-        if simcore::cancel::poll() {
-            return rows;
-        }
-        record_cell(experiment, label, started, CellOutcome::Off);
-        return rows;
-    }
-    let spec = spec_string(experiment, label, fidelity, &scenario, until);
-    let cache_dir = dir();
-    if mode == CacheMode::ReadWrite {
+        (rows, CellOutcome::Bypass)
+    } else if scenario.has_faults() {
+        (extract(scenario.run(until)), CellOutcome::Bypass)
+    } else if mode() == CacheMode::Off {
+        (extract(scenario.run(until)), CellOutcome::Off)
+    } else {
+        let spec = spec_string(experiment, label, fidelity, &scenario, until);
+        let cache_dir = dir();
         match load_classified(&cache_dir, &spec) {
-            LoadOutcome::Loaded(rows) => {
-                HITS.fetch_add(1, Ordering::Relaxed);
-                record_cell(experiment, label, started, CellOutcome::Hit);
-                return rows;
+            LoadOutcome::Loaded(rows) => (rows, CellOutcome::Hit),
+            load => {
+                miss = Some((cache_dir, spec, matches!(load, LoadOutcome::Corrupt)));
+                (extract(scenario.run(until)), CellOutcome::Miss)
             }
-            LoadOutcome::Corrupt => {
-                CORRUPT.fetch_add(1, Ordering::Relaxed);
-            }
-            LoadOutcome::Missing => {}
         }
-    }
-    let rows = extract(scenario.run(until));
+    };
     if simcore::cancel::poll() {
-        // The attempt's deadline passed: these rows may be partial
-        // stats (the engine unwound at a poll point). The resilient
-        // runner discards the attempt, so they must never reach the
-        // cache or the per-cell telemetry.
+        // The cell's deadline passed: these rows may be partial stats
+        // (the engine unwound at a poll point). The runner discards the
+        // cell, so they must never reach the cache, the counters or the
+        // per-cell telemetry.
         return rows;
     }
-    MISSES.fetch_add(1, Ordering::Relaxed);
-    if store_rows(&cache_dir, &spec, &rows).is_ok() {
-        STORED.fetch_add(1, Ordering::Relaxed);
+    if let Some((cache_dir, spec, corrupt)) = miss {
+        if corrupt {
+            CORRUPT.fetch_add(1, Ordering::Relaxed);
+        }
+        if store_rows(&cache_dir, &spec, &rows).is_ok() {
+            STORED.fetch_add(1, Ordering::Relaxed);
+        }
     }
-    record_cell(experiment, label, started, CellOutcome::Miss);
+    match outcome {
+        CellOutcome::Hit => HITS.fetch_add(1, Ordering::Relaxed),
+        CellOutcome::Miss => MISSES.fetch_add(1, Ordering::Relaxed),
+        CellOutcome::Bypass => BYPASSED.fetch_add(1, Ordering::Relaxed),
+        CellOutcome::Off => 0,
+    };
+    record_cell(experiment, label, started, outcome);
     rows
 }
 

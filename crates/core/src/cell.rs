@@ -13,7 +13,7 @@
 //!   cells of *every* selected experiment into a single batch for
 //!   [`run_cells`], so the worker pool never drains at an experiment
 //!   boundary — fig2 stragglers overlap with q10 cells. Results come
-//!   back positionally (one slot per cell, `None` for a panicked
+//!   back positionally (one slot per cell, `None` for a failed
 //!   cell), so each experiment's slice of the batch is exactly what
 //!   its private pool would have produced, and every CSV stays
 //!   byte-identical for any `--jobs` value.
@@ -39,18 +39,18 @@ use crate::{cache, runner, Fidelity, OutputSink, Scenario};
 pub type CellRows = Vec<Vec<f64>>;
 
 /// The typed tail of a staged experiment: decodes positional cell
-/// results (`None` = that cell panicked) and emits tables.
+/// results (`None` = that cell failed) and emits tables.
 pub type FinishFn<R> = Box<dyn FnOnce(Vec<Option<CellRows>>, &mut OutputSink) -> io::Result<R>>;
 
 /// One schedulable grid cell.
 ///
-/// The task is `Fn`, not `FnOnce`: the resilient runner re-invokes it
-/// when an attempt fails (deadline, panic), so a cell must be a
-/// pure description that can re-simulate from scratch.
+/// The task is `FnOnce`: the runner runs each cell exactly once. A
+/// failed cell is re-run by running the same command again, which
+/// serves every finished cell from the cache.
 pub struct Cell {
     experiment: &'static str,
     label: String,
-    task: Box<dyn Fn() -> CellRows + Send>,
+    task: Box<dyn FnOnce() -> CellRows + Send>,
 }
 
 impl std::fmt::Debug for Cell {
@@ -76,37 +76,25 @@ impl Cell {
         fidelity: Fidelity,
         scenario: Scenario,
         until: SimTime,
-        extract: impl Fn(RunReport) -> CellRows + Send + 'static,
+        extract: impl FnOnce(RunReport) -> CellRows + Send + 'static,
     ) -> Self {
         let label = scenario.name().to_owned();
         let task_label = label.clone();
         Cell {
             experiment,
             label,
-            // Each attempt clones the scenario: a retry re-simulates
-            // from an identical starting value, so a transient failure
-            // cannot skew results.
             task: Box::new(move || {
-                cache::run_scenario(
-                    experiment,
-                    &task_label,
-                    fidelity,
-                    scenario.clone(),
-                    until,
-                    &extract,
-                )
+                cache::run_scenario(experiment, &task_label, fidelity, scenario, until, extract)
             }),
         }
     }
 
     /// A cell with an arbitrary task, bypassing the scenario/cache
-    /// machinery. Intended for harness tests and ad-hoc batches; the
-    /// task must be re-runnable (the resilient runner retries it on
-    /// failure).
+    /// machinery. Intended for harness tests and ad-hoc batches.
     pub fn from_fn(
         experiment: &'static str,
         label: impl Into<String>,
-        task: impl Fn() -> CellRows + Send + 'static,
+        task: impl FnOnce() -> CellRows + Send + 'static,
     ) -> Self {
         Cell {
             experiment,
@@ -193,11 +181,10 @@ impl<R> Staged<R> {
 }
 
 /// Runs a batch of cells (possibly spanning many experiments) on the
-/// resilient worker pool: a soft deadline per attempt and bounded retry
-/// with backoff (see [`crate::runner`]). One result slot per cell, in
-/// submission order; `None` marks a cell that failed every attempt
-/// (recorded in the failure registry with its batch index, label, and
-/// failure class).
+/// resilient worker pool: each cell once, under a soft deadline (see
+/// [`crate::runner`]). One result slot per cell, in submission order;
+/// `None` marks a cell that failed (recorded in the failure registry
+/// with its batch index, label, and failure class).
 #[must_use]
 pub fn run_cells(cells: Vec<Cell>) -> Vec<Option<CellRows>> {
     runner::run_cells_keep(

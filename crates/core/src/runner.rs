@@ -24,25 +24,28 @@
 //!
 //! # Resilient cell execution
 //!
-//! A failing cell no longer takes down the whole batch (and with it a
+//! A failing cell does not take down the whole batch (and with it a
 //! multi-minute figures run):
 //!
-//! * every attempt runs under [`std::panic::catch_unwind`] and, when a
+//! * each cell runs once, under [`std::panic::catch_unwind`] and, when a
 //!   soft deadline is configured ([`set_watchdog`]), with that deadline
 //!   installed in the worker's thread-local
 //!   [`simcore::cancel::DeadlineGuard`]; the engine's event loop polls
 //!   it and unwinds with partial stats once it passes;
-//! * the runner polls the deadline once more when the attempt returns,
-//!   so an attempt that finished late — or never polled at all — is
-//!   classified `timed_out` and *discarded* even if it returned rows:
-//!   partial stats never reach a CSV;
-//! * a failed attempt (panic or deadline) is retried up to
-//!   [`set_cell_retries`] times with exponential backoff;
-//! * a cell that exhausts its budget leaves a `None` slot and a
-//!   [`CellFailure`] with a structured [`FailureClass`] in a
-//!   process-global registry, drained via [`take_failures`]; the
-//!   harness writes them to `failures.json` and lists their labels as
-//!   quarantined in `timings.json`.
+//! * the runner polls the deadline once more when the cell returns, so
+//!   a cell that finished late — or never polled at all — is classified
+//!   `timed_out` and *discarded* even if it returned rows: partial
+//!   stats never reach a CSV;
+//! * a failed cell leaves a `None` slot and one [`CellFailure`] with a
+//!   structured [`FailureClass`] in a process-global registry, drained
+//!   via [`take_failures`]; the harness writes them to `failures.json`,
+//!   the one record of a failed cell.
+//!
+//! A failed cell is not retried: cells are pure and seeded, so a panic
+//! recurs and an overrun re-runs the same work against the same
+//! deadline. Running the same `figures` command again is the retry —
+//! finished cells are served from the cell cache and only the failed
+//! ones simulate.
 //!
 //! Callers that chunk results positionally should treat any recorded
 //! failure as invalidating that experiment's table.
@@ -59,8 +62,8 @@ use simcore::cancel::{self, DeadlineGuard};
 /// Process-wide worker count; 0 means "auto" (available parallelism).
 static JOBS: AtomicUsize = AtomicUsize::new(0);
 
-/// Process-global registry of cells that failed every attempt (drained
-/// by [`take_failures`]).
+/// Process-global registry of failed cells (drained by
+/// [`take_failures`]).
 static FAILURES: Mutex<Vec<CellFailure>> = Mutex::new(Vec::new());
 
 /// Label of the cell the next batches should deliberately panic in
@@ -68,21 +71,11 @@ static FAILURES: Mutex<Vec<CellFailure>> = Mutex::new(Vec::new());
 static INJECT_PANIC: Mutex<Option<String>> = Mutex::new(None);
 
 /// Label of the cell the next batches should deliberately hang in
-/// (testing hook for the deadline → retry → quarantine path).
+/// (testing hook for the deadline → `timed_out` path).
 static INJECT_HANG: Mutex<Option<String>> = Mutex::new(None);
 
-/// Soft deadline per cell attempt in milliseconds; 0 disables it.
+/// Soft deadline per cell in milliseconds; 0 disables it.
 static WATCHDOG_SOFT_MS: AtomicU64 = AtomicU64::new(0);
-
-/// Retries granted to a failed cell (attempts = retries + 1).
-static CELL_RETRIES: AtomicUsize = AtomicUsize::new(1);
-
-/// Base backoff before the first retry; doubles per further retry.
-static BACKOFF_BASE_MS: AtomicU64 = AtomicU64::new(50);
-
-/// Resilience counters (see [`ResilienceStats`]).
-static SOFT_FIRES: AtomicUsize = AtomicUsize::new(0);
-static RETRIES_DONE: AtomicUsize = AtomicUsize::new(0);
 
 /// Structured failure taxonomy reported in `failures.json` and in the
 /// runner's log lines.
@@ -90,11 +83,8 @@ static RETRIES_DONE: AtomicUsize = AtomicUsize::new(0);
 pub enum FailureClass {
     /// The cell panicked (assertion, arithmetic, explicit panic).
     Panic,
-    /// The attempt ran past its soft deadline.
+    /// The cell ran past its soft deadline.
     TimedOut,
-    /// The failure message names a broken engine invariant (divergence,
-    /// determinism or invariant check).
-    InvariantViolation,
 }
 
 impl FailureClass {
@@ -104,40 +94,21 @@ impl FailureClass {
         match self {
             FailureClass::Panic => "panic",
             FailureClass::TimedOut => "timed_out",
-            FailureClass::InvariantViolation => "invariant_violation",
         }
     }
 }
 
-/// Classifies a panic message into the failure taxonomy. Message-based
-/// classification is a heuristic by necessity (a panic payload carries
-/// no type information across `catch_unwind`), but the engine's own
-/// invariant panics use stable wording, so the interesting buckets are
-/// reliable in practice.
-#[must_use]
-pub fn classify_panic(message: &str) -> FailureClass {
-    let m = message.to_ascii_lowercase();
-    if m.contains("diverge") || m.contains("invariant") || m.contains("determinism") {
-        FailureClass::InvariantViolation
-    } else {
-        FailureClass::Panic
-    }
-}
-
-/// One grid cell that failed every attempt instead of producing a
-/// result.
+/// One grid cell that failed instead of producing a result.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CellFailure {
     /// Submission index within its batch.
     pub index: usize,
     /// Cell label (the scenario name).
     pub label: String,
-    /// The last attempt's panic payload or deadline message.
+    /// The panic payload or deadline message.
     pub message: String,
-    /// Structured failure class of the last attempt.
+    /// Structured failure class.
     pub class: FailureClass,
-    /// Attempts consumed (`retries + 1`).
-    pub attempts: u32,
 }
 
 /// Sets the process-wide worker count used by [`crate::run_cells`].
@@ -166,7 +137,7 @@ pub fn take_failures() -> Vec<CellFailure> {
     std::mem::take(&mut *FAILURES.lock().expect("failure registry poisoned"))
 }
 
-/// Sets the soft deadline installed for every cell attempt; the engine
+/// Sets the soft deadline installed for every cell; the engine
 /// unwinds a stuck simulation cooperatively once it passes. `None`
 /// disables it (the default — library consumers and unit tests are
 /// unaffected unless a harness opts in).
@@ -175,60 +146,13 @@ pub fn set_watchdog(soft: Option<Duration>) {
     WATCHDOG_SOFT_MS.store(ms, Ordering::Relaxed);
 }
 
-/// The configured soft deadline per cell attempt.
+/// The configured soft deadline per cell.
 #[must_use]
 pub fn watchdog() -> Option<Duration> {
     match WATCHDOG_SOFT_MS.load(Ordering::Relaxed) {
         0 => None,
         ms => Some(Duration::from_millis(ms)),
     }
-}
-
-/// Sets how many times a failed cell is retried (default 1; 0 disables
-/// retry). Attempts = retries + 1.
-pub fn set_cell_retries(n: usize) {
-    CELL_RETRIES.store(n, Ordering::Relaxed);
-}
-
-/// The configured per-cell retry budget.
-#[must_use]
-pub fn cell_retries() -> usize {
-    CELL_RETRIES.load(Ordering::Relaxed)
-}
-
-/// Sets the base backoff slept before the first retry (doubles for each
-/// further retry). Tests use ~zero to stay fast.
-pub fn set_retry_backoff(base: Duration) {
-    BACKOFF_BASE_MS.store(
-        u64::try_from(base.as_millis()).unwrap_or(u64::MAX),
-        Ordering::Relaxed,
-    );
-}
-
-/// Resilience telemetry for one run, reported under `"resilience"` in
-/// `timings.json`.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct ResilienceStats {
-    /// Attempts whose soft deadline passed.
-    pub watchdog_soft: usize,
-    /// Retry attempts executed after a failed attempt.
-    pub retries: usize,
-}
-
-/// Snapshot of the resilience counters since the last
-/// [`reset_resilience`].
-#[must_use]
-pub fn resilience_stats() -> ResilienceStats {
-    ResilienceStats {
-        watchdog_soft: SOFT_FIRES.load(Ordering::Relaxed),
-        retries: RETRIES_DONE.load(Ordering::Relaxed),
-    }
-}
-
-/// Zeroes the resilience counters.
-pub fn reset_resilience() {
-    SOFT_FIRES.store(0, Ordering::Relaxed);
-    RETRIES_DONE.store(0, Ordering::Relaxed);
 }
 
 /// Arms (or with `None`, disarms) the deliberate-panic hook: the next
@@ -248,8 +172,8 @@ pub(crate) fn inject_panic_label() -> Option<String> {
 
 /// Arms (or with `None`, disarms) the deliberate-hang hook: the next
 /// cell whose label equals `label` spins instead of running, exiting
-/// only when its deadline passes — exercising the full deadline →
-/// retry → quarantine chain end to end. Used by `figures --inject-hang`
+/// only when its deadline passes — exercising the deadline →
+/// `timed_out` record end to end. Used by `figures --inject-hang`
 /// and the CI chaos check.
 pub fn set_inject_hang(label: Option<&str>) {
     *INJECT_HANG.lock().expect("inject flag poisoned") = label.map(str::to_owned);
@@ -258,8 +182,7 @@ pub fn set_inject_hang(label: Option<&str>) {
 /// Spins in place of the task body when the hang hook targets `label`.
 /// The spin is cooperative (it polls the installed deadline) because a
 /// truly unkillable loop cannot be stopped from safe Rust; what is
-/// under test is the runner classifying, retrying, and quarantining the
-/// cell.
+/// under test is the runner classifying and recording the cell.
 fn maybe_hang(label: &str) {
     let armed = INJECT_HANG.lock().expect("inject flag poisoned").as_deref() == Some(label);
     if !armed {
@@ -273,7 +196,9 @@ fn maybe_hang(label: &str) {
     }
 }
 
-fn payload_message(payload: Box<dyn std::any::Any + Send>) -> String {
+/// The message of a caught panic payload (`&str` or `String`).
+#[must_use]
+pub fn payload_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_owned()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -283,13 +208,14 @@ fn payload_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Runs one cell with its deadline and bounded retry. Returns `None`
-/// when every attempt failed (the failure is recorded).
-fn run_resilient_cell<T>(index: usize, label: &str, task: &(dyn Fn() -> T + Send)) -> Option<T> {
+/// Runs one cell once under its deadline. Returns `None` when it failed
+/// (the failure is recorded).
+fn run_resilient_cell<T>(
+    index: usize,
+    label: &str,
+    task: Box<dyn FnOnce() -> T + Send>,
+) -> Option<T> {
     let soft = watchdog();
-    let max_attempts = u32::try_from(cell_retries())
-        .unwrap_or(u32::MAX)
-        .saturating_add(1);
     let inject = INJECT_PANIC
         .lock()
         .expect("inject flag poisoned")
@@ -299,56 +225,34 @@ fn run_resilient_cell<T>(index: usize, label: &str, task: &(dyn Fn() -> T + Send
     // traced run itself (the recorder is armed to panic mid-simulation;
     // see crate::cache) so the partial-trace path gets exercised.
     let inject_now = inject && !crate::tracing::enabled();
-    let mut last: Option<(FailureClass, String)> = None;
-    for attempt in 1..=max_attempts {
-        if attempt > 1 {
-            RETRIES_DONE.fetch_add(1, Ordering::Relaxed);
-            let base = BACKOFF_BASE_MS.load(Ordering::Relaxed);
-            let backoff = base.saturating_mul(1 << (attempt - 2).min(16));
-            thread::sleep(Duration::from_millis(backoff));
-        }
-        let (outcome, timed_out) = {
-            let _deadline = DeadlineGuard::new(soft);
-            let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
-                assert!(!inject_now, "injected panic (requested for cell `{label}`)");
-                maybe_hang(label);
-                task()
-            }));
-            (outcome, cancel::poll())
-        };
-        if timed_out {
-            SOFT_FIRES.fetch_add(1, Ordering::Relaxed);
-        }
-        let (class, message) = match outcome {
-            // An attempt that ran past its deadline is discarded even
-            // when it returned: the engine unwinds early with partial
-            // stats, and partial stats must never reach a CSV.
-            Ok(v) if !timed_out => return Some(v),
-            Ok(_) => (
-                FailureClass::TimedOut,
-                format!(
-                    "attempt ran past its {:?} deadline; partial result discarded",
-                    soft.unwrap_or_default()
-                ),
+    let (outcome, timed_out) = {
+        let _deadline = DeadlineGuard::new(soft);
+        let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
+            assert!(!inject_now, "injected panic (requested for cell `{label}`)");
+            maybe_hang(label);
+            task()
+        }));
+        (outcome, cancel::poll())
+    };
+    let (class, message) = match outcome {
+        // A cell that ran past its deadline is discarded even when it
+        // returned: the engine unwinds early with partial stats, and
+        // partial stats must never reach a CSV.
+        Ok(v) if !timed_out => return Some(v),
+        Ok(_) => (
+            FailureClass::TimedOut,
+            format!(
+                "cell ran past its {:?} deadline; partial result discarded",
+                soft.unwrap_or_default()
             ),
-            Err(payload) => {
-                let message = payload_message(payload);
-                let class = if timed_out {
-                    FailureClass::TimedOut
-                } else {
-                    classify_panic(&message)
-                };
-                (class, message)
-            }
-        };
-        eprintln!(
-            "runner: cell #{index} ({label}) attempt {attempt}/{max_attempts} failed \
-             [{}]: {message}",
-            class.as_str()
-        );
-        last = Some((class, message));
-    }
-    let (class, message) = last.expect("at least one attempt ran");
+        ),
+        Err(payload) if timed_out => (FailureClass::TimedOut, payload_message(payload)),
+        Err(payload) => (FailureClass::Panic, payload_message(payload)),
+    };
+    eprintln!(
+        "runner: cell #{index} ({label}) failed [{}]: {message}",
+        class.as_str()
+    );
     FAILURES
         .lock()
         .expect("failure registry poisoned")
@@ -357,20 +261,18 @@ fn run_resilient_cell<T>(index: usize, label: &str, task: &(dyn Fn() -> T + Send
             label: label.to_owned(),
             message,
             class,
-            attempts: max_attempts,
         });
     None
 }
 
-/// A re-runnable cell task with its label, as submitted to the pool.
-pub(crate) type LabeledTask<T> = (String, Box<dyn Fn() -> T + Send>);
+/// A one-shot cell task with its label, as submitted to the pool.
+pub(crate) type LabeledTask<T> = (String, Box<dyn FnOnce() -> T + Send>);
 
 /// The resilient position-keeping pool behind [`crate::run_cells`]:
 /// runs `(label, task)` pairs on `workers` threads and returns one slot
-/// per submitted task in submission order. Tasks are re-runnable
-/// (`Fn`): every attempt runs under the soft deadline, failed attempts
-/// retry with exponential backoff, and a cell that exhausts its
-/// attempts leaves `None` (already recorded in the failure registry).
+/// per submitted task in submission order. Each task runs once, under
+/// the soft deadline; a failed one leaves `None` (already recorded in
+/// the failure registry).
 ///
 /// Keeping positions (rather than dropping failed cells) is what lets
 /// callers that correlate results with their submitted grid keys — the
@@ -403,7 +305,7 @@ where
                     .expect("task slot poisoned")
                     .take()
                     .expect("task claimed twice");
-                let out = run_resilient_cell(i, &label, task.as_ref());
+                let out = run_resilient_cell(i, &label, task);
                 *results[i].lock().expect("result slot poisoned") = out;
             });
         }
@@ -419,7 +321,7 @@ where
 mod tests {
     use super::*;
 
-    fn task<T: 'static>(label: String, f: impl Fn() -> T + Send + 'static) -> LabeledTask<T> {
+    fn task<T: 'static>(label: String, f: impl FnOnce() -> T + Send + 'static) -> LabeledTask<T> {
         (label, Box::new(f))
     }
 

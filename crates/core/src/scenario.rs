@@ -14,10 +14,8 @@ use workload::{AppModelSpec, JobSpec};
 ///
 /// See the crate-level example.
 ///
-/// `Clone` exists for the resilient cell runner: a retried cell
-/// re-simulates from an identical `Scenario` value, so a flaky attempt
-/// (deadline, injected panic) can be re-run without the
-/// experiment rebuilding its grid.
+/// `Clone` lets a caller keep a configured scenario beside the copy it
+/// runs, since running consumes the value.
 #[derive(Debug, Clone)]
 pub struct Scenario {
     name: String,

@@ -19,9 +19,11 @@
 //! * **iomax-budget** — replaying every `io.max` token-bucket against
 //!   the limits recorded in the trace's config events, emission never
 //!   exceeds the configured budget over any window (bucket starts at
-//!   burst capacity, refills at the configured rate, and must never go
-//!   measurably negative). Uses the *exact* burst formula exported by
-//!   [`ioqos::burst_tokens`].
+//!   burst capacity and refills at the configured rate; before each
+//!   pass it must hold the request's tokens, capped at the burst, up to
+//!   a sub-token residue — the capped rule is charge-then-wait for
+//!   requests beyond the burst, whose excess stays as debt). Uses the
+//!   *exact* burst formula exported by [`ioqos::burst_tokens`].
 //! * **work-conservation** — on `none`/`mq-deadline`, an online device
 //!   is never idle for more than a scheduling epsilon while the
 //!   scheduler holds dispatchable requests.
@@ -532,23 +534,31 @@ fn check_iomax_budget(trace: &Trace, sink: &mut Sink) {
                         continue;
                     };
                     let dt = e.t.saturating_sub(b.last_t) as f64 * 1e-9;
-                    b.credit = (b.credit + b.rate * dt).min(b.burst) - amount;
+                    let before = (b.credit + b.rate * dt).min(b.burst);
+                    let need = amount.min(b.burst);
+                    b.credit = before - amount;
                     b.last_t = e.t;
                     // Tolerance: the throttler releases on nanosecond
                     // boundaries, so a pass can lead full refill by a
                     // sub-token residue — never by a whole request.
                     let eps = 1.0 + b.rate * 1e-6;
-                    if b.credit < -eps {
+                    if before - need < -eps {
                         sink.push(
                             "iomax-budget",
                             format!(
                                 "cgroup {} dev {} bucket {idx}: req {} at t={} overdraws the \
                                  token bucket by {:.1} tokens (burst {:.0}, rate {:.0}/s)",
-                                e.group, e.dev, e.req, e.t, -b.credit, b.burst, b.rate
+                                e.group,
+                                e.dev,
+                                e.req,
+                                e.t,
+                                need - before,
+                                b.burst,
+                                b.rate
                             ),
                         );
                         // Reset so one overdraw doesn't cascade.
-                        b.credit = 0.0;
+                        b.credit = need - amount;
                     }
                 }
             }
@@ -782,6 +792,34 @@ mod tests {
         let t = Trace { events, dropped: 0 };
         let r = check(&t);
         assert!(r.is_ok(), "violations: {:?}", r.violations);
+    }
+
+    #[test]
+    fn iomax_oversized_passes_charge_then_wait() {
+        // 1 MiB/s read limit: a 256 KiB burst, so a 1 MiB read may pass
+        // only with a full bucket and leaves 768 KiB of debt. Passes 1 s
+        // apart repay it exactly; one at 0.5 s overdraws.
+        let mib = 1u64 << 20;
+        let trace = |times: &[u64]| {
+            let mut events = vec![ev(0, TraceKind::CfgIoMax, 0, mib, 0)];
+            for (i, &t) in (0u64..).zip(times) {
+                events.push(ev(t, TraceKind::Submit, i, mib, 0));
+                events.push(ev(t, TraceKind::IoMaxPass, i, mib, 0));
+            }
+            events.push(ev(10_000_000_000, TraceKind::RunEnd, 0, 0, 0));
+            check(&Trace { events, dropped: 0 })
+        };
+        let paced = trace(&[0, 1_000_000_000, 2_000_000_000]);
+        assert!(paced.is_ok(), "violations: {:?}", paced.violations);
+        let hasty = trace(&[0, 500_000_000]);
+        assert!(
+            hasty
+                .violations
+                .iter()
+                .any(|v| v.invariant == "iomax-budget"),
+            "violations: {:?}",
+            hasty.violations
+        );
     }
 
     #[test]

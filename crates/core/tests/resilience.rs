@@ -1,12 +1,10 @@
 //! Integration tests for resilient cell execution and crash-safe
 //! resume from the cell cache:
 //!
-//! * a flaky cell (panics once, succeeds on retry) recovers without
-//!   surfacing a failure,
-//! * a cell that exhausts its retry budget is quarantined — recorded
-//!   with its failure class and attempt count,
-//! * a hung cell (`--inject-hang` hook) is stopped at its per-attempt
-//!   deadline within a bounded wall-clock and classified `timed_out`,
+//! * a failing cell runs exactly once and is recorded once, with its
+//!   label and failure class,
+//! * a hung cell (`--inject-hang` hook) is stopped at its deadline
+//!   within a bounded wall-clock and classified `timed_out`,
 //! * a real scenario that outlives its deadline is cut at the engine's
 //!   own poll point, and a task that never polls is discarded when it
 //!   returns late — in both cases nothing reaches the cache or the
@@ -33,8 +31,8 @@ use proptest::prelude::*;
 use simcore::SimTime;
 use workload::JobSpec;
 
-/// The cell deadline, retry budget, injection hooks, cache and tracing
-/// are process-global, so tests that touch them must not
+/// The cell deadline, injection hooks, cache and tracing are
+/// process-global, so tests that touch them must not
 /// interleave.
 static GLOBAL_CONFIG: Mutex<()> = Mutex::new(());
 
@@ -45,12 +43,9 @@ struct ResilienceGuard;
 impl Drop for ResilienceGuard {
     fn drop(&mut self) {
         runner::set_watchdog(None);
-        runner::set_cell_retries(1);
-        runner::set_retry_backoff(Duration::from_millis(50));
         runner::set_inject_hang(None);
         runner::set_inject_panic(None);
         runner::set_jobs(0);
-        runner::reset_resilience();
         let _ = runner::take_failures();
         cache::set_mode(cache::CacheMode::Off);
         tracing::set_capacity(None);
@@ -59,11 +54,8 @@ impl Drop for ResilienceGuard {
 
 fn arm_defaults() -> ResilienceGuard {
     runner::set_watchdog(None);
-    runner::set_cell_retries(1);
-    runner::set_retry_backoff(Duration::from_millis(1));
     runner::set_inject_hang(None);
     runner::set_inject_panic(None);
-    runner::reset_resilience();
     let _ = runner::take_failures();
     cache::set_mode(cache::CacheMode::Off);
     ResilienceGuard
@@ -76,48 +68,23 @@ fn temp_dir(tag: &str) -> PathBuf {
 }
 
 #[test]
-fn flaky_cell_recovers_on_retry() {
+fn failing_cell_runs_exactly_once() {
     let _guard = GLOBAL_CONFIG.lock().unwrap_or_else(|e| e.into_inner());
     let _restore = arm_defaults();
-    runner::set_cell_retries(2);
     static CALLS: AtomicUsize = AtomicUsize::new(0);
     CALLS.store(0, Ordering::SeqCst);
-    let cell = Cell::from_fn("res", "res-flaky", || {
-        if CALLS.fetch_add(1, Ordering::SeqCst) == 0 {
-            panic!("transient failure (first attempt only)");
-        }
-        vec![vec![42.0]]
-    });
-    let results = run_cells(vec![cell]);
-    assert_eq!(results.len(), 1);
-    assert_eq!(
-        results[0].as_ref().expect("cell must recover on retry")[0][0],
-        42.0
-    );
-    assert_eq!(CALLS.load(Ordering::SeqCst), 2, "exactly one retry");
-    let stats = runner::resilience_stats();
-    assert!(stats.retries >= 1, "retry must be counted");
-    assert!(
-        runner::take_failures().is_empty(),
-        "a recovered cell must not surface a failure"
-    );
-}
-
-#[test]
-fn exhausted_retries_quarantine_the_label() {
-    let _guard = GLOBAL_CONFIG.lock().unwrap_or_else(|e| e.into_inner());
-    let _restore = arm_defaults();
-    runner::set_cell_retries(1);
     let doomed = Cell::from_fn("res", "res-doomed", || {
+        CALLS.fetch_add(1, Ordering::SeqCst);
         panic!("always fails");
     });
     let results = run_cells(vec![doomed]);
     assert_eq!(results, vec![None]);
+    assert_eq!(CALLS.load(Ordering::SeqCst), 1, "not re-run");
     let fails = runner::take_failures();
-    assert_eq!(fails.len(), 1);
+    assert_eq!(fails.len(), 1, "one record per failed cell");
     assert_eq!(fails[0].label, "res-doomed");
     assert_eq!(fails[0].class, runner::FailureClass::Panic);
-    assert_eq!(fails[0].attempts, 2, "initial attempt + one retry");
+    assert!(fails[0].message.contains("always fails"));
 }
 
 #[test]
@@ -126,7 +93,6 @@ fn watchdog_cancels_a_hung_cell_within_bound() {
     let _restore = arm_defaults();
     let soft = Duration::from_millis(60);
     runner::set_watchdog(Some(soft));
-    runner::set_cell_retries(0);
     runner::set_inject_hang(Some("res-hang"));
     let hung = Cell::from_fn("res", "res-hang", || vec![vec![1.0]]);
     let healthy = Cell::from_fn("res", "res-ok", || vec![vec![2.0]]);
@@ -151,8 +117,6 @@ fn watchdog_cancels_a_hung_cell_within_bound() {
         .find(|f| f.label == "res-hang")
         .expect("hung cell recorded");
     assert_eq!(hung_fail.class, runner::FailureClass::TimedOut);
-    let stats = runner::resilience_stats();
-    assert!(stats.watchdog_soft >= 1, "soft deadline must have fired");
 }
 
 /// A fig4-shaped scenario (four always-busy batch tenants on one SSD)
@@ -173,17 +137,16 @@ fn long_cell(label: &str) -> Cell {
     )
 }
 
-/// Runs `cell` alone with a 50 ms deadline and no retry, and checks
-/// that it timed out within a bounded wall-clock.
+/// Runs `cell` alone with a 50 ms deadline, and checks that it timed
+/// out within a bounded wall-clock.
 fn run_past_deadline(cell: Cell) -> runner::CellFailure {
     let soft = Duration::from_millis(50);
     runner::set_watchdog(Some(soft));
-    runner::set_cell_retries(0);
     let label = cell.label().to_owned();
     let started = Instant::now();
     let results = run_cells(vec![cell]);
     let elapsed = started.elapsed();
-    assert_eq!(results, vec![None], "a timed-out attempt yields no rows");
+    assert_eq!(results, vec![None], "a timed-out cell yields no rows");
     assert!(
         elapsed < soft + Duration::from_secs(10),
         "the deadline must bound the cell (took {elapsed:?})"
@@ -193,8 +156,6 @@ fn run_past_deadline(cell: Cell) -> runner::CellFailure {
     let fail = fails.pop().expect("one failure");
     assert_eq!(fail.label, label);
     assert_eq!(fail.class, runner::FailureClass::TimedOut);
-    assert_eq!(fail.attempts, 1);
-    assert_eq!(runner::resilience_stats().watchdog_soft, 1);
     fail
 }
 

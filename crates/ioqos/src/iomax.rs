@@ -36,7 +36,8 @@ struct HeadHold {
     /// The least instant at which the head's tokens are ready: exact for
     /// every instant while the buckets and the head are untouched,
     /// because readiness is a step function of time
-    /// ([`TokenBucket::ready_from`]). `SimTime::MAX`: never.
+    /// ([`TokenBucket::ready_from`]). `SimTime::MAX` if that lies past
+    /// the end of simulated time.
     release_at: SimTime,
     /// `availability(head, t)` for every `t` from the read until `until`.
     next_at: SimTime,
@@ -80,11 +81,18 @@ impl DirThrottle {
         }
     }
 
-    /// The buckets with the tokens a request of `len` bytes needs.
+    /// The buckets a request of `len` bytes reads, each with the level
+    /// it must reach: the request's tokens, capped at the bucket's burst.
+    /// Charge then wait: an oversized request passes once its bucket is
+    /// full and takes its whole length as debt ([`DirThrottle::take`]),
+    /// which later requests repay, so the long-run rate stays the limit
+    /// (blk-throttle likewise extends the slice for such a bio).
     fn needs(&self, len: u32) -> impl Iterator<Item = (&TokenBucket, f64)> {
         let bps = self.bps.as_ref().map(|b| (b, f64::from(len)));
         let iops = self.iops.as_ref().map(|b| (b, 1.0));
-        bps.into_iter().chain(iops)
+        bps.into_iter()
+            .chain(iops)
+            .map(|(b, n)| (b, n.min(b.capacity())))
     }
 
     fn availability(&self, len: u32, now: SimTime) -> SimTime {
@@ -93,8 +101,9 @@ impl DirThrottle {
     }
 
     /// Consumes the tokens for a request of `len` bytes. Availability was
-    /// verified up to nanosecond rounding; `take_debt` tolerates the
-    /// sub-token residue.
+    /// verified up to nanosecond rounding against the capped need
+    /// ([`DirThrottle::needs`]); `take_debt` carries the sub-token residue
+    /// and, beyond a bucket's burst, the rest of the request as debt.
     fn take(&mut self, len: u32, now: SimTime) {
         if let Some(b) = &mut self.bps {
             b.take_debt(f64::from(len), now);
@@ -361,10 +370,10 @@ impl IoMaxThrottler {
         fn availability(d: &DirThrottle, req: &IoRequest, now: SimTime) -> SimTime {
             let mut at = now;
             if let Some(b) = &d.bps {
-                at = at.max(b.available_at(f64::from(req.len), now));
+                at = at.max(b.available_at(f64::from(req.len).min(b.capacity()), now));
             }
             if let Some(b) = &d.iops {
-                at = at.max(b.available_at(1.0, now));
+                at = at.max(b.available_at(1.0_f64.min(b.capacity()), now));
             }
             at
         }
@@ -406,10 +415,10 @@ impl IoMaxThrottler {
                 let head = d.held.front()?;
                 let mut at = now;
                 if let Some(b) = &d.bps {
-                    at = at.max(b.available_at(f64::from(head.len), now));
+                    at = at.max(b.available_at(f64::from(head.len).min(b.capacity()), now));
                 }
                 if let Some(b) = &d.iops {
-                    at = at.max(b.available_at(1.0, now));
+                    at = at.max(b.available_at(1.0_f64.min(b.capacity()), now));
                 }
                 Some(at)
             })
@@ -587,6 +596,36 @@ mod tests {
             t.on_submit(read4k(4, 1, now), now),
             SubmitOutcome::Pass(_)
         ));
+    }
+
+    #[test]
+    fn oversized_requests_charge_then_wait() {
+        // 1 MiB/s read limit: the burst is 256 KiB, so every 1 MiB read
+        // exceeds it. Each passes once the bucket is full and leaves
+        // 768 KiB of debt, so passes come 1 s apart: the long-run rate
+        // stays the limit.
+        let mut t = IoMaxThrottler::new();
+        t.set_limits(GroupId(1), limits_rbps(1 << 20));
+        let now = SimTime::ZERO;
+        let mib = |id| req(id, 1, IoOp::Read, 1 << 20, now);
+        assert!(matches!(t.on_submit(mib(0), now), SubmitOutcome::Pass(_)));
+        for id in 1..4 {
+            assert!(matches!(t.on_submit(mib(id), now), SubmitOutcome::Held));
+        }
+        let mut passed = Vec::new();
+        let mut at = now;
+        for _ in 0..16 {
+            let Some(next) = t.next_event(at) else { break };
+            at = next;
+            passed.extend(t.drain_released(at).iter().map(|r| (r.id, at)));
+        }
+        assert_eq!(t.held_count(), 0, "every oversized read is released");
+        let ids: Vec<u64> = passed.iter().map(|&(id, _)| id).collect();
+        assert_eq!(ids, [1, 2, 3], "in order");
+        for (k, &(_, at)) in (1u64..).zip(&passed) {
+            let off = at.as_nanos().abs_diff(k * 1_000_000_000);
+            assert!(off <= 1_000, "read {k} passed at {at:?}");
+        }
     }
 
     #[test]

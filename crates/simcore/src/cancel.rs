@@ -1,13 +1,13 @@
-//! A cooperative wall-clock deadline for one cell attempt.
+//! A cooperative wall-clock deadline for one cell.
 //!
 //! The cell runner installs a deadline in the worker thread's
-//! thread-local slot for the span of one attempt ([`DeadlineGuard`]).
+//! thread-local slot for the span of one cell ([`DeadlineGuard`]).
 //! The engine's event loop calls [`poll`] every few thousand pops (see
 //! `host_sim`) and breaks out once it returns `true`, so a runaway or
 //! hung scenario unwinds to its caller with partial statistics instead
 //! of blocking a worker forever. Nothing is interrupted: code that
 //! never polls runs to completion, and the runner's own [`poll`] after
-//! the attempt returns still marks it timed out.
+//! the cell returns still marks it timed out.
 //!
 //! The deadline never leaves its thread, so there is no shared flag:
 //! [`poll`] compares the clock with the installed deadline. `Instant` is

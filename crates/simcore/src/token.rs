@@ -60,6 +60,12 @@ impl TokenBucket {
         self.rate
     }
 
+    /// The burst capacity, in tokens.
+    #[must_use]
+    pub fn capacity(&self) -> f64 {
+        self.capacity
+    }
+
     /// Changes the refill rate (used when knob values are rewritten at
     /// runtime). Accrued tokens are settled at the old rate first.
     ///

@@ -184,20 +184,29 @@ hits=$(grep -o '"hits": [0-9]*' target/isol-bench/timings.json | head -1 | grep 
     || { echo "FAIL: a cache temp file was left behind"; exit 1; }
 rm -rf "$chaos_dir"
 
-echo "==> watchdog check (--inject-hang cell must be cancelled within the deadline, retried, quarantined; run still exits 0)"
+echo "==> watchdog check (--inject-hang cell must be cancelled within the deadline and recorded once as timed_out; run still exits 0)"
 hang_start=$SECONDS
 ./target/release/figures --smoke fig4 --no-cache --inject-hang fig4-none-1ssd-1 \
-    --watchdog-soft-ms 4000 \
-    --cell-retries 1 --retry-backoff-ms 10 > /dev/null 2>&1 \
+    --watchdog-soft-ms 4000 > /dev/null 2>&1 \
     || { echo "FAIL: a hung cell must not fail the run"; exit 1; }
 hang_elapsed=$(( SECONDS - hang_start ))
-# Two 4s soft-deadline attempts + the healthy grid: a watchdog-bounded
-# run stays far under this; an unbounded hang never returns at all.
+# One 4s soft deadline + the healthy grid: a watchdog-bounded run stays
+# far under this; an unbounded hang never returns at all.
 [[ "$hang_elapsed" -lt 90 ]] \
     || { echo "FAIL: watchdog did not bound the hung run (${hang_elapsed}s)"; exit 1; }
-grep -q '"class": "timed_out"' target/isol-bench/failures.json \
-    || { echo "FAIL: hung cell was not classified timed_out"; exit 1; }
-grep -q '"quarantined": \["fig4-none-1ssd-1"\]' target/isol-bench/timings.json \
-    || { echo "FAIL: hung cell was not quarantined"; exit 1; }
+[[ "$(grep -c '"label": ' target/isol-bench/failures.json)" -eq 1 ]] \
+    || { echo "FAIL: failures.json must hold exactly one record"; exit 1; }
+grep -q '"label": "fig4-none-1ssd-1", .*"class": "timed_out"' target/isol-bench/failures.json \
+    || { echo "FAIL: hung cell was not recorded as timed_out"; exit 1; }
+
+echo "==> removed options (--refresh, --cell-retries) must be rejected"
+for opt in --refresh "--cell-retries 1"; do
+    # shellcheck disable=SC2086
+    if err=$(./target/release/figures --smoke $opt fig4 2>&1 > /dev/null); then
+        echo "FAIL: figures $opt must exit 1"; exit 1
+    fi
+    grep -q "unknown experiment \`${opt%% *}\`" <<< "$err" \
+        || { echo "FAIL: figures $opt must name the unknown option"; exit 1; }
+done
 
 echo "OK"
