@@ -36,10 +36,17 @@
 //!
 //! The cells of *all* selected experiments are concatenated into one
 //! batch for a single global worker pool, so the pool never drains at
-//! an experiment boundary. Results return positionally, so every CSV is
+//! an experiment boundary. Records return positionally, so every CSV is
 //! byte-identical to running each experiment on its own (the
 //! experiments' `run`, which the goldens pin) for any `--jobs` value.
 //! Engine cost per layer is measured by `perfbench`, not here.
+//!
+//! The run flags (`--jobs`, `--no-cache`, `--trace`, `--watchdog-soft-ms`,
+//! `--inject-panic`, `--inject-hang`) fill one `isol_bench::RunConfig`,
+//! which the batch runs under. Each cell's record carries its rows or
+//! its failure and its cache outcome, wall-clock and trace output;
+//! `failures.json`, the `"cache"` totals and `"cells"` of `timings.json`
+//! and the traces-written note are folded from those records.
 //!
 //! `--faults` adds the fault-injection isolation study (`q_faults`) to
 //! the selection; `--smoke` is shorthand for `--fidelity smoke`.
@@ -106,12 +113,14 @@
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
+use isol_bench::cache::{self, CacheStats};
 use isol_bench::cell::FinishFn;
 use isol_bench::experiments::{
     app_mix, fig2, fig3, fig4, fig5, fig6, fig7, fleet_scale, optane, q10, q_faults, table1,
     writeback,
 };
-use isol_bench::{cache, runner, Cell, Fidelity, OutputSink, Staged};
+use isol_bench::tracing::{self, TraceConfig};
+use isol_bench::{runner, Cell, Fidelity, OutputSink, RunConfig, Staged};
 use isol_bench_harness::{parse_count, parse_selection, CellTiming, Failures, Timings, OUTPUT_DIR};
 
 /// One experiment's slice of the global cell batch.
@@ -139,9 +148,14 @@ fn stage_push<R>(staged: Staged<R>, batch: &mut Vec<Cell>, spans: &mut Vec<Span>
 #[allow(clippy::too_many_lines)]
 fn main() -> ExitCode {
     let mut fidelity = Fidelity::Standard;
-    let mut no_cache = false;
-    let mut inject_hang = false;
-    let mut watchdog_soft: Option<Duration> = None;
+    let mut cfg = RunConfig {
+        cache: Some(cache::DEFAULT_DIR.into()),
+        ..RunConfig::default()
+    };
+    let trace_at = |capacity| TraceConfig {
+        capacity,
+        dir: tracing::DEFAULT_DIR.into(),
+    };
     let mut rest = Vec::new();
     let mut scenario_files: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
@@ -149,14 +163,14 @@ fn main() -> ExitCode {
         if a == "--smoke" {
             fidelity = Fidelity::Smoke;
         } else if a == "--no-cache" {
-            no_cache = true;
+            cfg.cache = None;
         } else if a == "--faults" {
             rest.push("q_faults".to_owned());
         } else if a == "--trace" {
-            isol_bench::tracing::set_capacity(Some(isol_bench::tracing::DEFAULT_CAPACITY));
+            cfg.trace = Some(trace_at(tracing::DEFAULT_CAPACITY));
         } else if let Some(v) = a.strip_prefix("--trace=") {
             match v.parse::<usize>() {
-                Ok(n) if n > 0 => isol_bench::tracing::set_capacity(Some(n)),
+                Ok(n) if n > 0 => cfg.trace = Some(trace_at(n)),
                 _ => {
                     eprintln!("--trace={v}: capacity must be a positive event count");
                     return ExitCode::FAILURE;
@@ -164,7 +178,7 @@ fn main() -> ExitCode {
             }
         } else if a == "--inject-panic" {
             match args.next() {
-                Some(label) => runner::set_inject_panic(Some(&label)),
+                Some(label) => cfg.inject_panic = Some(label),
                 None => {
                     eprintln!("--inject-panic needs a cell label (e.g. q_faults-io.cost)");
                     return ExitCode::FAILURE;
@@ -172,10 +186,7 @@ fn main() -> ExitCode {
             }
         } else if a == "--inject-hang" {
             match args.next() {
-                Some(label) => {
-                    runner::set_inject_hang(Some(&label));
-                    inject_hang = true;
-                }
+                Some(label) => cfg.inject_hang = Some(label),
                 None => {
                     eprintln!("--inject-hang needs a cell label (e.g. fig4-none-1ssd-1)");
                     return ExitCode::FAILURE;
@@ -191,7 +202,7 @@ fn main() -> ExitCode {
             }
         } else if a == "--watchdog-soft-ms" {
             match args.next().as_deref().map(str::parse::<u64>) {
-                Some(Ok(ms)) if ms > 0 => watchdog_soft = Some(Duration::from_millis(ms)),
+                Some(Ok(ms)) if ms > 0 => cfg.deadline = Some(Duration::from_millis(ms)),
                 Some(_) => {
                     eprintln!("--watchdog-soft-ms needs a positive millisecond count");
                     return ExitCode::FAILURE;
@@ -213,7 +224,7 @@ fn main() -> ExitCode {
             }
         } else if a == "--jobs" {
             match args.next().map(|v| parse_count(&a, &v)) {
-                Some(Ok(n)) => runner::set_jobs(n),
+                Some(Ok(n)) => cfg.jobs = n,
                 Some(Err(e)) => {
                     eprintln!("{e}");
                     return ExitCode::FAILURE;
@@ -240,26 +251,20 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if no_cache {
-        cache::set_mode(cache::CacheMode::Off);
-    } else {
-        cache::set_dir(cache::DEFAULT_DIR);
-        cache::set_mode(cache::CacheMode::ReadWrite);
+    if let Some(dir) = &cfg.cache {
         // A killed run can leave half-written `*.tmp-<pid>` files next
         // to the entries; they are dead weight (stores rename away
         // their temp file on success), so sweep them at open time.
-        let swept = cache::sweep_stale_tmp(&cache::dir());
+        let swept = cache::sweep_stale_tmp(dir);
         if swept > 0 {
             eprintln!("cache: swept {swept} stale temp file(s) left by interrupted runs");
         }
     }
-    cache::reset_stats();
     // A hang test without a deadline would hang forever; give
     // --inject-hang one unless one was configured explicitly.
-    if inject_hang && watchdog_soft.is_none() {
-        watchdog_soft = Some(Duration::from_millis(2_000));
+    if cfg.inject_hang.is_some() && cfg.deadline.is_none() {
+        cfg.deadline = Some(Duration::from_millis(2_000));
     }
-    runner::set_watchdog(watchdog_soft);
 
     let mut sink = match OutputSink::with_dir(OUTPUT_DIR) {
         Ok(s) => s,
@@ -268,15 +273,15 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let jobs = runner::jobs();
+    let jobs = cfg.workers();
     sink.note(&format!(
         "# isol-bench figure regeneration ({fidelity:?} fidelity, {jobs} jobs), CSVs in {OUTPUT_DIR}/"
     ));
-    if let Some(capacity) = isol_bench::tracing::capacity() {
-        isol_bench::tracing::reset_written();
+    if let Some(trace) = &cfg.trace {
         sink.note(&format!(
-            "(tracing: {capacity}-event ring per cell, files in {})",
-            isol_bench::tracing::dir().display()
+            "(tracing: {}-event ring per cell, files in {})",
+            trace.capacity,
+            trace.dir.display()
         ));
     }
 
@@ -312,7 +317,9 @@ fn main() -> ExitCode {
     let t0 = Instant::now();
     let mut timings = Timings::new(&format!("{fidelity:?}").to_lowercase(), jobs);
     let mut failures = Failures::new();
-    let mut batch_cells: Vec<cache::CellStat> = Vec::new();
+    let mut cache_stats = CacheStats::default();
+    let mut traced = 0;
+    let mut cells: Vec<CellTiming> = Vec::new();
 
     // fig2 is standalone; the rest feed Table I.
     let result: std::io::Result<()> = (|| {
@@ -376,24 +383,36 @@ fn main() -> ExitCode {
             spans.len()
         ));
         let batch_started = Instant::now();
-        let mut results = isol_bench::run_cells(batch);
+        let records = isol_bench::run_cells(&cfg, batch);
         let batch_elapsed = batch_started.elapsed();
-        // Cell failures carry global batch indices; map them back to
-        // their experiment and its local submission index.
-        for f in runner::take_failures() {
-            let (exp, local) = spans
-                .iter()
-                .find(|s| f.index >= s.start && f.index < s.end)
-                .map_or(("batch", f.index), |s| (s.name, f.index - s.start));
-            failures.record(exp, local, &f.label, &f.message, f.class.as_str());
+        cache_stats = CacheStats::tally(&records);
+        traced = records.iter().filter(|r| r.stat.traced).count();
+        for (i, r) in records.iter().enumerate() {
+            match &r.rows {
+                Ok(_) => cells.push(CellTiming {
+                    experiment: r.experiment.to_owned(),
+                    label: r.label.clone(),
+                    seconds: r.stat.seconds,
+                    outcome: r.stat.outcome.as_str().to_owned(),
+                }),
+                // Records are at global batch positions; map a failure
+                // back to its experiment and local submission index.
+                Err(f) => {
+                    let (exp, local) = spans
+                        .iter()
+                        .find(|s| i >= s.start && i < s.end)
+                        .map_or(("batch", i), |s| (s.name, i - s.start));
+                    failures.record(exp, local, &r.label, &f.message, f.class.as_str());
+                }
+            }
         }
-        batch_cells = cache::take_cell_stats();
+        let mut results: Vec<_> = records.into_iter().map(|r| r.rows.ok()).collect();
         sink.note(&format!("(batch ran in {batch_elapsed:.1?})"));
         // An experiment's "seconds" under the global scheduler is
         // the sum of its cells' wall-clock (they overlap other
         // experiments') plus its finishing step.
         let cells_secs = |name: &str| {
-            batch_cells
+            cells
                 .iter()
                 .filter(|c| c.experiment == name)
                 .map(|c| c.seconds)
@@ -493,42 +512,23 @@ fn main() -> ExitCode {
             ));
         }
     }
-    let stats = cache::stats();
-    timings.set_cache_summary(
-        stats.hits,
-        stats.misses,
-        stats.stored,
-        stats.bypassed,
-        stats.corrupt,
-    );
-    batch_cells.extend(cache::take_cell_stats());
-    timings.set_cells(
-        batch_cells
-            .into_iter()
-            .map(|c| CellTiming {
-                experiment: c.experiment,
-                label: c.label,
-                seconds: c.seconds,
-                outcome: c.outcome.as_str().to_owned(),
-            })
-            .collect(),
-    );
-    if cache::mode() != cache::CacheMode::Off {
+    timings.set_cache_summary(cache_stats);
+    timings.set_cells(cells);
+    if let Some(dir) = &cfg.cache {
         sink.note(&format!(
             "(cell cache: {} hits, {} misses, {} stored, {} bypassed, {} corrupt — {})",
-            stats.hits,
-            stats.misses,
-            stats.stored,
-            stats.bypassed,
-            stats.corrupt,
-            cache::dir().display()
+            cache_stats.hits,
+            cache_stats.misses,
+            cache_stats.stored,
+            cache_stats.bypassed,
+            cache_stats.corrupt,
+            dir.display()
         ));
     }
-    if isol_bench::tracing::enabled() {
+    if let Some(trace) = &cfg.trace {
         sink.note(&format!(
-            "(traces: {} cell(s) written to {})",
-            isol_bench::tracing::written(),
-            isol_bench::tracing::dir().display()
+            "(traces: {traced} cell(s) written to {})",
+            trace.dir.display()
         ));
     }
     let timings_path = format!("{OUTPUT_DIR}/timings.json");

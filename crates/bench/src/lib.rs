@@ -17,6 +17,8 @@
 use std::io::Write as _;
 use std::time::Duration;
 
+use isol_bench::cache::CacheStats;
+
 pub mod fixtures;
 
 /// The directory experiment CSVs are written into.
@@ -25,8 +27,8 @@ pub const OUTPUT_DIR: &str = "target/isol-bench";
 /// Parses the value of a count flag (`--jobs`): a positive count, or
 /// `auto`/`0` for "auto-detect".
 ///
-/// Returns the value to pass to `isol_bench::runner::set_jobs` (where 0
-/// means auto-detect).
+/// Returns the value for `isol_bench::RunConfig::jobs` (where 0 means
+/// auto-detect).
 ///
 /// # Errors
 ///
@@ -64,7 +66,7 @@ pub struct Timings {
     fidelity: String,
     jobs: usize,
     entries: Vec<(String, Duration)>,
-    cache: (usize, usize, usize, usize, usize),
+    cache: CacheStats,
     cells: Vec<CellTiming>,
 }
 
@@ -77,7 +79,7 @@ impl Timings {
             fidelity: fidelity.to_owned(),
             jobs,
             entries: Vec::new(),
-            cache: (0, 0, 0, 0, 0),
+            cache: CacheStats::default(),
             cells: Vec::new(),
         }
     }
@@ -87,18 +89,9 @@ impl Timings {
         self.entries.push((name.to_owned(), elapsed));
     }
 
-    /// Records the run's cache traffic counters. `corrupt` counts
-    /// entries that were present on disk but failed validation (each is
-    /// also a miss).
-    pub fn set_cache_summary(
-        &mut self,
-        hits: usize,
-        misses: usize,
-        stored: usize,
-        bypassed: usize,
-        corrupt: usize,
-    ) {
-        self.cache = (hits, misses, stored, bypassed, corrupt);
+    /// Records the run's cache traffic totals.
+    pub fn set_cache_summary(&mut self, totals: CacheStats) {
+        self.cache = totals;
     }
 
     /// Replaces the per-cell breakdown. Entries are sorted by
@@ -132,7 +125,13 @@ impl Timings {
             ));
         }
         s.push_str("  ],\n");
-        let (hits, misses, stored, bypassed, corrupt) = self.cache;
+        let CacheStats {
+            hits,
+            misses,
+            stored,
+            bypassed,
+            corrupt,
+        } = self.cache;
         s.push_str(&format!(
             "  \"cache\": {{\"hits\": {hits}, \"misses\": {misses}, \"stored\": {stored}, \"bypassed\": {bypassed}, \"corrupt\": {corrupt}}},\n",
         ));
@@ -491,7 +490,13 @@ mod tests {
     fn timings_json_carries_cache_and_cells() {
         let mut t = Timings::new("smoke", 4);
         t.record("fig4", Duration::from_millis(100));
-        t.set_cache_summary(10, 2, 2, 1, 1);
+        t.set_cache_summary(CacheStats {
+            hits: 10,
+            misses: 2,
+            stored: 2,
+            bypassed: 1,
+            corrupt: 1,
+        });
         t.set_cells(vec![
             CellTiming {
                 experiment: "fig4".into(),

@@ -1,17 +1,21 @@
-//! Every cell label in a combined `figures` batch is distinct.
+//! Every cell label in a combined `figures` batch is distinct, and so
+//! is every trace-file stem.
 //!
 //! The label is a cell's identity outside the batch: `--inject-panic`
 //! and `--inject-hang` target it, the cell cache keys entries by it (so
-//! a rerun resumes from them), and `failures.json` reports it. This
+//! a rerun resumes from them), and `failures.json` reports it. Under
+//! `--trace`, a cell's files are named by its sanitized label, so two
+//! labels with one stem would overwrite each other's traces. This
 //! stages every experiment `all` selects plus the by-name extras, at
-//! each fidelity, and checks that no two cells share a label. Nothing
-//! is simulated.
+//! each fidelity, and checks that no two cells share a label or a
+//! trace stem. Nothing is simulated.
 
 use std::collections::BTreeMap;
 
 use isol_bench::experiments::{
     app_mix, fig2, fig3, fig4, fig5, fig6, fig7, fleet_scale, optane, q10, q_faults, writeback,
 };
+use isol_bench::tracing::sanitize_label;
 use isol_bench::{Fidelity, Staged};
 use isol_bench_harness::parse_selection;
 
@@ -47,8 +51,15 @@ fn every_cell_label_in_a_combined_batch_is_distinct() {
         .expect("all + extras");
     for fidelity in [Fidelity::Smoke, Fidelity::Standard, Fidelity::Full] {
         let mut owner: BTreeMap<String, &str> = BTreeMap::new();
+        let mut stems: BTreeMap<String, String> = BTreeMap::new();
         for name in &names {
             for label in stage_labels(name, fidelity) {
+                if let Some(first) = stems.insert(sanitize_label(&label), label.clone()) {
+                    assert_eq!(
+                        first, label,
+                        "{fidelity:?}: cells `{first}` and `{label}` share a trace-file stem"
+                    );
+                }
                 if let Some(first) = owner.insert(label.clone(), name) {
                     panic!("{fidelity:?}: cell label `{label}` staged by both {first} and {name}");
                 }

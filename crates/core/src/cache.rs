@@ -46,8 +46,8 @@
 //!   happens strictly after the cell function returns, so a panic
 //!   propagates before anything is written.
 //! * Cells that end past their deadline: their rows may be partial
-//!   stats, so [`run_scenario`] returns them uncounted and unstored for
-//!   the runner to discard.
+//!   stats, so [`run_scenario`] returns them unstored for the runner to
+//!   discard (and [`CacheStats::tally`] skips failed cells).
 //!
 //! # Robustness
 //!
@@ -66,26 +66,26 @@
 //! rename returns, because a SIGKILL or OOM kill does not lose data the
 //! process already handed to the kernel. Nothing is fsynced, so a power
 //! loss can lose recent entries; a lost entry is only a miss. Cells the
-//! cache never stores (faulted, traced, or the whole run under
-//! `CacheMode::Off`) simulate again.
+//! cache never stores (faulted, traced, or the whole run without a
+//! cache directory) simulate again.
 //!
-//! # Process-global state
+//! # Configuration and counts
 //!
-//! Mode, directory, and counters are process-global (like
-//! [`crate::runner`]'s worker count). The mode defaults to
-//! [`CacheMode::Off`] so library consumers and the unit-test binary are
-//! unaffected unless a harness opts in.
+//! The cache directory is [`crate::RunConfig::cache`]; `None` (the
+//! default, and `--no-cache`) neither reads nor writes. Each cell
+//! reports its own outcome in its [`CellStat`], and
+//! [`CacheStats::tally`] sums a batch's records, so two batches in one
+//! process never mix their counts.
 
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
-use std::time::Instant;
 
 use host_sim::RunReport;
 use simcore::{fnv1a_64, Fingerprint, SimTime};
 
-use crate::{Fidelity, Scenario};
+use crate::runner::CellRecord;
+use crate::tracing::TraceConfig;
+use crate::{Fidelity, RunConfig, Scenario};
 
 /// Engine-version salt mixed into every cache key. Bump this whenever
 /// an engine change legitimately alters simulation results; every
@@ -98,119 +98,17 @@ pub const DEFAULT_DIR: &str = "target/isol-bench/cache";
 /// Entry-format magic line; bump the `v` on layout changes.
 const MAGIC: &str = "isol-bench-cell v1";
 
-/// How the cache participates in a run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheMode {
-    /// No reads, no writes — every cell recomputes (the default, and
-    /// the `--no-cache` behavior).
-    Off,
-    /// Normal operation: hit loads, miss recomputes and stores.
-    ReadWrite,
-}
-
-/// Whether the mode is [`CacheMode::ReadWrite`].
-static MODE: AtomicBool = AtomicBool::new(false);
-static HITS: AtomicUsize = AtomicUsize::new(0);
-static MISSES: AtomicUsize = AtomicUsize::new(0);
-static STORED: AtomicUsize = AtomicUsize::new(0);
-static BYPASSED: AtomicUsize = AtomicUsize::new(0);
-static CORRUPT: AtomicUsize = AtomicUsize::new(0);
-static DIR: Mutex<Option<PathBuf>> = Mutex::new(None);
-static TEST_SALT: Mutex<Option<u64>> = Mutex::new(None);
-static CELL_STATS: Mutex<Vec<CellStat>> = Mutex::new(Vec::new());
-
-/// Sets the process-wide cache mode.
-pub fn set_mode(mode: CacheMode) {
-    MODE.store(mode == CacheMode::ReadWrite, Ordering::Relaxed);
-}
-
-/// The current cache mode.
-#[must_use]
-pub fn mode() -> CacheMode {
-    if MODE.load(Ordering::Relaxed) {
-        CacheMode::ReadWrite
-    } else {
-        CacheMode::Off
-    }
-}
-
-/// Sets the cache directory (created lazily on first store).
-pub fn set_dir(dir: impl AsRef<Path>) {
-    *DIR.lock().expect("cache dir poisoned") = Some(dir.as_ref().to_path_buf());
-}
-
-/// The effective cache directory ([`DEFAULT_DIR`] unless overridden).
-#[must_use]
-pub fn dir() -> PathBuf {
-    DIR.lock()
-        .expect("cache dir poisoned")
-        .clone()
-        .unwrap_or_else(|| PathBuf::from(DEFAULT_DIR))
-}
-
-/// Overrides the engine salt (testing hook for the salt-bump
-/// invalidation path); `None` restores [`ENGINE_SALT`].
-pub fn set_test_salt(salt: Option<u64>) {
-    *TEST_SALT.lock().expect("salt override poisoned") = salt;
-}
-
-fn salt() -> u64 {
-    TEST_SALT
-        .lock()
-        .expect("salt override poisoned")
-        .unwrap_or(ENGINE_SALT)
-}
-
-/// Cache traffic counters for one run (see [`stats`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheStats {
-    /// Cells served from disk without simulating.
-    pub hits: usize,
-    /// Cells recomputed (entry absent or invalid).
-    pub misses: usize,
-    /// Recomputed cells whose entry was (re)written successfully.
-    pub stored: usize,
-    /// Cells excluded from caching (fault injection armed).
-    pub bypassed: usize,
-    /// Entries that were *present* on disk but failed validation
-    /// (truncated, checksum mismatch, stale salt, wrong spec). Each is
-    /// also counted as a miss; this counter separates "never computed"
-    /// from "computed but the bytes rotted".
-    pub corrupt: usize,
-}
-
-/// Snapshot of the traffic counters since the last [`reset_stats`].
-#[must_use]
-pub fn stats() -> CacheStats {
-    CacheStats {
-        hits: HITS.load(Ordering::Relaxed),
-        misses: MISSES.load(Ordering::Relaxed),
-        stored: STORED.load(Ordering::Relaxed),
-        bypassed: BYPASSED.load(Ordering::Relaxed),
-        corrupt: CORRUPT.load(Ordering::Relaxed),
-    }
-}
-
-/// Zeroes the traffic counters and drops pending per-cell telemetry.
-pub fn reset_stats() {
-    HITS.store(0, Ordering::Relaxed);
-    MISSES.store(0, Ordering::Relaxed);
-    STORED.store(0, Ordering::Relaxed);
-    BYPASSED.store(0, Ordering::Relaxed);
-    CORRUPT.store(0, Ordering::Relaxed);
-    CELL_STATS.lock().expect("cell stats poisoned").clear();
-}
-
 /// How one cell interacted with the cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CellOutcome {
     /// Served from disk.
     Hit,
     /// Recomputed (and stored, unless the write failed).
     Miss,
-    /// Faulted scenario — always recomputed, never stored.
+    /// Faulted or traced scenario — always recomputed, never stored.
     Bypass,
-    /// Cache disabled — plain computation.
+    /// No cache configured — plain computation.
+    #[default]
     Off,
 }
 
@@ -227,25 +125,58 @@ impl CellOutcome {
     }
 }
 
-/// Per-cell wall-clock + cache outcome, drained by the harness into
-/// `timings.json`.
-#[derive(Debug, Clone)]
+/// One cell's wall-clock, cache outcome and trace output, carried in
+/// its [`CellRecord`].
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CellStat {
-    /// Owning experiment (e.g. `fig4`).
-    pub experiment: String,
-    /// Cell label (e.g. `fig4-io.max-1ssd-4`).
-    pub label: String,
-    /// Wall-clock spent in the cell, including cache I/O.
-    pub seconds: f64,
     /// How the cache treated this cell.
     pub outcome: CellOutcome,
+    /// Wall-clock spent in the cell, including cache I/O.
+    pub seconds: f64,
+    /// A recomputed cell whose entry was (re)written successfully.
+    pub stored: bool,
+    /// The entry was *present* on disk but failed validation
+    /// (truncated, checksum mismatch, stale salt, wrong spec); the cell
+    /// is also a miss. This separates "never computed" from "computed
+    /// but the bytes rotted".
+    pub corrupt: bool,
+    /// The cell's trace files were written (a partial trace included).
+    pub traced: bool,
 }
 
-/// Drains the per-cell telemetry recorded since the last call (or
-/// [`reset_stats`]).
-#[must_use]
-pub fn take_cell_stats() -> Vec<CellStat> {
-    std::mem::take(&mut *CELL_STATS.lock().expect("cell stats poisoned"))
+/// Cache traffic totals of a batch (see [`CacheStats::tally`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct CacheStats {
+    /// Cells served from disk without simulating.
+    pub hits: usize,
+    /// Cells recomputed (entry absent or invalid).
+    pub misses: usize,
+    /// Recomputed cells whose entry was (re)written successfully.
+    pub stored: usize,
+    /// Cells excluded from caching (fault injection or tracing on).
+    pub bypassed: usize,
+    /// Misses whose entry was present but failed validation.
+    pub corrupt: usize,
+}
+
+impl CacheStats {
+    /// Sums the cache outcomes of the records whose cell produced rows;
+    /// a failed cell's outcome is not counted.
+    #[must_use]
+    pub fn tally(records: &[CellRecord]) -> CacheStats {
+        let mut t = CacheStats::default();
+        for stat in records.iter().filter(|r| r.rows.is_ok()).map(|r| r.stat) {
+            match stat.outcome {
+                CellOutcome::Hit => t.hits += 1,
+                CellOutcome::Miss => t.misses += 1,
+                CellOutcome::Bypass => t.bypassed += 1,
+                CellOutcome::Off => {}
+            }
+            t.stored += usize::from(stat.stored);
+            t.corrupt += usize::from(stat.corrupt);
+        }
+        t
+    }
 }
 
 /// Builds the canonical spec string for one cell. Public so the
@@ -262,10 +193,10 @@ pub fn spec_string(
     format!("{experiment}/{label}\nfidelity={fidelity:?}\nuntil={until:?}\n{scenario:?}")
 }
 
-/// Fingerprints a spec string under the current engine salt.
+/// Fingerprints a spec string under [`ENGINE_SALT`].
 #[must_use]
 pub fn fingerprint(spec: &str) -> Fingerprint {
-    Fingerprint::of(spec.as_bytes(), salt())
+    Fingerprint::of(spec.as_bytes(), ENGINE_SALT)
 }
 
 /// The entry path a spec string maps to under `dir`.
@@ -279,7 +210,7 @@ fn render_entry(spec: &str, rows: &[Vec<f64>]) -> String {
     let rows_text = serde::rows::encode_rows(rows);
     format!(
         "{MAGIC}\nsalt {:016x}\nspec-bytes {}\n{spec}\nrows {}\n{rows_text}checksum {:016x}\nend\n",
-        salt(),
+        ENGINE_SALT,
         spec.len(),
         rows.len(),
         fnv1a_64(rows_text.as_bytes()),
@@ -290,7 +221,7 @@ fn render_entry(spec: &str, rows: &[Vec<f64>]) -> String {
 fn parse_entry(text: &str, want_spec: &str) -> Option<Vec<Vec<f64>>> {
     let rest = text.strip_prefix(MAGIC)?.strip_prefix('\n')?;
     let (salt_hex, rest) = rest.strip_prefix("salt ")?.split_once('\n')?;
-    if u64::from_str_radix(salt_hex, 16).ok()? != salt() {
+    if u64::from_str_radix(salt_hex, 16).ok()? != ENGINE_SALT {
         return None;
     }
     let (len_s, rest) = rest.strip_prefix("spec-bytes ")?.split_once('\n')?;
@@ -392,19 +323,9 @@ pub fn store_rows(dir: &Path, spec: &str, rows: &[Vec<f64>]) -> std::io::Result<
     fs::rename(&tmp, &path)
 }
 
-fn record_cell(experiment: &str, label: &str, started: Instant, outcome: CellOutcome) {
-    CELL_STATS
-        .lock()
-        .expect("cell stats poisoned")
-        .push(CellStat {
-            experiment: experiment.to_owned(),
-            label: label.to_owned(),
-            seconds: started.elapsed().as_secs_f64(),
-            outcome,
-        });
-}
-
-/// Runs one scenario cell through the cache.
+/// Runs one scenario cell through the cache configured in `cfg`,
+/// reporting its outcome in `stat`. The cell label is the scenario
+/// name.
 ///
 /// On a cache hit the scenario is **not** simulated — the stored rows
 /// come back as-is (bit-exact, via the hex-bits row encoding). On a
@@ -413,67 +334,51 @@ fn record_cell(experiment: &str, label: &str, started: Instant, outcome: CellOut
 /// always simulate and are never cached. A panic in the simulation or
 /// in `extract` propagates before any store, so degraded cells never
 /// poison the cache. A cell whose deadline has passed when its rows are
-/// in hand is neither counted, stored nor timed: the runner discards
-/// its rows.
+/// in hand is not stored: the runner discards its rows.
 ///
 /// Because each store is a temp file plus an atomic rename, every cell
 /// stored before a crash is a hit when the same run is started again:
 /// that is how a killed `figures` run resumes.
 #[must_use]
 pub fn run_scenario(
+    cfg: &RunConfig,
+    stat: &mut CellStat,
     experiment: &str,
-    label: &str,
     fidelity: Fidelity,
     scenario: Scenario,
     until: SimTime,
     extract: impl FnOnce(RunReport) -> Vec<Vec<f64>>,
 ) -> Vec<Vec<f64>> {
-    let started = Instant::now();
-    // A miss's entry path, spec, and whether an invalid entry sat there.
-    let mut miss: Option<(PathBuf, String, bool)> = None;
-    let (rows, outcome) = if let Some(capacity) = crate::tracing::capacity() {
+    if let Some(trace) = &cfg.trace {
         // Traced cells always simulate (the trace is a side effect of
         // running) and are never stored: with tracing on, probe
         // closures run, so timings would differ from untraced entries.
-        let rows = run_traced_cell(label, scenario, until, capacity, extract);
-        (rows, CellOutcome::Bypass)
-    } else if scenario.has_faults() {
-        (extract(scenario.run(until)), CellOutcome::Bypass)
-    } else if mode() == CacheMode::Off {
-        (extract(scenario.run(until)), CellOutcome::Off)
-    } else {
-        let spec = spec_string(experiment, label, fidelity, &scenario, until);
-        let cache_dir = dir();
-        match load_classified(&cache_dir, &spec) {
-            LoadOutcome::Loaded(rows) => (rows, CellOutcome::Hit),
-            load => {
-                miss = Some((cache_dir, spec, matches!(load, LoadOutcome::Corrupt)));
-                (extract(scenario.run(until)), CellOutcome::Miss)
-            }
-        }
+        stat.outcome = CellOutcome::Bypass;
+        return run_traced_cell(cfg, trace, stat, scenario, until, extract);
+    }
+    if scenario.has_faults() {
+        stat.outcome = CellOutcome::Bypass;
+        return extract(scenario.run(until));
+    }
+    let Some(dir) = cfg.cache.as_deref() else {
+        stat.outcome = CellOutcome::Off;
+        return extract(scenario.run(until));
     };
-    if simcore::cancel::poll() {
-        // The cell's deadline passed: these rows may be partial stats
-        // (the engine unwound at a poll point). The runner discards the
-        // cell, so they must never reach the cache, the counters or the
-        // per-cell telemetry.
+    let spec = spec_string(experiment, scenario.name(), fidelity, &scenario, until);
+    let load = load_classified(dir, &spec);
+    if let LoadOutcome::Loaded(rows) = load {
+        stat.outcome = CellOutcome::Hit;
         return rows;
     }
-    if let Some((cache_dir, spec, corrupt)) = miss {
-        if corrupt {
-            CORRUPT.fetch_add(1, Ordering::Relaxed);
-        }
-        if store_rows(&cache_dir, &spec, &rows).is_ok() {
-            STORED.fetch_add(1, Ordering::Relaxed);
-        }
+    stat.outcome = CellOutcome::Miss;
+    stat.corrupt = matches!(load, LoadOutcome::Corrupt);
+    let rows = extract(scenario.run(until));
+    // Past its deadline, these rows may be partial stats (the engine
+    // unwound at a poll point): the runner discards the cell, so they
+    // must never reach the cache.
+    if !simcore::cancel::poll() {
+        stat.stored = store_rows(dir, &spec, &rows).is_ok();
     }
-    match outcome {
-        CellOutcome::Hit => HITS.fetch_add(1, Ordering::Relaxed),
-        CellOutcome::Miss => MISSES.fetch_add(1, Ordering::Relaxed),
-        CellOutcome::Bypass => BYPASSED.fetch_add(1, Ordering::Relaxed),
-        CellOutcome::Off => 0,
-    };
-    record_cell(experiment, label, started, outcome);
     rows
 }
 
@@ -487,40 +392,34 @@ const INJECT_AFTER_EVENTS: u64 = 1_000;
 /// panics mid-run (the deferred `--inject-panic` path arms the recorder
 /// so the panic fires from inside the simulation).
 fn run_traced_cell(
-    label: &str,
+    cfg: &RunConfig,
+    trace_cfg: &TraceConfig,
+    stat: &mut CellStat,
     scenario: Scenario,
     until: SimTime,
-    capacity: usize,
     extract: impl FnOnce(RunReport) -> Vec<Vec<f64>>,
 ) -> Vec<Vec<f64>> {
-    let armed = crate::runner::inject_panic_label().as_deref() == Some(label);
+    let label = scenario.name().to_owned();
+    let armed = cfg.inject_panic.as_deref() == Some(label.as_str());
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        simcore::trace::install(capacity);
+        simcore::trace::install(trace_cfg.capacity);
         if armed {
             simcore::trace::arm_panic_after(INJECT_AFTER_EVENTS);
         }
-        let report = scenario.run(until);
-        let trace = simcore::trace::take().expect("recorder installed above");
-        (report, trace)
+        scenario.run(until)
     }));
+    // On a panic, this salvages whatever the recorder captured; the
+    // JSONL format is line-oriented, so a partial trace is still
+    // parseable by `traceck`.
+    if let Some(trace) = simcore::trace::take() {
+        match crate::tracing::write_files(&trace_cfg.dir, &label, &trace) {
+            Ok(()) => stat.traced = true,
+            Err(e) => eprintln!("trace: failed to write files for `{label}`: {e}"),
+        }
+    }
     match outcome {
-        Ok((report, trace)) => {
-            if let Err(e) = crate::tracing::write_files(label, &trace) {
-                eprintln!("trace: failed to write files for `{label}`: {e}");
-            }
-            extract(report)
-        }
-        Err(payload) => {
-            // Salvage whatever the recorder captured before the panic;
-            // the JSONL format is line-oriented, so a partial trace is
-            // still parseable by `traceck`.
-            if let Some(partial) = simcore::trace::take() {
-                if let Err(e) = crate::tracing::write_files(label, &partial) {
-                    eprintln!("trace: failed to write partial files for `{label}`: {e}");
-                }
-            }
-            std::panic::resume_unwind(payload)
-        }
+        Ok(report) => extract(report),
+        Err(payload) => std::panic::resume_unwind(payload),
     }
 }
 

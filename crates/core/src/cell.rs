@@ -1,37 +1,40 @@
 //! Grid cells as schedulable descriptions.
 //!
-//! PR 1 gave every experiment its own worker pool; this module inverts
-//! that: an experiment no longer *runs* its grid, it *describes* it —
-//! a list of [`Cell`]s (label + boxed computation returning plain
-//! numeric rows) plus a typed `finish` closure that decodes the rows
-//! back into the experiment's result type and emits its tables. The
-//! pair is a [`Staged`] experiment.
+//! An experiment does not *run* its grid, it *describes* it — a list
+//! of [`Cell`]s (label + boxed computation returning plain numeric
+//! rows) plus a typed `finish` closure that decodes the rows back into
+//! the experiment's result type and emits its tables. The pair is a
+//! [`Staged`] experiment.
 //!
 //! The split buys two things:
 //!
 //! * **One global scheduler.** The `figures` harness concatenates the
 //!   cells of *every* selected experiment into a single batch for
 //!   [`run_cells`], so the worker pool never drains at an experiment
-//!   boundary — fig2 stragglers overlap with q10 cells. Results come
-//!   back positionally (one slot per cell, `None` for a failed
-//!   cell), so each experiment's slice of the batch is exactly what
-//!   its private pool would have produced, and every CSV stays
-//!   byte-identical for any `--jobs` value.
+//!   boundary — fig2 stragglers overlap with q10 cells. Records come
+//!   back positionally (one per cell, its rows or its failure), so each
+//!   experiment's slice of the batch is exactly what its private pool
+//!   would have produced, and every CSV stays byte-identical for any
+//!   `--jobs` value.
 //! * **Content-addressed caching.** [`Cell::scenario`] routes the
 //!   computation through [`cache::run_scenario`], which can answer
 //!   from disk without simulating (see [`crate::cache`]).
 //!
-//! `Staged::run` restores the old behavior — run just this
-//! experiment's cells, then finish — so the public
-//! `run(fidelity, sink)` entry points keep working unchanged for
-//! library consumers, tests, and benches.
+//! A cell's task receives the batch's [`RunConfig`] (cache directory,
+//! trace capture, injection hooks) and fills in its [`CellStat`]; it
+//! reads no global state. `Staged::run` runs just this experiment's
+//! cells under a given configuration, then finishes — the public
+//! `run(fidelity, sink)` entry points call it with
+//! [`RunConfig::default`], so library consumers, tests and benches see
+//! plain uncached, untraced runs.
 
 use std::io;
 
 use host_sim::RunReport;
 use simcore::SimTime;
 
-use crate::{cache, runner, Fidelity, OutputSink, Scenario};
+use crate::cache::{self, CellStat};
+use crate::{run_cells, Fidelity, OutputSink, RunConfig, Scenario};
 
 /// A cell's result: plain numeric rows, the only currency the cache
 /// and the scheduler deal in. Each experiment defines its own row
@@ -48,10 +51,14 @@ pub type FinishFn<R> = Box<dyn FnOnce(Vec<Option<CellRows>>, &mut OutputSink) ->
 /// failed cell is re-run by running the same command again, which
 /// serves every finished cell from the cache.
 pub struct Cell {
-    experiment: &'static str,
-    label: String,
-    task: Box<dyn FnOnce() -> CellRows + Send>,
+    pub(crate) experiment: &'static str,
+    pub(crate) label: String,
+    pub(crate) task: CellTask,
 }
+
+/// A cell's computation: given the batch's configuration, it returns
+/// the cell's rows and reports its cache outcome and trace output.
+pub(crate) type CellTask = Box<dyn FnOnce(&RunConfig, &mut CellStat) -> CellRows + Send>;
 
 impl std::fmt::Debug for Cell {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -69,8 +76,8 @@ impl Cell {
     /// faulted scenarios always run live and are never stored).
     ///
     /// The cell label is the scenario name, which doubles as the
-    /// `--inject-panic` / `--inject-hang` target and the
-    /// failure-registry label.
+    /// `--inject-panic` / `--inject-hang` target and the label in
+    /// `failures.json`.
     pub fn scenario(
         experiment: &'static str,
         fidelity: Fidelity,
@@ -78,19 +85,18 @@ impl Cell {
         until: SimTime,
         extract: impl FnOnce(RunReport) -> CellRows + Send + 'static,
     ) -> Self {
-        let label = scenario.name().to_owned();
-        let task_label = label.clone();
         Cell {
             experiment,
-            label,
-            task: Box::new(move || {
-                cache::run_scenario(experiment, &task_label, fidelity, scenario, until, extract)
+            label: scenario.name().to_owned(),
+            task: Box::new(move |cfg, stat| {
+                cache::run_scenario(cfg, stat, experiment, fidelity, scenario, until, extract)
             }),
         }
     }
 
     /// A cell with an arbitrary task, bypassing the scenario/cache
-    /// machinery. Intended for harness tests and ad-hoc batches.
+    /// machinery (its outcome is [`cache::CellOutcome::Off`]). Intended
+    /// for harness tests and ad-hoc batches.
     pub fn from_fn(
         experiment: &'static str,
         label: impl Into<String>,
@@ -99,7 +105,7 @@ impl Cell {
         Cell {
             experiment,
             label: label.into(),
-            task: Box::new(task),
+            task: Box::new(move |_, _| task()),
         }
     }
 
@@ -167,52 +173,37 @@ impl<R> Staged<R> {
         (self.cells, self.finish)
     }
 
-    /// Runs just this experiment: its cells on the worker pool, then
-    /// `finish`. Exactly the pre-scheduler behavior — used by the
-    /// `run(fidelity, sink)` entry points.
+    /// Runs just this experiment: its cells on the worker pool under
+    /// `cfg`, then `finish` — used by the `run(fidelity, sink)` entry
+    /// points with [`RunConfig::default`].
     ///
     /// # Errors
     ///
     /// Propagates sink I/O failures from `finish`.
-    pub fn run(self, sink: &mut OutputSink) -> io::Result<R> {
-        let results = run_cells(self.cells);
+    pub fn run(self, cfg: &RunConfig, sink: &mut OutputSink) -> io::Result<R> {
+        let results = run_cells(cfg, self.cells)
+            .into_iter()
+            .map(|r| r.rows.ok())
+            .collect();
         (self.finish)(results, sink)
     }
-}
-
-/// Runs a batch of cells (possibly spanning many experiments) on the
-/// resilient worker pool: each cell once, under a soft deadline (see
-/// [`crate::runner`]). One result slot per cell, in submission order;
-/// `None` marks a cell that failed (recorded in the failure registry
-/// with its batch index, label, and failure class).
-#[must_use]
-pub fn run_cells(cells: Vec<Cell>) -> Vec<Option<CellRows>> {
-    runner::run_cells_keep(
-        runner::jobs(),
-        cells.into_iter().map(|c| (c.label, c.task)).collect(),
-    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::FailureClass;
 
-    fn const_cell(experiment: &'static str, label: &str, v: f64) -> Cell {
-        // Bypasses Cell::scenario (no simulation in unit tests): a
-        // hand-rolled cell with the same shape.
-        Cell {
-            experiment,
-            label: label.to_owned(),
-            task: Box::new(move || vec![vec![v]]),
-        }
+    fn const_cell(label: &str, v: f64) -> Cell {
+        Cell::from_fn("t", label, move || vec![vec![v]])
     }
 
     #[test]
     fn staged_run_feeds_finish_positionally() {
         let cells = vec![
-            const_cell("t", "t-a", 1.0),
-            const_cell("t", "t-b", 2.0),
-            const_cell("t", "t-c", 3.0),
+            const_cell("t-a", 1.0),
+            const_cell("t-b", 2.0),
+            const_cell("t-c", 3.0),
         ];
         let staged = Staged::new("t", cells, |results, _sink| {
             let got: Vec<f64> = results.iter().map(|r| r.as_ref().unwrap()[0][0]).collect();
@@ -220,27 +211,29 @@ mod tests {
         });
         assert_eq!(staged.name(), "t");
         assert_eq!(staged.cell_count(), 3);
-        let out = staged.run(&mut OutputSink::quiet()).unwrap();
+        let out = staged
+            .run(&RunConfig::default(), &mut OutputSink::quiet())
+            .unwrap();
         assert_eq!(out, vec![1.0, 2.0, 3.0]);
     }
 
     #[test]
     fn panicked_cell_leaves_a_none_slot_in_position() {
-        let mut cells = vec![const_cell("t", "t-0", 0.0)];
-        cells.push(Cell {
-            experiment: "t",
-            label: "t-boom".to_owned(),
-            task: Box::new(|| panic!("cell boom (cell test)")),
-        });
-        cells.push(const_cell("t", "t-2", 2.0));
-        let results = run_cells(cells);
-        assert_eq!(results.len(), 3);
-        assert!(results[0].is_some());
-        assert!(results[1].is_none(), "panicked slot must stay in place");
-        assert_eq!(results[2].as_ref().unwrap()[0][0], 2.0);
-        let fails = runner::take_failures();
-        let ours: Vec<_> = fails.iter().filter(|f| f.label == "t-boom").collect();
-        assert_eq!(ours.len(), 1);
-        assert_eq!(ours[0].index, 1);
+        let cells = vec![
+            const_cell("t-0", 0.0),
+            Cell::from_fn("t", "t-boom", || panic!("cell boom (cell test)")),
+            const_cell("t-2", 2.0),
+        ];
+        let records = run_cells(&RunConfig::default(), cells);
+        assert_eq!(records.len(), 3);
+        assert!(records[0].rows.is_ok());
+        let fail = records[1]
+            .rows
+            .as_ref()
+            .expect_err("panicked slot stays in place");
+        assert_eq!(records[1].label, "t-boom");
+        assert_eq!(fail.class, FailureClass::Panic);
+        assert!(fail.message.contains("cell boom"));
+        assert_eq!(records[2].rows.as_ref().unwrap()[0][0], 2.0);
     }
 }

@@ -28,7 +28,7 @@ use iostats::Table;
 use simcore::SimTime;
 use workload::{AppModelSpec, JobSpec, KvConfig, MlIngestConfig};
 
-use crate::{Cell, Fidelity, Knob, OutputSink, Scenario, Staged};
+use crate::{Cell, Fidelity, Knob, OutputSink, RunConfig, Scenario, Staged};
 
 /// The cell label the runner reports on a panic (`app_mix-<knob>`) —
 /// also the target for `figures --inject-panic`.
@@ -177,7 +177,7 @@ fn emit_table(rows: &[AppMixRow], sink: &mut OutputSink) -> io::Result<()> {
 ///
 /// Propagates sink I/O failures.
 pub fn run(fidelity: Fidelity, sink: &mut OutputSink) -> io::Result<AppMixResult> {
-    stage(fidelity).run(sink)
+    stage(fidelity).run(&RunConfig::default(), sink)
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@ use iostats::Table;
 use simcore::{SimDuration, SimTime};
 use workload::JobSpec;
 
-use crate::{Cell, CellRows, Fidelity, Knob, OutputSink, Scenario, Staged};
+use crate::{Cell, CellRows, Fidelity, Knob, OutputSink, RunConfig, Scenario, Staged};
 
 /// One bandwidth-over-time sample row: window start plus the three apps'
 /// bandwidth in MiB/s.
@@ -256,7 +256,7 @@ pub fn stage(fidelity: Fidelity) -> Staged<Fig2Result> {
 ///
 /// Propagates sink I/O failures.
 pub fn run(fidelity: Fidelity, sink: &mut OutputSink) -> io::Result<Fig2Result> {
-    stage(fidelity).run(sink)
+    stage(fidelity).run(&RunConfig::default(), sink)
 }
 
 #[cfg(test)]

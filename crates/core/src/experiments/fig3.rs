@@ -12,7 +12,7 @@ use std::io;
 use iostats::{CdfPoint, LatencyHistogram, Table};
 use workload::JobSpec;
 
-use crate::{Cell, Fidelity, Knob, OutputSink, Scenario, Staged};
+use crate::{Cell, Fidelity, Knob, OutputSink, RunConfig, Scenario, Staged};
 
 /// One (knob, app-count) measurement.
 #[derive(Debug, Clone)]
@@ -197,7 +197,7 @@ pub fn stage(fidelity: Fidelity) -> Staged<Fig3Result> {
 ///
 /// Propagates sink I/O failures.
 pub fn run(fidelity: Fidelity, sink: &mut OutputSink) -> io::Result<Fig3Result> {
-    stage(fidelity).run(sink)
+    stage(fidelity).run(&RunConfig::default(), sink)
 }
 
 #[cfg(test)]

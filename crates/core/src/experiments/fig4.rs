@@ -11,7 +11,7 @@ use std::io;
 use iostats::Table;
 use workload::JobSpec;
 
-use crate::{Cell, Fidelity, Knob, OutputSink, Scenario, Staged};
+use crate::{Cell, Fidelity, Knob, OutputSink, RunConfig, Scenario, Staged};
 
 /// One (knob, ssds, apps) measurement.
 #[derive(Debug, Clone, Copy)]
@@ -134,7 +134,7 @@ pub fn stage(fidelity: Fidelity) -> Staged<Fig4Result> {
 ///
 /// Propagates sink I/O failures.
 pub fn run(fidelity: Fidelity, sink: &mut OutputSink) -> io::Result<Fig4Result> {
-    stage(fidelity).run(sink)
+    stage(fidelity).run(&RunConfig::default(), sink)
 }
 
 #[cfg(test)]

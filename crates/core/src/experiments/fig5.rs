@@ -13,7 +13,7 @@ use std::io;
 use iostats::{jain_index, weighted_jain_index, Table};
 use workload::JobSpec;
 
-use crate::{cgroup_bandwidths, Cell, Fidelity, Knob, OutputSink, Scenario, Staged};
+use crate::{cgroup_bandwidths, Cell, Fidelity, Knob, OutputSink, RunConfig, Scenario, Staged};
 
 /// Apps per cgroup (paper: four batch apps saturate the device).
 const APPS_PER_CGROUP: usize = 4;
@@ -175,7 +175,7 @@ pub fn stage(fidelity: Fidelity) -> Staged<Fig5Result> {
 ///
 /// Propagates sink I/O failures.
 pub fn run(fidelity: Fidelity, sink: &mut OutputSink) -> io::Result<Fig5Result> {
-    stage(fidelity).run(sink)
+    stage(fidelity).run(&RunConfig::default(), sink)
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@ use std::io;
 use iostats::{jain_index, Table};
 use workload::{JobSpec, RwKind};
 
-use crate::{cgroup_bandwidths, Cell, Fidelity, Knob, OutputSink, Scenario, Staged};
+use crate::{cgroup_bandwidths, Cell, Fidelity, Knob, OutputSink, RunConfig, Scenario, Staged};
 
 /// Apps per cgroup.
 const APPS_PER_CGROUP: usize = 4;
@@ -182,7 +182,7 @@ pub fn stage(fidelity: Fidelity) -> Staged<Fig6Result> {
 ///
 /// Propagates sink I/O failures.
 pub fn run(fidelity: Fidelity, sink: &mut OutputSink) -> io::Result<Fig6Result> {
-    stage(fidelity).run(sink)
+    stage(fidelity).run(&RunConfig::default(), sink)
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@ use cgroup_sim::{DevNode, IoCostQos, IoLatency, IoMax, IoWeight, Knob as KnobWri
 use iostats::Table;
 use workload::{JobSpec, RwKind};
 
-use crate::{Cell, Fidelity, Knob, OutputSink, Scenario, Staged};
+use crate::{Cell, Fidelity, Knob, OutputSink, RunConfig, Scenario, Staged};
 
 /// Cores for the trade-off runs.
 const CORES: usize = 10;
@@ -418,7 +418,7 @@ fn emit_tables(points: &[Fig7Point], sink: &mut OutputSink) -> io::Result<()> {
 ///
 /// Propagates sink I/O failures.
 pub fn run(fidelity: Fidelity, sink: &mut OutputSink) -> io::Result<Fig7Result> {
-    stage(fidelity).run(sink)
+    stage(fidelity).run(&RunConfig::default(), sink)
 }
 
 #[cfg(test)]

@@ -30,7 +30,7 @@ use iostats::{weighted_jain_index, Table};
 use simcore::{SimDuration, SimTime};
 use workload::JobSpec;
 
-use crate::{cgroup_bandwidths, Cell, Fidelity, Knob, OutputSink, Scenario, Staged};
+use crate::{cgroup_bandwidths, Cell, Fidelity, Knob, OutputSink, RunConfig, Scenario, Staged};
 
 /// SSDs in the consolidation host; tenants are pinned round-robin.
 pub const FLEET_DEVICES: usize = 4;
@@ -439,7 +439,7 @@ fn emit_table(rows: &[FleetScaleRow], sink: &mut OutputSink) -> io::Result<()> {
 ///
 /// Propagates sink I/O failures.
 pub fn run(fidelity: Fidelity, sink: &mut OutputSink) -> io::Result<FleetScaleResult> {
-    stage(fidelity).run(sink)
+    stage(fidelity).run(&RunConfig::default(), sink)
 }
 
 #[cfg(test)]
@@ -510,7 +510,9 @@ mod tests {
             emit_table(&rows, sink)?;
             Ok(FleetScaleResult { rows })
         });
-        let r = staged.run(&mut OutputSink::quiet()).expect("fleet_scale");
+        let r = staged
+            .run(&RunConfig::default(), &mut OutputSink::quiet())
+            .expect("fleet_scale");
         assert_eq!(r.rows.len(), Knob::ALL.len());
         for row in &r.rows {
             assert!(row.agg_mib_s > 0.0, "{}: fleet made progress", row.knob);

@@ -17,7 +17,7 @@ use std::io;
 use iostats::{jain_index, Table};
 use workload::{JobSpec, RwKind};
 
-use crate::{cgroup_bandwidths, Cell, Fidelity, Knob, OutputSink, Scenario, Staged};
+use crate::{cgroup_bandwidths, Cell, Fidelity, Knob, OutputSink, RunConfig, Scenario, Staged};
 
 /// One Optane-vs-flash comparison row.
 #[derive(Debug, Clone)]
@@ -198,7 +198,7 @@ pub fn stage(fidelity: Fidelity) -> Staged<OptaneResult> {
 ///
 /// Propagates sink I/O failures.
 pub fn run(fidelity: Fidelity, sink: &mut OutputSink) -> io::Result<OptaneResult> {
-    stage(fidelity).run(sink)
+    stage(fidelity).run(&RunConfig::default(), sink)
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@ use iostats::Table;
 use simcore::{SimDuration, SimTime};
 use workload::JobSpec;
 
-use crate::{Cell, Fidelity, Knob, OutputSink, Scenario, Staged};
+use crate::{Cell, Fidelity, Knob, OutputSink, RunConfig, Scenario, Staged};
 
 /// Cores.
 const CORES: usize = 10;
@@ -188,7 +188,7 @@ pub fn stage(fidelity: Fidelity) -> Staged<Q10Result> {
 ///
 /// Propagates sink I/O failures.
 pub fn run(fidelity: Fidelity, sink: &mut OutputSink) -> io::Result<Q10Result> {
-    stage(fidelity).run(sink)
+    stage(fidelity).run(&RunConfig::default(), sink)
 }
 
 #[cfg(test)]

@@ -22,7 +22,7 @@ use iostats::Table;
 use simcore::SimDuration;
 use workload::JobSpec;
 
-use crate::{cgroup_bandwidths, Cell, Fidelity, Knob, OutputSink, Scenario, Staged};
+use crate::{cgroup_bandwidths, Cell, Fidelity, Knob, OutputSink, RunConfig, Scenario, Staged};
 use nvme_sim::FaultConfig;
 
 /// The fault mix every cell runs under: roughly one media error per
@@ -207,7 +207,7 @@ fn emit_table(rows: &[QFaultsRow], sink: &mut OutputSink) -> io::Result<()> {
 ///
 /// Propagates sink I/O failures.
 pub fn run(fidelity: Fidelity, sink: &mut OutputSink) -> io::Result<QFaultsResult> {
-    stage(fidelity).run(sink)
+    stage(fidelity).run(&RunConfig::default(), sink)
 }
 
 #[cfg(test)]

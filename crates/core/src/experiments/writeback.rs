@@ -23,7 +23,7 @@ use cgroup_sim::{DevNode, IoMax, Knob as KnobWrite};
 use iostats::Table;
 use workload::{JobSpec, RwKind};
 
-use crate::{Cell, Fidelity, OutputSink, Scenario, Staged};
+use crate::{Cell, Fidelity, OutputSink, RunConfig, Scenario, Staged};
 
 /// How writeback device I/O is charged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -192,7 +192,7 @@ pub fn stage(fidelity: Fidelity) -> Staged<WritebackResult> {
 ///
 /// Propagates sink I/O failures.
 pub fn run(fidelity: Fidelity, sink: &mut OutputSink) -> io::Result<WritebackResult> {
-    stage(fidelity).run(sink)
+    stage(fidelity).run(&RunConfig::default(), sink)
 }
 
 #[cfg(test)]

@@ -57,8 +57,9 @@ pub mod scenario_file;
 pub mod traceck;
 pub mod tracing;
 
-pub use cell::{run_cells, Cell, CellRows, Staged};
+pub use cell::{Cell, CellRows, Staged};
 pub use fidelity::Fidelity;
 pub use knob::Knob;
 pub use output::OutputSink;
+pub use runner::{run_cells, RunConfig};
 pub use scenario::{cgroup_bandwidths, Scenario};

@@ -1,9 +1,9 @@
-//! Process-global request-lifecycle trace capture.
+//! Request-lifecycle trace capture for harness cells.
 //!
-//! The `figures --trace[=N]` flag flips this module on; while enabled,
-//! every grid cell the harness runs ([`crate::cache::run_scenario`])
-//! executes with the [`simcore::trace`] recorder installed and writes
-//! two files per cell next to the CSVs:
+//! With [`crate::RunConfig::trace`] set (`figures --trace[=N]`), every
+//! grid cell the harness runs ([`crate::cache::run_scenario`]) executes
+//! with the [`simcore::trace`] recorder installed and writes two files
+//! per cell into [`TraceConfig::dir`]:
 //!
 //! * `<label>.trace.jsonl` — the raw event stream (one JSON object per
 //!   line, self-describing header first; see
@@ -14,15 +14,13 @@
 //!
 //! Traced cells always **bypass the result cache**: the trace is a
 //! side effect of simulating, so a cache hit would silently produce no
-//! trace file. Capture state is process-global (like
-//! [`crate::cache`]'s mode and [`crate::runner`]'s worker count) and
-//! defaults to off, so library consumers pay one relaxed atomic load
-//! per cell and the simulator hot path one thread-local read per probe.
+//! trace file. Each cell's record says whether its files were written
+//! ([`crate::cache::CellStat::traced`]). Capture is off unless a
+//! configuration asks for it, so library callers pay nothing and the
+//! simulator hot path one thread-local read per probe.
 
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use simcore::trace::Trace;
 
@@ -33,60 +31,13 @@ pub const DEFAULT_DIR: &str = "target/isol-bench/traces";
 /// without a value. At 56 bytes per event this is ~3.5 MiB per cell.
 pub const DEFAULT_CAPACITY: usize = 65_536;
 
-/// 0 = capture disabled; otherwise the per-cell ring capacity.
-static CAPACITY: AtomicUsize = AtomicUsize::new(0);
-static DIR: Mutex<Option<PathBuf>> = Mutex::new(None);
-static WRITTEN: AtomicUsize = AtomicUsize::new(0);
-
-/// Enables capture with the given per-cell ring capacity (`None`
-/// disables). A zero capacity is clamped to 1 by the recorder.
-pub fn set_capacity(capacity: Option<usize>) {
-    let v = match capacity {
-        None => 0,
-        Some(n) => n.max(1),
-    };
-    CAPACITY.store(v, Ordering::Relaxed);
-}
-
-/// The configured capture capacity, or `None` when capture is off.
-#[must_use]
-pub fn capacity() -> Option<usize> {
-    match CAPACITY.load(Ordering::Relaxed) {
-        0 => None,
-        n => Some(n),
-    }
-}
-
-/// `true` while trace capture is enabled process-wide.
-#[must_use]
-pub fn enabled() -> bool {
-    capacity().is_some()
-}
-
-/// Sets the trace output directory (created lazily on first write).
-pub fn set_dir(dir: impl AsRef<Path>) {
-    *DIR.lock().expect("trace dir poisoned") = Some(dir.as_ref().to_path_buf());
-}
-
-/// The effective trace directory ([`DEFAULT_DIR`] unless overridden).
-#[must_use]
-pub fn dir() -> PathBuf {
-    DIR.lock()
-        .expect("trace dir poisoned")
-        .clone()
-        .unwrap_or_else(|| PathBuf::from(DEFAULT_DIR))
-}
-
-/// Number of cells whose trace files were written since
-/// [`reset_written`].
-#[must_use]
-pub fn written() -> usize {
-    WRITTEN.load(Ordering::Relaxed)
-}
-
-/// Zeroes the written-cell counter.
-pub fn reset_written() {
-    WRITTEN.store(0, Ordering::Relaxed);
+/// Where and how much a traced run records.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TraceConfig {
+    /// Per-cell ring capacity in events (the recorder clamps 0 to 1).
+    pub capacity: usize,
+    /// Directory the trace files go into (created on first write).
+    pub dir: PathBuf,
 }
 
 /// Maps a cell label to a filesystem-safe file stem: every character
@@ -109,50 +60,27 @@ pub fn sanitize_label(label: &str) -> String {
     s
 }
 
-/// The two file paths a cell label maps to under the current directory.
-#[must_use]
-pub fn trace_paths(label: &str) -> (PathBuf, PathBuf) {
-    let d = dir();
-    let stem = sanitize_label(label);
-    (
-        d.join(format!("{stem}.trace.jsonl")),
-        d.join(format!("{stem}.chrome.json")),
-    )
-}
-
-/// Writes `<label>.trace.jsonl` and `<label>.chrome.json` into the
-/// trace directory, creating it if needed.
+/// Writes `<label>.trace.jsonl` and `<label>.chrome.json` into `dir`
+/// (with the label passed through [`sanitize_label`]), creating `dir`
+/// if needed.
 ///
 /// # Errors
 ///
 /// Propagates filesystem errors; callers treat a failed write as
 /// advisory (the run itself already succeeded).
-pub fn write_files(label: &str, trace: &Trace) -> std::io::Result<(PathBuf, PathBuf)> {
-    fs::create_dir_all(dir())?;
-    let (jsonl, chrome) = trace_paths(label);
-    fs::write(&jsonl, trace.to_jsonl())?;
-    fs::write(&chrome, trace.to_chrome_json())?;
-    WRITTEN.fetch_add(1, Ordering::Relaxed);
-    Ok((jsonl, chrome))
+pub fn write_files(dir: &Path, label: &str, trace: &Trace) -> std::io::Result<()> {
+    fs::create_dir_all(dir)?;
+    let stem = sanitize_label(label);
+    fs::write(dir.join(format!("{stem}.trace.jsonl")), trace.to_jsonl())?;
+    fs::write(
+        dir.join(format!("{stem}.chrome.json")),
+        trace.to_chrome_json(),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn capacity_round_trips_and_disables() {
-        // Serialize against other tests touching the global: this test
-        // restores the default (off) before returning.
-        set_capacity(Some(1024));
-        assert_eq!(capacity(), Some(1024));
-        assert!(enabled());
-        set_capacity(Some(0));
-        assert_eq!(capacity(), Some(1), "zero clamps to 1, still enabled");
-        set_capacity(None);
-        assert_eq!(capacity(), None);
-        assert!(!enabled());
-    }
 
     #[test]
     fn labels_sanitize_to_safe_stems() {

@@ -12,21 +12,22 @@
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::PathBuf;
-use std::sync::Mutex;
 
 use isol_bench::experiments::app_mix;
 use isol_bench::scenario_file::ScenarioSpec;
-use isol_bench::{runner, traceck, Fidelity, OutputSink};
-
-/// The worker count is process-global; serialize tests that touch it.
-static GLOBAL_CONFIG: Mutex<()> = Mutex::new(());
+use isol_bench::{traceck, Fidelity, OutputSink, RunConfig};
 
 fn app_mix_csvs(jobs: usize, tag: &str) -> BTreeMap<String, Vec<u8>> {
     let dir: PathBuf =
         std::env::temp_dir().join(format!("isol-bench-appmix-{}-{tag}", std::process::id()));
-    runner::set_jobs(jobs);
+    let cfg = RunConfig {
+        jobs,
+        ..RunConfig::default()
+    };
     let mut sink = OutputSink::with_dir(&dir).expect("temp output dir");
-    app_mix::run(Fidelity::Smoke, &mut sink).expect("app_mix run");
+    app_mix::stage(Fidelity::Smoke)
+        .run(&cfg, &mut sink)
+        .expect("app_mix run");
     let mut out = BTreeMap::new();
     for name in sink.emitted() {
         let path = dir.join(format!("{name}.csv"));
@@ -50,18 +51,14 @@ fn assert_same_csvs(a: &BTreeMap<String, Vec<u8>>, b: &BTreeMap<String, Vec<u8>>
 
 #[test]
 fn app_mix_grid_is_byte_identical_across_worker_counts() {
-    let _guard = GLOBAL_CONFIG.lock().unwrap_or_else(|e| e.into_inner());
     let sequential = app_mix_csvs(1, "seq");
     let parallel = app_mix_csvs(4, "par");
-    runner::set_jobs(0);
     assert_same_csvs(&sequential, &parallel, "jobs=1 and jobs=4");
 }
 
 #[test]
 fn app_mix_smoke_output_matches_committed_golden() {
-    let _guard = GLOBAL_CONFIG.lock().unwrap_or_else(|e| e.into_inner());
     let current = app_mix_csvs(2, "golden");
-    runner::set_jobs(0);
     let golden_dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
     let mut checked = 0;
     for (name, bytes) in &current {

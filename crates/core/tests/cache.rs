@@ -2,8 +2,9 @@
 //!
 //! * a warm rerun recomputes nothing and is byte-identical to the cold
 //!   run at every `--jobs` value,
-//! * any change to the cache key — fidelity tier or engine salt —
-//!   invalidates exactly the affected entries,
+//! * the fidelity tier is part of the cache key, and an entry stored
+//!   under another engine salt is a corrupt miss, recomputed and
+//!   rewritten under [`ENGINE_SALT`],
 //! * corrupted or truncated entries are silent misses (recomputed and
 //!   rewritten), never panics,
 //! * faulted scenarios (`q_faults`) bypass the cache entirely.
@@ -11,15 +12,11 @@
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 
+use isol_bench::cache::{self, CacheStats, ENGINE_SALT};
 use isol_bench::experiments::{fig4, q_faults};
-use isol_bench::{cache, runner, Fidelity, Knob, OutputSink, Scenario};
+use isol_bench::{run_cells, Fidelity, Knob, OutputSink, RunConfig, Scenario};
 use simcore::SimTime;
-
-/// Cache mode/dir/salt and the worker count are process-global, so
-/// tests that touch them must not interleave.
-static GLOBAL_CONFIG: Mutex<()> = Mutex::new(());
 
 fn temp_dir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("isol-bench-cache-it-{tag}-{}", std::process::id()));
@@ -27,41 +24,35 @@ fn temp_dir(tag: &str) -> PathBuf {
     d
 }
 
-/// Runs the fig4 smoke grid with `jobs` workers, returning every
-/// emitted CSV as `name -> bytes`.
-fn fig4_csvs(jobs: usize, tag: &str) -> BTreeMap<String, Vec<u8>> {
+/// A configuration with `jobs` workers and the cache in `dir`.
+fn cached(dir: &Path, jobs: usize) -> RunConfig {
+    RunConfig {
+        jobs,
+        cache: Some(dir.to_path_buf()),
+        ..RunConfig::default()
+    }
+}
+
+/// Runs the fig4 smoke grid under `cfg`, returning every emitted CSV
+/// as `name -> bytes` and the run's cache totals.
+fn fig4_csvs(cfg: &RunConfig, tag: &str) -> (BTreeMap<String, Vec<u8>>, CacheStats) {
     let dir = temp_dir(&format!("out-{tag}"));
-    runner::set_jobs(jobs);
     let mut sink = OutputSink::with_dir(&dir).expect("temp output dir");
-    fig4::run(Fidelity::Smoke, &mut sink).expect("fig4 run");
+    let (cells, finish) = fig4::stage(Fidelity::Smoke).into_parts();
+    let records = run_cells(cfg, cells);
+    let stats = CacheStats::tally(&records);
+    finish(
+        records.into_iter().map(|r| r.rows.ok()).collect(),
+        &mut sink,
+    )
+    .expect("fig4 run");
     let mut out = BTreeMap::new();
     for name in sink.emitted() {
         let path = dir.join(format!("{name}.csv"));
         out.insert(name.clone(), fs::read(&path).expect("emitted csv exists"));
     }
     fs::remove_dir_all(&dir).ok();
-    out
-}
-
-/// Restores the process-global cache state on scope exit so a failing
-/// assertion cannot leak `ReadWrite` mode into unrelated tests.
-struct CacheGuard;
-
-impl Drop for CacheGuard {
-    fn drop(&mut self) {
-        cache::set_mode(cache::CacheMode::Off);
-        cache::set_test_salt(None);
-        runner::set_jobs(0);
-    }
-}
-
-fn arm_cache(dir: &Path) -> CacheGuard {
-    cache::set_dir(dir);
-    cache::set_mode(cache::CacheMode::ReadWrite);
-    cache::set_test_salt(None);
-    cache::reset_stats();
-    let _ = cache::take_cell_stats();
-    CacheGuard
+    (out, stats)
 }
 
 fn cache_entries(dir: &Path) -> Vec<PathBuf> {
@@ -77,19 +68,17 @@ fn cache_entries(dir: &Path) -> Vec<PathBuf> {
 
 #[test]
 fn warm_rerun_recomputes_nothing_and_respects_jobs() {
-    let _guard = GLOBAL_CONFIG.lock().unwrap_or_else(|e| e.into_inner());
     let cache_dir = temp_dir("jobs");
-    let _restore = arm_cache(&cache_dir);
-    let cold = fig4_csvs(2, "jobs-cold");
-    let s0 = cache::stats();
+    let (cold, s0) = fig4_csvs(&cached(&cache_dir, 2), "jobs-cold");
     assert!(s0.misses > 0, "cold run must simulate");
     assert_eq!(s0.hits, 0);
     assert_eq!(s0.stored, s0.misses, "every computed cell stored");
-    let warm1 = fig4_csvs(1, "jobs-w1");
-    let warm4 = fig4_csvs(4, "jobs-w4");
-    let s1 = cache::stats();
-    assert_eq!(s1.misses, s0.misses, "warm reruns must not simulate");
-    assert_eq!(s1.hits, 2 * s0.misses, "every warm cell served from disk");
+    let (warm1, s1) = fig4_csvs(&cached(&cache_dir, 1), "jobs-w1");
+    let (warm4, s4) = fig4_csvs(&cached(&cache_dir, 4), "jobs-w4");
+    for s in [s1, s4] {
+        assert_eq!(s.misses, 0, "warm reruns must not simulate");
+        assert_eq!(s.hits, s0.misses, "every warm cell served from disk");
+    }
     assert_eq!(cold, warm1, "jobs=1 warm run must match the cold bytes");
     assert_eq!(cold, warm4, "jobs=4 warm run must match the cold bytes");
     fs::remove_dir_all(&cache_dir).ok();
@@ -97,23 +86,37 @@ fn warm_rerun_recomputes_nothing_and_respects_jobs() {
 
 #[test]
 fn engine_salt_bump_orphans_every_entry() {
-    let _guard = GLOBAL_CONFIG.lock().unwrap_or_else(|e| e.into_inner());
     let cache_dir = temp_dir("salt");
-    let _restore = arm_cache(&cache_dir);
-    let cold = fig4_csvs(2, "salt-cold");
-    let s0 = cache::stats();
+    let cfg = cached(&cache_dir, 2);
+    let (cold, s0) = fig4_csvs(&cfg, "salt-cold");
     assert!(s0.misses > 0);
-    // A bumped salt reaches none of the existing entries.
-    cache::set_test_salt(Some(0xDEAD_BEEF));
-    let bumped = fig4_csvs(2, "salt-bump");
-    let s1 = cache::stats();
+    // Rewrite every entry's salt line, as if an older engine had stored
+    // it: no stale-salt entry may serve.
+    let current = format!("\nsalt {ENGINE_SALT:016x}\n");
+    let stale = format!("\nsalt {:016x}\n", ENGINE_SALT ^ 0xDEAD_BEEF);
+    let entries = cache_entries(&cache_dir);
+    assert_eq!(entries.len(), s0.stored);
+    for path in &entries {
+        let text = fs::read_to_string(path).unwrap();
+        assert!(
+            text.contains(&current),
+            "{} has the engine salt",
+            path.display()
+        );
+        fs::write(path, text.replacen(&current, &stale, 1)).unwrap();
+    }
+    let (bumped, s1) = fig4_csvs(&cfg, "salt-bump");
     assert_eq!(s1.hits, 0, "no entry may survive a salt bump");
-    assert_eq!(s1.misses, 2 * s0.misses);
-    // The original salt's entries are still intact.
-    cache::set_test_salt(None);
-    let warm = fig4_csvs(2, "salt-warm");
-    let s2 = cache::stats();
-    assert_eq!(s2.hits, s0.misses, "original-salt entries still serve");
+    assert_eq!(s1.misses, s0.misses);
+    assert_eq!(s1.corrupt, s0.misses, "a stale-salt entry is corrupt");
+    assert_eq!(s1.stored, s0.misses, "every stale entry is rewritten");
+    for path in &entries {
+        let text = fs::read_to_string(path).unwrap();
+        assert!(text.contains(&current), "{} rewritten", path.display());
+    }
+    // The rewritten entries serve the next run.
+    let (warm, s2) = fig4_csvs(&cfg, "salt-warm");
+    assert_eq!(s2.hits, s0.misses, "rewritten entries serve");
     assert_eq!(cold, bumped);
     assert_eq!(cold, warm);
     fs::remove_dir_all(&cache_dir).ok();
@@ -121,9 +124,7 @@ fn engine_salt_bump_orphans_every_entry() {
 
 #[test]
 fn fidelity_is_part_of_the_key() {
-    let _guard = GLOBAL_CONFIG.lock().unwrap_or_else(|e| e.into_inner());
     let cache_dir = temp_dir("fidelity");
-    let _restore = arm_cache(&cache_dir);
     let s = Scenario::new(
         "fidelity-key-probe",
         1,
@@ -146,11 +147,9 @@ fn fidelity_is_part_of_the_key() {
 
 #[test]
 fn corrupted_entries_recompute_without_panicking() {
-    let _guard = GLOBAL_CONFIG.lock().unwrap_or_else(|e| e.into_inner());
     let cache_dir = temp_dir("corrupt");
-    let _restore = arm_cache(&cache_dir);
-    let cold = fig4_csvs(2, "corrupt-cold");
-    let s0 = cache::stats();
+    let cfg = cached(&cache_dir, 2);
+    let (cold, s0) = fig4_csvs(&cfg, "corrupt-cold");
     let entries = cache_entries(&cache_dir);
     assert_eq!(entries.len(), s0.stored, "one file per stored cell");
     // Truncate half the entries and garble the rest.
@@ -162,14 +161,12 @@ fn corrupted_entries_recompute_without_panicking() {
             fs::write(path, b"\xFF\xFEnot a cache entry").unwrap();
         }
     }
-    let recovered = fig4_csvs(2, "corrupt-warm");
-    let s1 = cache::stats();
+    let (recovered, s1) = fig4_csvs(&cfg, "corrupt-warm");
     assert_eq!(s1.hits, 0, "every corrupted entry must be a miss");
-    assert_eq!(s1.misses, 2 * s0.misses, "every cell recomputed");
+    assert_eq!(s1.misses, s0.misses, "every cell recomputed");
     assert_eq!(cold, recovered, "recovery run must match the cold bytes");
     // The recovery run rewrote the entries; the next run hits again.
-    let warm = fig4_csvs(2, "corrupt-rewarm");
-    let s2 = cache::stats();
+    let (warm, s2) = fig4_csvs(&cfg, "corrupt-rewarm");
     assert_eq!(s2.hits, s0.misses, "rewritten entries serve again");
     assert_eq!(cold, warm);
     fs::remove_dir_all(&cache_dir).ok();
@@ -177,12 +174,11 @@ fn corrupted_entries_recompute_without_panicking() {
 
 #[test]
 fn faulted_cells_bypass_the_cache() {
-    let _guard = GLOBAL_CONFIG.lock().unwrap_or_else(|e| e.into_inner());
     let cache_dir = temp_dir("faults");
-    let _restore = arm_cache(&cache_dir);
-    runner::set_jobs(2);
-    q_faults::run(Fidelity::Smoke, &mut OutputSink::quiet()).expect("q_faults run");
-    let s = cache::stats();
+    let (cells, _) = q_faults::stage(Fidelity::Smoke).into_parts();
+    let records = run_cells(&cached(&cache_dir, 2), cells);
+    assert!(records.iter().all(|r| r.rows.is_ok()), "q_faults run");
+    let s = CacheStats::tally(&records);
     assert!(s.bypassed > 0, "faulted cells must register as bypassed");
     assert_eq!(s.hits, 0);
     assert_eq!(s.misses, 0);

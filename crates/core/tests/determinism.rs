@@ -12,20 +12,22 @@
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::PathBuf;
-use std::sync::Mutex;
 
+use isol_bench::cache::CacheStats;
 use isol_bench::experiments::{fig4, q_faults};
-use isol_bench::{cache, runner, Fidelity, OutputSink};
+use isol_bench::{run_cells, Fidelity, OutputSink, RunConfig};
 
-/// The worker count is process-global, so tests that set it must not
-/// interleave.
-static GLOBAL_CONFIG: Mutex<()> = Mutex::new(());
+fn with_jobs(jobs: usize) -> RunConfig {
+    RunConfig {
+        jobs,
+        ..RunConfig::default()
+    }
+}
 
-/// Runs one experiment's smoke grid with `jobs` workers, returning
-/// every emitted CSV as `name -> bytes`.
+/// Runs one experiment's smoke grid, returning every emitted CSV as
+/// `name -> bytes`.
 fn grid_csvs(
     experiment: &str,
-    jobs: usize,
     tag: &str,
     run: impl FnOnce(&mut OutputSink),
 ) -> BTreeMap<String, Vec<u8>> {
@@ -33,7 +35,6 @@ fn grid_csvs(
         "isol-bench-determinism-{experiment}-{}-{tag}",
         std::process::id()
     ));
-    runner::set_jobs(jobs);
     let mut sink = OutputSink::with_dir(&dir).expect("temp output dir");
     run(&mut sink);
     let mut out = BTreeMap::new();
@@ -45,18 +46,22 @@ fn grid_csvs(
     out
 }
 
-fn fig4_csvs(jobs: usize, tag: &str) -> BTreeMap<String, Vec<u8>> {
-    grid_csvs("fig4", jobs, tag, |sink| {
-        fig4::run(Fidelity::Smoke, sink).expect("fig4 run");
+fn fig4_csvs(cfg: &RunConfig, tag: &str) -> BTreeMap<String, Vec<u8>> {
+    grid_csvs("fig4", tag, |sink| {
+        fig4::stage(Fidelity::Smoke)
+            .run(cfg, sink)
+            .expect("fig4 run");
     })
 }
 
 /// The fault-injection grid: the interesting determinism case, because
 /// every cell draws from a fault RNG stream on top of the usual
 /// simulation streams.
-fn q_faults_csvs(jobs: usize, tag: &str) -> BTreeMap<String, Vec<u8>> {
-    grid_csvs("qfaults", jobs, tag, |sink| {
-        q_faults::run(Fidelity::Smoke, sink).expect("q_faults run");
+fn q_faults_csvs(cfg: &RunConfig, tag: &str) -> BTreeMap<String, Vec<u8>> {
+    grid_csvs("qfaults", tag, |sink| {
+        q_faults::stage(Fidelity::Smoke)
+            .run(cfg, sink)
+            .expect("q_faults run");
     })
 }
 
@@ -74,18 +79,14 @@ fn assert_same_csvs(a: &BTreeMap<String, Vec<u8>>, b: &BTreeMap<String, Vec<u8>>
 
 #[test]
 fn fig4_grid_is_byte_identical_across_worker_counts() {
-    let _guard = GLOBAL_CONFIG.lock().unwrap_or_else(|e| e.into_inner());
-    let sequential = fig4_csvs(1, "seq");
-    let parallel = fig4_csvs(4, "par");
-    runner::set_jobs(0); // restore auto for any other test in this binary
+    let sequential = fig4_csvs(&with_jobs(1), "seq");
+    let parallel = fig4_csvs(&with_jobs(4), "par");
     assert_same_csvs(&sequential, &parallel, "jobs=1 and jobs=4");
 }
 
 #[test]
 fn fig4_smoke_output_matches_committed_golden() {
-    let _guard = GLOBAL_CONFIG.lock().unwrap_or_else(|e| e.into_inner());
-    let current = fig4_csvs(2, "golden");
-    runner::set_jobs(0);
+    let current = fig4_csvs(&with_jobs(2), "golden");
     assert_matches_goldens(&current, 2, "the two fig4 CSVs");
 }
 
@@ -110,21 +111,28 @@ fn assert_matches_goldens(current: &BTreeMap<String, Vec<u8>>, min: usize, what:
 /// goldens — the cache is invisible in the output.
 #[test]
 fn fig4_warm_cache_run_is_byte_identical_to_cold_and_golden() {
-    let _guard = GLOBAL_CONFIG.lock().unwrap_or_else(|e| e.into_inner());
     let cache_dir: PathBuf = std::env::temp_dir().join(format!(
         "isol-bench-determinism-cache-{}",
         std::process::id()
     ));
     fs::remove_dir_all(&cache_dir).ok();
-    cache::set_dir(&cache_dir);
-    cache::set_mode(cache::CacheMode::ReadWrite);
-    cache::reset_stats();
-    let cold = fig4_csvs(2, "cache-cold");
-    let cold_stats = cache::stats();
-    let warm = fig4_csvs(2, "cache-warm");
-    let warm_stats = cache::stats();
-    cache::set_mode(cache::CacheMode::Off);
-    runner::set_jobs(0);
+    let cfg = RunConfig {
+        jobs: 2,
+        cache: Some(cache_dir.clone()),
+        ..RunConfig::default()
+    };
+    let run = |tag: &str| {
+        let mut stats = CacheStats::default();
+        let csvs = grid_csvs("fig4", tag, |sink| {
+            let (cells, finish) = fig4::stage(Fidelity::Smoke).into_parts();
+            let records = run_cells(&cfg, cells);
+            stats = CacheStats::tally(&records);
+            finish(records.into_iter().map(|r| r.rows.ok()).collect(), sink).expect("fig4 run");
+        });
+        (csvs, stats)
+    };
+    let (cold, cold_stats) = run("cache-cold");
+    let (warm, warm_stats) = run("cache-warm");
     fs::remove_dir_all(&cache_dir).ok();
     assert!(cold_stats.misses > 0, "cold run must simulate");
     assert!(
@@ -139,17 +147,13 @@ fn fig4_warm_cache_run_is_byte_identical_to_cold_and_golden() {
 
 #[test]
 fn q_faults_grid_is_byte_identical_across_worker_counts() {
-    let _guard = GLOBAL_CONFIG.lock().unwrap_or_else(|e| e.into_inner());
-    let sequential = q_faults_csvs(1, "seq");
-    let parallel = q_faults_csvs(4, "par");
-    runner::set_jobs(0);
+    let sequential = q_faults_csvs(&with_jobs(1), "seq");
+    let parallel = q_faults_csvs(&with_jobs(4), "par");
     assert_same_csvs(&sequential, &parallel, "jobs=1 and jobs=4 (faulted)");
 }
 
 #[test]
 fn q_faults_smoke_output_matches_committed_golden() {
-    let _guard = GLOBAL_CONFIG.lock().unwrap_or_else(|e| e.into_inner());
-    let current = q_faults_csvs(2, "golden");
-    runner::set_jobs(0);
+    let current = q_faults_csvs(&with_jobs(2), "golden");
     assert_matches_goldens(&current, 1, "the q_faults CSV");
 }

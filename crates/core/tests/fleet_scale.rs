@@ -7,24 +7,25 @@
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::PathBuf;
-use std::sync::Mutex;
 
 use isol_bench::experiments::fleet_scale;
-use isol_bench::{runner, Fidelity, OutputSink};
+use isol_bench::{Fidelity, OutputSink, RunConfig};
 
-/// The worker count is process-global; tests that set it must not
-/// interleave.
-static GLOBAL_CONFIG: Mutex<()> = Mutex::new(());
-
-/// Runs the smoke fleet_scale grid, returning every emitted CSV as
-/// `name -> bytes`.
-fn fleet_scale_csvs(tag: &str) -> BTreeMap<String, Vec<u8>> {
+/// Runs the smoke fleet_scale grid with `jobs` workers, returning every
+/// emitted CSV as `name -> bytes`.
+fn fleet_scale_csvs(jobs: usize, tag: &str) -> BTreeMap<String, Vec<u8>> {
     let dir: PathBuf = std::env::temp_dir().join(format!(
         "isol-bench-fleet-scale-{}-{tag}",
         std::process::id()
     ));
+    let cfg = RunConfig {
+        jobs,
+        ..RunConfig::default()
+    };
     let mut sink = OutputSink::with_dir(&dir).expect("temp output dir");
-    fleet_scale::run(Fidelity::Smoke, &mut sink).expect("fleet_scale run");
+    fleet_scale::stage(Fidelity::Smoke)
+        .run(&cfg, &mut sink)
+        .expect("fleet_scale run");
     let mut out = BTreeMap::new();
     for name in sink.emitted() {
         let path = dir.join(format!("{name}.csv"));
@@ -63,12 +64,8 @@ fn assert_matches_golden(csvs: &BTreeMap<String, Vec<u8>>) {
 
 #[test]
 fn fleet_scale_grid_is_byte_identical_across_worker_counts() {
-    let _guard = GLOBAL_CONFIG.lock().unwrap_or_else(|e| e.into_inner());
-    runner::set_jobs(1);
-    let sequential = fleet_scale_csvs("jobs1");
-    runner::set_jobs(4);
-    let parallel = fleet_scale_csvs("jobs4");
-    runner::set_jobs(0);
+    let sequential = fleet_scale_csvs(1, "jobs1");
+    let parallel = fleet_scale_csvs(4, "jobs4");
     assert_same_csvs(&sequential, &parallel, "jobs=1 and jobs=4");
     assert_matches_golden(&sequential);
 }

@@ -1,14 +1,17 @@
 //! Integration tests for resilient cell execution and crash-safe
 //! resume from the cell cache:
 //!
-//! * a failing cell runs exactly once and is recorded once, with its
-//!   label and failure class,
+//! * a failing cell runs exactly once and leaves one failure record,
+//!   with its label and failure class,
 //! * a hung cell (`--inject-hang` hook) is stopped at its deadline
 //!   within a bounded wall-clock and classified `timed_out`,
 //! * a real scenario that outlives its deadline is cut at the engine's
 //!   own poll point, and a task that never polls is discarded when it
 //!   returns late — in both cases nothing reaches the cache or the
-//!   per-cell telemetry, traced cells included,
+//!   cache totals, traced cells included,
+//! * two batches with different configurations run at once in one
+//!   process, and each gets exactly its own failures, cache counts and
+//!   cell stats,
 //! * a rerun over a cache left by a killed run (entries missing,
 //!   corrupt, or only a stale temp file) serves every intact entry and
 //!   reproduces the uninterrupted run's CSVs byte for byte,
@@ -20,46 +23,17 @@ use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
+use isol_bench::cache::{self, CacheStats, CellOutcome};
 use isol_bench::experiments::fig4;
-use isol_bench::{
-    cache, run_cells, runner, tracing, Cell, CellRows, Fidelity, Knob, OutputSink, Scenario,
-};
+use isol_bench::runner::{CellRecord, FailureClass};
+use isol_bench::tracing::TraceConfig;
+use isol_bench::{run_cells, Cell, CellRows, Fidelity, Knob, OutputSink, RunConfig, Scenario};
 use proptest::prelude::*;
 use simcore::SimTime;
 use workload::JobSpec;
-
-/// The cell deadline, injection hooks, cache and tracing are
-/// process-global, so tests that touch them must not
-/// interleave.
-static GLOBAL_CONFIG: Mutex<()> = Mutex::new(());
-
-/// Restores every process-global knob this suite touches, so a failing
-/// assertion cannot leak a deadline or an injection into other tests.
-struct ResilienceGuard;
-
-impl Drop for ResilienceGuard {
-    fn drop(&mut self) {
-        runner::set_watchdog(None);
-        runner::set_inject_hang(None);
-        runner::set_inject_panic(None);
-        runner::set_jobs(0);
-        let _ = runner::take_failures();
-        cache::set_mode(cache::CacheMode::Off);
-        tracing::set_capacity(None);
-    }
-}
-
-fn arm_defaults() -> ResilienceGuard {
-    runner::set_watchdog(None);
-    runner::set_inject_hang(None);
-    runner::set_inject_panic(None);
-    let _ = runner::take_failures();
-    cache::set_mode(cache::CacheMode::Off);
-    ResilienceGuard
-}
 
 fn temp_dir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("isol-bench-res-it-{tag}-{}", std::process::id()));
@@ -67,42 +41,49 @@ fn temp_dir(tag: &str) -> PathBuf {
     d
 }
 
+/// A configuration with two workers and the cache in `dir`.
+fn cached(dir: &Path) -> RunConfig {
+    RunConfig {
+        jobs: 2,
+        cache: Some(dir.to_path_buf()),
+        ..RunConfig::default()
+    }
+}
+
 #[test]
 fn failing_cell_runs_exactly_once() {
-    let _guard = GLOBAL_CONFIG.lock().unwrap_or_else(|e| e.into_inner());
-    let _restore = arm_defaults();
     static CALLS: AtomicUsize = AtomicUsize::new(0);
-    CALLS.store(0, Ordering::SeqCst);
     let doomed = Cell::from_fn("res", "res-doomed", || {
         CALLS.fetch_add(1, Ordering::SeqCst);
         panic!("always fails");
     });
-    let results = run_cells(vec![doomed]);
-    assert_eq!(results, vec![None]);
+    let records = run_cells(&RunConfig::default(), vec![doomed]);
     assert_eq!(CALLS.load(Ordering::SeqCst), 1, "not re-run");
-    let fails = runner::take_failures();
-    assert_eq!(fails.len(), 1, "one record per failed cell");
-    assert_eq!(fails[0].label, "res-doomed");
-    assert_eq!(fails[0].class, runner::FailureClass::Panic);
-    assert!(fails[0].message.contains("always fails"));
+    assert_eq!(records.len(), 1, "one record per cell");
+    assert_eq!(records[0].label, "res-doomed");
+    let fail = records[0].rows.as_ref().expect_err("the cell failed");
+    assert_eq!(fail.class, FailureClass::Panic);
+    assert!(fail.message.contains("always fails"));
 }
 
 #[test]
 fn watchdog_cancels_a_hung_cell_within_bound() {
-    let _guard = GLOBAL_CONFIG.lock().unwrap_or_else(|e| e.into_inner());
-    let _restore = arm_defaults();
     let soft = Duration::from_millis(60);
-    runner::set_watchdog(Some(soft));
-    runner::set_inject_hang(Some("res-hang"));
+    let cfg = RunConfig {
+        deadline: Some(soft),
+        inject_hang: Some("res-hang".to_owned()),
+        ..RunConfig::default()
+    };
     let hung = Cell::from_fn("res", "res-hang", || vec![vec![1.0]]);
     let healthy = Cell::from_fn("res", "res-ok", || vec![vec![2.0]]);
     let started = Instant::now();
-    let results = run_cells(vec![hung, healthy]);
+    let records = run_cells(&cfg, vec![hung, healthy]);
     let elapsed = started.elapsed();
-    assert_eq!(results.len(), 2);
-    assert!(results[0].is_none(), "hung cell must be cancelled");
+    assert_eq!(records.len(), 2);
+    let hung_fail = records[0].rows.as_ref().expect_err("hung cell cancelled");
+    assert_eq!(hung_fail.class, FailureClass::TimedOut);
     assert_eq!(
-        results[1].as_ref().expect("healthy cell unaffected")[0][0],
+        records[1].rows.as_ref().expect("healthy cell unaffected")[0][0],
         2.0
     );
     // The hang would spin forever; only the deadline bounds it. Allow
@@ -111,12 +92,6 @@ fn watchdog_cancels_a_hung_cell_within_bound() {
         elapsed < soft + Duration::from_secs(10),
         "the deadline must bound the hang (took {elapsed:?})"
     );
-    let fails = runner::take_failures();
-    let hung_fail = fails
-        .iter()
-        .find(|f| f.label == "res-hang")
-        .expect("hung cell recorded");
-    assert_eq!(hung_fail.class, runner::FailureClass::TimedOut);
 }
 
 /// A fig4-shaped scenario (four always-busy batch tenants on one SSD)
@@ -137,93 +112,182 @@ fn long_cell(label: &str) -> Cell {
     )
 }
 
-/// Runs `cell` alone with a 50 ms deadline, and checks that it timed
-/// out within a bounded wall-clock.
-fn run_past_deadline(cell: Cell) -> runner::CellFailure {
+/// Runs `cell` alone under `cfg` with a 50 ms deadline, checks that it
+/// timed out within a bounded wall-clock and counts nothing, and
+/// returns its record.
+fn run_past_deadline(cfg: RunConfig, cell: Cell) -> CellRecord {
     let soft = Duration::from_millis(50);
-    runner::set_watchdog(Some(soft));
+    let cfg = RunConfig {
+        deadline: Some(soft),
+        ..cfg
+    };
     let label = cell.label().to_owned();
     let started = Instant::now();
-    let results = run_cells(vec![cell]);
+    let mut records = run_cells(&cfg, vec![cell]);
     let elapsed = started.elapsed();
-    assert_eq!(results, vec![None], "a timed-out cell yields no rows");
     assert!(
         elapsed < soft + Duration::from_secs(10),
         "the deadline must bound the cell (took {elapsed:?})"
     );
-    let mut fails = runner::take_failures();
-    assert_eq!(fails.len(), 1);
-    let fail = fails.pop().expect("one failure");
-    assert_eq!(fail.label, label);
-    assert_eq!(fail.class, runner::FailureClass::TimedOut);
-    fail
+    assert_eq!(records.len(), 1);
+    assert_eq!(
+        CacheStats::tally(&records),
+        CacheStats::default(),
+        "a timed-out cell counts nothing"
+    );
+    let record = records.pop().expect("one record");
+    assert_eq!(record.label, label);
+    let fail = record
+        .rows
+        .as_ref()
+        .expect_err("a timed-out cell yields no rows");
+    assert_eq!(fail.class, FailureClass::TimedOut);
+    assert!(!record.stat.stored, "nothing stored");
+    record
 }
 
 #[test]
 fn deadline_cuts_a_real_scenario_at_the_engine_poll_point() {
-    let _guard = GLOBAL_CONFIG.lock().unwrap_or_else(|e| e.into_inner());
-    let _restore = arm_defaults();
     let cache_dir = temp_dir("deadline-cache");
-    cache::set_dir(&cache_dir);
-    cache::set_mode(cache::CacheMode::ReadWrite);
-    cache::reset_stats();
-    let _ = cache::take_cell_stats();
-
-    run_past_deadline(long_cell("res-long"));
-
-    let stats = cache::stats();
-    assert_eq!((stats.misses, stats.stored), (0, 0), "nothing stored");
+    run_past_deadline(cached(&cache_dir), long_cell("res-long"));
     assert!(
         fs::read_dir(&cache_dir).map_or(true, |mut d| d.next().is_none()),
         "no cache entry written"
     );
-    assert!(cache::take_cell_stats().is_empty(), "no per-cell telemetry");
     fs::remove_dir_all(&cache_dir).ok();
 }
 
 #[test]
 fn traced_cell_past_its_deadline_records_nothing() {
-    let _guard = GLOBAL_CONFIG.lock().unwrap_or_else(|e| e.into_inner());
-    let _restore = arm_defaults();
     let trace_dir = temp_dir("deadline-traces");
-    tracing::set_dir(&trace_dir);
-    tracing::set_capacity(Some(1024));
-    cache::reset_stats();
-    let _ = cache::take_cell_stats();
-
-    run_past_deadline(long_cell("res-long-traced"));
-
-    assert_eq!(cache::stats().bypassed, 0, "no bypass counted");
-    assert!(cache::take_cell_stats().is_empty(), "no per-cell telemetry");
+    let cfg = RunConfig {
+        trace: Some(TraceConfig {
+            capacity: 1024,
+            dir: trace_dir.clone(),
+        }),
+        ..RunConfig::default()
+    };
+    run_past_deadline(cfg, long_cell("res-long-traced"));
     fs::remove_dir_all(&trace_dir).ok();
 }
 
 #[test]
 fn task_that_never_polls_is_discarded_when_it_returns_late() {
-    let _guard = GLOBAL_CONFIG.lock().unwrap_or_else(|e| e.into_inner());
-    let _restore = arm_defaults();
     let sleepy = Cell::from_fn("res", "res-sleepy", || {
         std::thread::sleep(Duration::from_millis(200));
         vec![vec![1.0]]
     });
-    let fail = run_past_deadline(sleepy);
+    let record = run_past_deadline(RunConfig::default(), sleepy);
+    let fail = record.rows.expect_err("discarded");
     assert!(fail.message.contains("partial result discarded"));
 }
 
-/// Runs the fig4 smoke grid, returning every emitted CSV as
-/// `name -> bytes`.
-fn fig4_csvs(tag: &str) -> BTreeMap<String, Vec<u8>> {
+/// Six cells of a few simulated milliseconds each, one per knob,
+/// labelled `<prefix>-<i>`.
+fn short_grid(prefix: &str) -> Vec<Cell> {
+    Knob::ALL
+        .into_iter()
+        .enumerate()
+        .map(|(i, knob)| {
+            let mut s = Scenario::new(&format!("{prefix}-{i}"), 2, vec![knob.device_setup(false)]);
+            for t in 0..=i % 3 {
+                let g = s.add_cgroup(&format!("t-{t}"));
+                s.add_app(g, JobSpec::batch_app(&format!("a-{t}")));
+            }
+            Cell::scenario(
+                "res",
+                Fidelity::Smoke,
+                s,
+                SimTime::from_millis(3),
+                |report| vec![report.app_bandwidths(), vec![report.aggregate_gib_s()]],
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn concurrent_batches_keep_their_own_records() {
+    let cache_dir = temp_dir("concurrent-cache");
+    let with_cache = RunConfig {
+        inject_panic: Some("res-mix-a-1".to_owned()),
+        ..cached(&cache_dir)
+    };
+    let without_cache = RunConfig {
+        jobs: 2,
+        ..RunConfig::default()
+    };
+    let start = Barrier::new(2);
+    let run = |cfg: &RunConfig, prefix: &str| {
+        start.wait();
+        run_cells(cfg, short_grid(prefix))
+    };
+    let (a, b) = std::thread::scope(|scope| {
+        let a = scope.spawn(|| run(&with_cache, "res-mix-a"));
+        let b = scope.spawn(|| run(&without_cache, "res-mix-b"));
+        (a.join().expect("batch a"), b.join().expect("batch b"))
+    });
+
+    // Batch a: one injected failure, five cached misses.
+    assert_eq!(a.len(), 6);
+    for (i, r) in a.iter().enumerate() {
+        assert_eq!(r.label, format!("res-mix-a-{i}"));
+    }
+    let failed: Vec<_> = a.iter().filter(|r| r.rows.is_err()).collect();
+    assert_eq!(failed.len(), 1, "exactly its own failure");
+    assert_eq!(failed[0].label, "res-mix-a-1");
+    let fail = failed[0].rows.as_ref().unwrap_err();
+    assert_eq!(fail.class, FailureClass::Panic);
+    assert!(fail.message.contains("injected panic"));
+    let stats = CacheStats::tally(&a);
+    assert_eq!(
+        (
+            stats.hits,
+            stats.misses,
+            stats.stored,
+            stats.bypassed,
+            stats.corrupt
+        ),
+        (0, 5, 5, 0, 0)
+    );
+    assert_eq!(cache_entries(&cache_dir).len(), 5);
+
+    // Batch b: no failure, no cache traffic.
+    assert_eq!(b.len(), 6);
+    for (i, r) in b.iter().enumerate() {
+        assert_eq!(r.label, format!("res-mix-b-{i}"));
+        assert!(r.rows.is_ok(), "{} must not fail", r.label);
+        assert_eq!(r.stat.outcome, CellOutcome::Off);
+        assert!(!r.stat.stored && !r.stat.corrupt && !r.stat.traced);
+    }
+    assert_eq!(CacheStats::tally(&b), CacheStats::default());
+    fs::remove_dir_all(&cache_dir).ok();
+}
+
+/// Runs the fig4 smoke grid under `cfg`, requiring every cell to
+/// succeed; returns every emitted CSV as `name -> bytes` and the run's
+/// cache totals.
+fn fig4_csvs(cfg: &RunConfig, tag: &str) -> (BTreeMap<String, Vec<u8>>, CacheStats) {
     let dir = temp_dir(&format!("out-{tag}"));
-    runner::set_jobs(2);
     let mut sink = OutputSink::with_dir(&dir).expect("temp output dir");
-    fig4::run(Fidelity::Smoke, &mut sink).expect("fig4 run");
+    let (cells, finish) = fig4::stage(Fidelity::Smoke).into_parts();
+    let records = run_cells(cfg, cells);
+    assert!(
+        records.iter().all(|r| r.rows.is_ok()),
+        "every cell succeeds"
+    );
+    let stats = CacheStats::tally(&records);
+    finish(
+        records.into_iter().map(|r| r.rows.ok()).collect(),
+        &mut sink,
+    )
+    .expect("fig4 run");
     let mut out = BTreeMap::new();
     for name in sink.emitted() {
         let path = dir.join(format!("{name}.csv"));
         out.insert(name.clone(), fs::read(&path).expect("emitted csv exists"));
     }
     fs::remove_dir_all(&dir).ok();
-    out
+    (out, stats)
 }
 
 /// The `*.cell` entries under `dir`, sorted by name.
@@ -244,16 +308,10 @@ fn stale_tmp_of(entry: &Path) -> PathBuf {
 
 #[test]
 fn rerun_after_a_kill_resumes_from_the_cache() {
-    let _guard = GLOBAL_CONFIG.lock().unwrap_or_else(|e| e.into_inner());
-    let _restore = arm_defaults();
     let cache_dir = temp_dir("resume-cache");
-    cache::set_dir(&cache_dir);
-    cache::set_mode(cache::CacheMode::ReadWrite);
-    cache::reset_stats();
-    let cold = fig4_csvs("resume-cold");
-    assert!(runner::take_failures().is_empty(), "cold run must be clean");
+    let (cold, cold_stats) = fig4_csvs(&cached(&cache_dir), "resume-cold");
     let entries = cache_entries(&cache_dir);
-    assert_eq!(cache::stats().stored, entries.len());
+    assert_eq!(cold_stats.stored, entries.len());
     assert!(
         entries.len() >= 4,
         "fig4 smoke grid has {} cells",
@@ -278,10 +336,8 @@ fn rerun_after_a_kill_resumes_from_the_cache() {
     assert_eq!(cache::sweep_stale_tmp(&cache_dir), 1);
     assert!(!tmp.exists(), "the stale temp file is swept");
 
-    cache::reset_stats();
-    let resumed = fig4_csvs("resume-warm");
+    let (resumed, stats) = fig4_csvs(&cached(&cache_dir), "resume-warm");
     assert_eq!(cold, resumed, "resumed CSVs must be byte-identical");
-    let stats = cache::stats();
     assert_eq!(stats.hits, intact, "every intact entry is served");
     assert_eq!(stats.corrupt, 1, "the torn entry is a counted miss");
     assert_eq!(stats.misses, entries.len() - intact);
@@ -289,33 +345,14 @@ fn rerun_after_a_kill_resumes_from_the_cache() {
     fs::remove_dir_all(&cache_dir).ok();
 }
 
-/// Six cells of a few simulated milliseconds each, one per knob.
-fn short_grid() -> Vec<Cell> {
-    Knob::ALL
+fn run_short_grid(cfg: &RunConfig) -> (Vec<CellRows>, CacheStats) {
+    let records = run_cells(cfg, short_grid("res-short"));
+    let stats = CacheStats::tally(&records);
+    let rows = records
         .into_iter()
-        .enumerate()
-        .map(|(i, knob)| {
-            let mut s = Scenario::new(&format!("res-short-{i}"), 2, vec![knob.device_setup(false)]);
-            for t in 0..=i % 3 {
-                let g = s.add_cgroup(&format!("t-{t}"));
-                s.add_app(g, JobSpec::batch_app(&format!("a-{t}")));
-            }
-            Cell::scenario(
-                "res",
-                Fidelity::Smoke,
-                s,
-                SimTime::from_millis(3),
-                |report| vec![report.app_bandwidths(), vec![report.aggregate_gib_s()]],
-            )
-        })
-        .collect()
-}
-
-fn run_short_grid() -> Vec<CellRows> {
-    run_cells(short_grid())
-        .into_iter()
-        .map(|rows| rows.expect("short cells never fail"))
-        .collect()
+        .map(|r| r.rows.expect("short cells never fail"))
+        .collect();
+    (rows, stats)
 }
 
 /// What a kill left of one cache entry.
@@ -351,9 +388,7 @@ fn cold_short_grid() -> &'static ColdGrid {
     static COLD: std::sync::OnceLock<ColdGrid> = std::sync::OnceLock::new();
     COLD.get_or_init(|| {
         let dir = temp_dir("short-cold");
-        cache::set_dir(&dir);
-        cache::set_mode(cache::CacheMode::ReadWrite);
-        let rows = run_short_grid();
+        let (rows, _) = run_short_grid(&cached(&dir));
         let entries = cache_entries(&dir)
             .iter()
             .map(|p| {
@@ -386,9 +421,6 @@ proptest! {
     fn rerun_is_exact_whatever_a_kill_left(
         fates in proptest::collection::vec(left(), 6),
     ) {
-        let _guard = GLOBAL_CONFIG.lock().unwrap_or_else(|e| e.into_inner());
-        let _restore = arm_defaults();
-        runner::set_jobs(2);
         let cold = cold_short_grid();
         prop_assert_eq!(cold.entries.len(), fates.len());
         let dir = temp_dir("short-kill");
@@ -412,12 +444,9 @@ proptest! {
             }
         }
         prop_assert_eq!(cache::sweep_stale_tmp(&dir), temps);
-        cache::set_dir(&dir);
-        cache::set_mode(cache::CacheMode::ReadWrite);
-        cache::reset_stats();
-        let rows = run_short_grid();
+        let (rows, stats) = run_short_grid(&cached(&dir));
         prop_assert_eq!(bits(&rows), bits(&cold.rows));
-        prop_assert_eq!(cache::stats().hits, intact);
+        prop_assert_eq!(stats.hits, intact);
         fs::remove_dir_all(&dir).ok();
     }
 }

@@ -12,16 +12,13 @@
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::PathBuf;
-use std::sync::Mutex;
 
+use isol_bench::cache::CellOutcome;
 use isol_bench::experiments::{fig4, fleet_scale};
-use isol_bench::{runner, traceck, tracing, Fidelity, Knob, OutputSink, Scenario};
+use isol_bench::tracing::{self, TraceConfig};
+use isol_bench::{run_cells, traceck, Fidelity, Knob, RunConfig, Scenario};
 use simcore::SimTime;
 use workload::JobSpec;
-
-/// Worker count and trace capture are process-global, so these tests
-/// must not interleave.
-static GLOBAL_CONFIG: Mutex<()> = Mutex::new(());
 
 /// Runs the fig4 smoke grid with `jobs` workers and tracing on,
 /// returning every written trace file as `name -> bytes`.
@@ -31,12 +28,24 @@ fn traced_grid(jobs: usize, tag: &str) -> BTreeMap<String, Vec<u8>> {
         std::process::id()
     ));
     let trace_dir = base.join("traces");
-    runner::set_jobs(jobs);
-    tracing::set_dir(&trace_dir);
-    tracing::set_capacity(Some(tracing::DEFAULT_CAPACITY));
-    let mut sink = OutputSink::with_dir(&base).expect("temp output dir");
-    fig4::run(Fidelity::Smoke, &mut sink).expect("fig4 run");
-    tracing::set_capacity(None);
+    let cfg = RunConfig {
+        jobs,
+        trace: Some(TraceConfig {
+            capacity: tracing::DEFAULT_CAPACITY,
+            dir: trace_dir.clone(),
+        }),
+        ..RunConfig::default()
+    };
+    let (cells, _) = fig4::stage(Fidelity::Smoke).into_parts();
+    for r in run_cells(&cfg, cells) {
+        assert!(r.rows.is_ok(), "{} failed", r.label);
+        assert!(r.stat.traced, "{} reports its trace files", r.label);
+        assert_eq!(
+            r.stat.outcome,
+            CellOutcome::Bypass,
+            "traced cells bypass the cache"
+        );
+    }
     let mut out = BTreeMap::new();
     for entry in fs::read_dir(&trace_dir).expect("trace dir exists") {
         let path = entry.expect("dir entry").path();
@@ -49,10 +58,8 @@ fn traced_grid(jobs: usize, tag: &str) -> BTreeMap<String, Vec<u8>> {
 
 #[test]
 fn traced_fig4_grid_is_byte_identical_across_worker_counts() {
-    let _guard = GLOBAL_CONFIG.lock().unwrap_or_else(|e| e.into_inner());
     let sequential = traced_grid(1, "seq");
     let parallel = traced_grid(4, "par");
-    runner::set_jobs(0);
     assert!(!sequential.is_empty(), "traced grid wrote no trace files");
     assert_eq!(
         sequential.keys().collect::<Vec<_>>(),
@@ -91,7 +98,6 @@ fn golden_jsonl() -> String {
 
 #[test]
 fn trace_matches_committed_golden() {
-    let _guard = GLOBAL_CONFIG.lock().unwrap_or_else(|e| e.into_inner());
     let current = golden_jsonl();
     let golden_path =
         PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/trace_mq_prio.trace.jsonl");
@@ -116,7 +122,6 @@ fn trace_matches_committed_golden() {
 /// ends.
 #[test]
 fn multi_device_fleet_trace_passes_traceck() {
-    let _guard = GLOBAL_CONFIG.lock().unwrap_or_else(|e| e.into_inner());
     let until = SimTime::from_millis(25);
     let (s, _, _) = fleet_scale::fleet_scale_scenario(Knob::MqDlPrio, 32);
     let (report, trace) = s.run_traced(until, 1 << 20);

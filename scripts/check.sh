@@ -22,6 +22,13 @@ if [[ "${1:-}" == "--quick" ]]; then
     exit 0
 fi
 
+echo "==> no global harness state (crates/core/src must declare no static Atomic*, Mutex or RwLock; run settings travel in RunConfig)"
+global_state='\bstatic\s+(mut\s+)?[A-Za-z_][A-Za-z0-9_]*\s*:[^=]*\b(Atomic[A-Za-z0-9]*|Mutex|RwLock)\b'
+if grep -rnE "$global_state" crates/core/src; then
+    echo "FAIL: process-global state in crates/core/src (pass it in RunConfig or a cell's record instead)"
+    exit 1
+fi
+
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 
